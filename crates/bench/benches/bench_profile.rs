@@ -4,7 +4,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use dmhpc_des::rng::Pcg64;
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, ClusterSpec, NodeSpec, PoolTopology};
-use dmhpc_sched::{AvailabilityProfile, Demand, Release};
+use dmhpc_sched::{AvailabilityProfile, Demand, Release, ReleaseIndex, RunningRelease};
 
 fn make(releases: usize) -> (Cluster, Vec<Release>) {
     let cluster = Cluster::new(ClusterSpec::new(
@@ -26,6 +26,22 @@ fn make(releases: usize) -> (Cluster, Vec<Release>) {
     (cluster, rels)
 }
 
+/// The same releases held in a [`ReleaseIndex`], as an engine holds them.
+fn index_of(rels: &[Release]) -> ReleaseIndex {
+    let mut index = ReleaseIndex::new();
+    for (lease, r) in rels.iter().enumerate() {
+        index.insert(
+            lease as u64,
+            RunningRelease {
+                planned_end: r.time,
+                nodes_per_rack: r.nodes_per_rack.clone(),
+                pool_per_domain: r.pool_per_domain.clone(),
+            },
+        );
+    }
+    index
+}
+
 fn bench_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("availability_profile");
     group.sample_size(20);
@@ -37,6 +53,20 @@ fn bench_profile(c: &mut Criterion) {
                     SimTime::ZERO,
                     &cluster,
                     &rels,
+                ))
+            })
+        });
+        // The build a scheduling pass does: straight from the sorted index.
+        let index = index_of(&rels);
+        group.bench_with_input(BenchmarkId::new("from_view", n), &n, |b, _| {
+            b.iter(|| {
+                black_box(AvailabilityProfile::from_sorted(
+                    SimTime::ZERO,
+                    &cluster,
+                    index
+                        .view()
+                        .iter()
+                        .map(|r| (r.planned_end, &r.nodes_per_rack[..], &r.pool_per_domain[..])),
                 ))
             })
         });

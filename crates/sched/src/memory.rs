@@ -294,6 +294,12 @@ impl crate::traits::Placement for MemoryPolicy {
     }
 
     fn plan(&self, job: &Job, ctx: &crate::traits::SchedContext<'_>) -> Option<PlannedAllocation> {
+        // Count-only probe: every shape of every policy places at least
+        // `job.nodes` free nodes, so with fewer free no shape can be
+        // placed. Exact, and it spares failing candidates every allocation.
+        if ctx.cluster.free_nodes() < job.nodes as usize {
+            return None;
+        }
         if let MemoryPolicy::LaxityAware { max_dilation } = self {
             let cluster = ctx.cluster;
             let mut shapes = enumerate_shapes(
@@ -861,5 +867,100 @@ mod tests {
         let plan = Placement::plan(&la, &job, &ctx).unwrap();
         assert_eq!(plan.dilation, 1.0, "finish-earliest shape");
         assert_eq!(plan.assignment.node_count(), 3);
+    }
+
+    /// The invariant behind `plan()`'s count-only probe: every shape any
+    /// policy plans or reserves uses at least `job.nodes` nodes. Random
+    /// clusters (all three pool topologies, partly occupied, some nodes
+    /// down), random jobs and all five policies; for jobs without a
+    /// deadline the probed trait `plan()` must also equal the unprobed
+    /// inherent one.
+    #[test]
+    fn every_shape_uses_at_least_the_requested_nodes() {
+        use crate::release::ReleaseView;
+        use crate::traits::{Placement, SchedContext};
+        use dmhpc_des::rng::Pcg64;
+        use dmhpc_des::time::SimTime;
+        use dmhpc_workload::Slo;
+        for case in 0..300u64 {
+            let mut rng = Pcg64::new_stream(0x9B0E, case);
+            let racks = 1 + rng.index(3) as u32;
+            let per_rack = 1 + rng.index(6) as u32;
+            let pool = match rng.index(3) {
+                0 => PoolTopology::None,
+                1 => PoolTopology::PerRack {
+                    mib_per_rack: rng.range_u64(1, 1024) * GIB,
+                },
+                _ => PoolTopology::Global {
+                    mib: rng.range_u64(1, 2048) * GIB,
+                },
+            };
+            let mut c = Cluster::new(ClusterSpec::new(
+                racks,
+                per_rack,
+                NodeSpec::new(64, 256 * GIB),
+                pool,
+            ));
+            let total = c.total_nodes();
+            for node in 0..total {
+                if rng.chance(0.1) {
+                    c.fail_node(NodeId(node)).unwrap();
+                }
+            }
+            let model = if rng.chance(0.5) {
+                LINEAR
+            } else {
+                SlowdownModel::Contention {
+                    penalty: 1.5,
+                    gamma: 1.0,
+                }
+            };
+            let policies = [
+                MemoryPolicy::LocalOnly,
+                MemoryPolicy::PoolFirstFit,
+                MemoryPolicy::PoolBestFit,
+                MemoryPolicy::SlowdownAware {
+                    max_dilation: rng.range_f64(1.0, 2.0),
+                },
+                MemoryPolicy::LaxityAware {
+                    max_dilation: rng.range_f64(1.0, 2.0),
+                },
+            ];
+            for i in 0..12u64 {
+                let mut job = JobBuilder::new(i)
+                    .nodes(1 + rng.index(total as usize + 2) as u32)
+                    .mem_per_node(rng.range_u64(1, 1024) * GIB)
+                    .intensity(rng.next_f64())
+                    .runtime_secs(100, 200 + rng.bounded_u64(2000))
+                    .build();
+                if rng.chance(0.3) {
+                    job.slo = Some(Slo::Deadline {
+                        deadline_s: rng.range_f64(0.0, 3000.0),
+                    });
+                }
+                let now = SimTime::from_secs(rng.bounded_u64(1000));
+                let ctx = SchedContext::new(now, &c, &model, ReleaseView::empty(), None);
+                let mut placed = None;
+                for policy in &policies {
+                    let what = format!("case {case} job {i} {policy:?}");
+                    if let Some((demand, _)) = Placement::nominal_shape(policy, &job, &ctx) {
+                        assert!(demand.nodes >= job.nodes, "{what}: nominal {demand:?}");
+                    }
+                    let plan = Placement::plan(policy, &job, &ctx);
+                    if let Some(p) = &plan {
+                        assert!(p.assignment.node_count() >= job.nodes as usize, "{what}");
+                    }
+                    if job.slo.is_none() || !matches!(policy, MemoryPolicy::LaxityAware { .. }) {
+                        assert_eq!(plan, policy.plan(&job, &c, &model), "{what}: probe");
+                    }
+                    placed = placed.or(plan);
+                }
+                // Occupy the machine as the run goes, so later jobs meet
+                // partly used racks and pools.
+                if let Some(p) = placed {
+                    c.allocate(100 + i, p.assignment).unwrap();
+                }
+            }
+        }
     }
 }

@@ -22,9 +22,9 @@
 use crate::admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
 use crate::memory::MemoryPolicy;
 use crate::order::OrderPolicy;
-use crate::profile::{AvailabilityProfile, Release};
+use crate::profile::AvailabilityProfile;
 use crate::queue::WaitQueue;
-use crate::release::ReleaseView;
+use crate::release::{ReleaseView, RunningRelease};
 use crate::traits::{Ordering, PassDirective, Placement, SchedContext};
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, MemoryAssignment, PlatformError, SlowdownModel};
@@ -417,24 +417,20 @@ impl Scheduler {
             return result;
         }
 
-        // View iteration is already (time, lease)-sorted; the profile's
-        // stable sort then sees pre-sorted input plus the started-jobs tail.
-        let releases: Vec<Release> = running
-            .iter()
-            .map(|r| Release {
-                time: r.planned_end,
-                nodes_per_rack: r.nodes_per_rack.clone(),
-                pool_per_domain: r.pool_per_domain.clone(),
-            })
-            // Jobs started in phase 1 also release capacity later.
-            .chain(
-                result
-                    .started
-                    .iter()
-                    .map(|s| release_of(cluster, &s.assignment, now + s.planned_walltime)),
-            )
-            .collect();
-        let mut profile = AvailabilityProfile::from_cluster(now, cluster, &releases);
+        // View iteration is already time-sorted, so the profile builds
+        // straight from it: no release copy, no sort.
+        let mut profile = AvailabilityProfile::from_sorted(
+            now,
+            cluster,
+            running
+                .iter()
+                .map(|r| (r.planned_end, &r.nodes_per_rack[..], &r.pool_per_domain[..])),
+        );
+        // Jobs started in phase 1 also release capacity later.
+        for s in &result.started {
+            let r = RunningRelease::of(cluster, &s.assignment, now + s.planned_walltime);
+            profile.add_release(r.planned_end, &r.nodes_per_rack, &r.pool_per_domain);
+        }
 
         // The profile only sees current free capacity plus running-job
         // releases; it knows nothing about scheduled repairs or drain
@@ -672,33 +668,10 @@ fn split_of(cluster: &Cluster, assignment: &MemoryAssignment) -> Vec<u32> {
     split
 }
 
-/// The release event an assignment will produce at `end`.
-fn release_of(cluster: &Cluster, assignment: &MemoryAssignment, end: SimTime) -> Release {
-    let racks = cluster.spec().racks as usize;
-    let domains = cluster.pools().len();
-    let mut nodes_per_rack = vec![0u32; racks];
-    let mut pool_per_domain = vec![0u64; domains];
-    for &node in &assignment.nodes {
-        nodes_per_rack[cluster.rack_of(node).0 as usize] += 1;
-        if assignment.remote_per_node > 0 {
-            let pool = cluster
-                .pool_of(node)
-                // lint: allow(panic) — assignments with remote memory are only planned on pool-backed nodes
-                .expect("remote memory implies a pool domain");
-            pool_per_domain[pool.0 as usize] += assignment.remote_per_node;
-        }
-    }
-    Release {
-        time: end,
-        nodes_per_rack,
-        pool_per_domain,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::release::{ReleaseIndex, RunningRelease};
+    use crate::release::ReleaseIndex;
     use dmhpc_platform::{ClusterSpec, NodeSpec, PoolTopology};
     use dmhpc_workload::{JobBuilder, JobId};
 
@@ -749,14 +722,9 @@ mod tests {
             MemoryAssignment::local(ids, 32 * GIB)
         };
         cluster.allocate(lease, a.clone()).unwrap();
-        let rel = release_of(cluster, &a, SimTime::from_secs(end_s));
         running.insert(
             lease,
-            RunningRelease {
-                planned_end: rel.time,
-                nodes_per_rack: rel.nodes_per_rack,
-                pool_per_domain: rel.pool_per_domain,
-            },
+            RunningRelease::of(cluster, &a, SimTime::from_secs(end_s)),
         );
     }
 

@@ -21,7 +21,7 @@
 //! ends do drift (e.g. checkpoint/restart extensions).
 
 use dmhpc_des::time::SimTime;
-use dmhpc_platform::MiB;
+use dmhpc_platform::{Cluster, MemoryAssignment, MiB};
 use std::collections::BTreeMap;
 
 /// A running job's future release, as the engine reports it (walltime-based
@@ -34,6 +34,28 @@ pub struct RunningRelease {
     pub nodes_per_rack: Vec<u32>,
     /// Pool MiB held, per domain.
     pub pool_per_domain: Vec<MiB>,
+}
+
+impl RunningRelease {
+    /// The release `assignment` produces at `planned_end`: its nodes counted
+    /// per rack and its pool MiB per domain.
+    pub fn of(cluster: &Cluster, assignment: &MemoryAssignment, planned_end: SimTime) -> Self {
+        let mut nodes_per_rack = vec![0u32; cluster.spec().racks as usize];
+        let mut pool_per_domain = vec![0u64; cluster.pools().len()];
+        for &node in &assignment.nodes {
+            nodes_per_rack[cluster.rack_of(node).0 as usize] += 1;
+            if assignment.remote_per_node > 0 {
+                // lint: allow(panic) — jobs borrow remote memory only from pool-backed nodes
+                let pool = cluster.pool_of(node).expect("borrower has a pool");
+                pool_per_domain[pool.0 as usize] += assignment.remote_per_node;
+            }
+        }
+        RunningRelease {
+            planned_end,
+            nodes_per_rack,
+            pool_per_domain,
+        }
+    }
 }
 
 /// Incrementally maintained set of running-job releases, sorted by

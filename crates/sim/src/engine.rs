@@ -1572,7 +1572,7 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
         // (planned ends are walltime-based, so re-dilation cannot move
         // them) and is removed at finish.
         let planned_end = self.now + planned_walltime;
-        let release = release_info(&self.cluster, &assignment, planned_end);
+        let release = RunningRelease::of(&self.cluster, &assignment, planned_end);
         self.note_pool_change(job.id, &release.pool_per_domain, true);
         self.releases.insert(job.id.as_u64(), release);
         let kill_time = if self.cfg.enforce_walltime {
@@ -1777,31 +1777,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             preemptions,
             service: None,
         }
-    }
-}
-
-/// Build the scheduler-visible release record for an assignment.
-fn release_info(
-    cluster: &Cluster,
-    assignment: &MemoryAssignment,
-    planned_end: SimTime,
-) -> RunningRelease {
-    let racks = cluster.spec().racks as usize;
-    let domains = cluster.pools().len();
-    let mut nodes_per_rack = vec![0u32; racks];
-    let mut pool_per_domain = vec![0u64; domains];
-    for &node in &assignment.nodes {
-        nodes_per_rack[cluster.rack_of(node).0 as usize] += 1;
-        if assignment.remote_per_node > 0 {
-            // lint: allow(panic) — jobs borrow remote memory only from pool-backed nodes
-            let pool = cluster.pool_of(node).expect("borrower has a pool");
-            pool_per_domain[pool.0 as usize] += assignment.remote_per_node;
-        }
-    }
-    RunningRelease {
-        planned_end,
-        nodes_per_rack,
-        pool_per_domain,
     }
 }
 

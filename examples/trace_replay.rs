@@ -26,8 +26,10 @@ fn main() -> Result<(), SimError> {
 
     let (trace_name, workload) = match std::env::args().nth(1) {
         Some(path) => {
-            let file = std::fs::File::open(&path).expect("cannot open SWF file");
-            let trace = parse_reader(BufReader::new(file), &swf_cfg).expect("SWF parse error");
+            let file = std::fs::File::open(&path)
+                .map_err(|e| SimError::io(format!("opening SWF file {path}"), e))?;
+            let trace = parse_reader(BufReader::new(file), &swf_cfg)
+                .map_err(|e| SimError::parse(format!("SWF file {path}: {e}")))?;
             println!(
                 "parsed {} jobs ({} lines skipped) from {path}",
                 trace.workload.len(),
@@ -42,7 +44,8 @@ fn main() -> Result<(), SimError> {
             // Round trip: synthesize → write SWF → parse SWF.
             let w = SystemPreset::MidCluster.synthetic_spec(800).generate(21);
             let text = write_string(&w, &swf_cfg);
-            let trace = dmhpc::workload::swf::parse_str(&text, &swf_cfg).unwrap();
+            let trace =
+                dmhpc::workload::swf::parse_str(&text, &swf_cfg).map_err(SimError::parse)?;
             println!(
                 "no SWF given: synthesized {} jobs and round-tripped through SWF",
                 trace.workload.len()
