@@ -601,11 +601,19 @@ impl Scheduler {
         while idx < queue.len() {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
             let job = &queue.get(idx).expect("idx < len").job;
-            let (demand, dilation) = self
+            let Some((demand, dilation)) = self
                 .placement
                 .nominal_shape(job, &self.ctx(now, cluster, running))
-                // lint: allow(panic) — phase 1 rejected jobs that can never fit, so a shape exists
-                .expect("impossible jobs rejected in phase 1");
+            else {
+                // Impossible even on an idle machine. Phase 1 rejects such
+                // jobs only at the head, so one queued behind a blocked
+                // head is rejected here, for the same reason.
+                let entry = queue.remove(idx);
+                result
+                    .rejected
+                    .push((entry.job, RejectReason::CapacityExceeded));
+                continue;
+            };
             let wall = self.planned_walltime(job, dilation);
             let Some((start, split)) = profile.earliest_fit(now, wall, &demand) else {
                 if degraded {

@@ -30,23 +30,6 @@ impl EventQueueKind {
     }
 }
 
-/// Declarative observer attachments carried by the config.
-///
-/// Purely observational (like [`EventQueueKind`], an execution knob):
-/// nothing here can change a run's results or trace hash, and the struct
-/// is excluded from experiment cell hashes — attaching observers never
-/// invalidates a result cache. Observers that need per-run resources
-/// (trace files, sample buffers) attach through
-/// [`crate::Simulation::with_observer`] / `ExperimentRunner::observe`
-/// instead; this struct holds only the side-effect-free built-ins a
-/// config can fully describe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObserverSpec {
-    /// Emit a progress heartbeat to stderr every N observed events
-    /// (`None` = silent, the default).
-    pub progress_every: Option<u64>,
-}
-
 /// Everything that defines a run besides the workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -68,8 +51,6 @@ pub struct SimConfig {
     /// Pending-event-set backend. Results are identical either way; see
     /// [`EventQueueKind`].
     pub event_queue: EventQueueKind,
-    /// Declarative built-in observers (hash-neutral; see [`ObserverSpec`]).
-    pub observers: ObserverSpec,
 }
 
 impl SimConfig {
@@ -82,7 +63,6 @@ impl SimConfig {
             enforce_walltime: true,
             check_invariants: false,
             event_queue: EventQueueKind::default(),
-            observers: ObserverSpec::default(),
         }
     }
 
@@ -95,14 +75,6 @@ impl SimConfig {
     /// Same config with the given event-queue backend.
     pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
         self.event_queue = kind;
-        self
-    }
-
-    /// Same config with a progress heartbeat every `every` observed
-    /// events (hash-neutral: purely observational).
-    #[deprecated(note = "attach per run: `run_with(w, ObserverSet::new().progress_every(n))`")]
-    pub fn with_progress_every(mut self, every: u64) -> Self {
-        self.observers.progress_every = Some(every);
         self
     }
 
@@ -133,9 +105,5 @@ mod tests {
         assert_eq!(cal.event_queue, EventQueueKind::Calendar);
         assert_eq!(cal.event_queue.name(), "calendar");
         assert_eq!(EventQueueKind::BinaryHeap.name(), "heap");
-        assert_eq!(cfg.observers, ObserverSpec::default());
-        #[allow(deprecated)]
-        let with_progress = cfg.with_progress_every(500);
-        assert_eq!(with_progress.observers.progress_every, Some(500));
     }
 }

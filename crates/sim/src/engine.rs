@@ -1,9 +1,17 @@
 //! The incremental scheduling kernel.
 //!
-//! Event loop over a stable pending-event set (binary heap by default,
-//! calendar queue opt-in via [`crate::EventQueueKind`]). Two event kinds:
-//! job arrival and job finish. Work done per event batch is proportional
-//! to **what changed**, not to cluster size:
+//! Event loop over one **arrival feed** and a stable pending-event set
+//! (binary heap by default, calendar queue opt-in via
+//! [`crate::EventQueueKind`], chosen by value). Arrivals never enter the
+//! event set: the feed is a head buffer refilled one job at a time from a
+//! [`JobSource`] — a replay of the [`Workload`] on closed runs, the
+//! scenario's seeded stream on open service runs — or, on a federated
+//! site, pushed by the fleet's meta-scheduler. At every instant all
+//! arrivals due are admitted before any queued event pops, so the three
+//! kinds of run share one arrival order and one trace. The event set
+//! holds the rest: job finishes, fault actions, and pass wake-ups. Work
+//! done per event batch is proportional to **what changed**, not to
+//! cluster size:
 //!
 //! ## How the kernel schedules
 //!
@@ -82,32 +90,73 @@ use dmhpc_sched::{
     WaitQueue,
 };
 use dmhpc_workload::{Job, JobId, JobSource, Workload};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// One simulation event.
+/// One simulation event. Arrivals are not events: they come from the
+/// engine's arrival feed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    /// Index into the workload's job list.
-    Arrival(usize),
     /// A running job reached its (possibly superseded) end time.
     Finish { job: JobId, generation: u32 },
     /// A machine perturbation from the run's [`FaultSpec`] (never
     /// scheduled on fault-free runs, which keep the exact pre-fault code
     /// path).
     Fault(FaultAction),
-    /// The next arrival of an open-system stream (service runs only).
-    /// Exactly one is in flight: processing it submits the pre-pulled
-    /// pending job, pulls the next from the [`JobSource`], and reschedules
-    /// — pull-based admission, O(1) pending arrivals.
-    OpenArrival,
     /// Re-pass after a held batch's latency budget expires (scheduled only
     /// when an ordering returns [`dmhpc_sched::PassDirective::Hold`];
     /// never on runs without batch-forming policies). Hash-neutral: the
     /// wake itself writes nothing into the trace hash — only the starts it
     /// triggers do.
     Wake,
+}
+
+/// The pending-event set on the backend [`SimConfig::event_queue`] picks.
+/// Chosen by value, so one engine type serves both backends; both are
+/// stable queues and produce bit-identical traces.
+enum EventSet {
+    Heap(BinaryHeapQueue<Event>),
+    Calendar(CalendarQueue<Event>),
+}
+
+impl EventSet {
+    fn new(kind: EventQueueKind) -> Self {
+        match kind {
+            EventQueueKind::BinaryHeap => EventSet::Heap(BinaryHeapQueue::new()),
+            EventQueueKind::Calendar => EventSet::Calendar(CalendarQueue::new()),
+        }
+    }
+}
+
+impl EventQueue<Event> for EventSet {
+    fn schedule(&mut self, at: SimTime, payload: Event) {
+        match self {
+            EventSet::Heap(q) => q.schedule(at, payload),
+            EventSet::Calendar(q) => q.schedule(at, payload),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        match self {
+            EventSet::Heap(q) => q.pop(),
+            EventSet::Calendar(q) => q.pop(),
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        match self {
+            EventSet::Heap(q) => q.peek_time(),
+            EventSet::Calendar(q) => q.peek_time(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            EventSet::Heap(q) => q.len(),
+            EventSet::Calendar(q) => q.len(),
+        }
+    }
 }
 
 /// Per-job fault bookkeeping, kept only for jobs that were interrupted.
@@ -173,15 +222,10 @@ pub struct SimOutput {
 }
 
 /// Everything one run should watch, gathered into a single value for
-/// [`Simulation::run_with`].
-///
-/// The observer-attachment surface historically grew one entry point at a
-/// time — a ref-slice (`run_observed`), a box-slice (`run_boxed`),
-/// persistent factories (`with_observer`), and a declarative heartbeat
-/// (`SimConfig::with_progress_every`). This builder is the one coherent
-/// replacement; the old names survive as thin deprecated shims over it.
-/// Observation is always hash-neutral: attaching any combination below
-/// leaves the run's trace hash and output bit-identical.
+/// [`Simulation::run_with`]: caller-owned observers, per-run factories,
+/// and a progress heartbeat. Observation is always hash-neutral:
+/// attaching any combination below leaves the run's trace hash and output
+/// bit-identical.
 ///
 /// ```
 /// use dmhpc_sim::ObserverSet;
@@ -269,7 +313,6 @@ pub struct Simulation {
     scheduler: Scheduler,
     faults: FaultSpec,
     service: ServiceSpec,
-    observers: Vec<Arc<dyn ObserverFactory>>,
 }
 
 impl fmt::Debug for Simulation {
@@ -279,7 +322,6 @@ impl fmt::Debug for Simulation {
             .field("scheduler", &self.scheduler)
             .field("faults", &self.faults)
             .field("service", &self.service)
-            .field("observers", &self.observers.len())
             .finish()
     }
 }
@@ -297,7 +339,6 @@ impl Simulation {
             scheduler,
             faults: FaultSpec::none(),
             service: ServiceSpec::none(),
-            observers: Vec::new(),
         })
     }
 
@@ -317,7 +358,6 @@ impl Simulation {
             scheduler,
             faults: FaultSpec::none(),
             service: ServiceSpec::none(),
-            observers: Vec::new(),
         })
     }
 
@@ -378,22 +418,6 @@ impl Simulation {
         self.scheduler.label()
     }
 
-    /// Attach an observer factory: every subsequent run creates one fresh
-    /// observer from it and feeds it the run's event stream. Observers are
-    /// hash-neutral — they cannot change results, only watch them.
-    ///
-    /// Failures of factory-made observers panic: at creation (e.g. a
-    /// trace file that cannot be created) and at end of run (a deferred
-    /// sink I/O error would otherwise vanish with the observer — `run`
-    /// returns a plain [`SimOutput`] and has nowhere to report it). Use
-    /// caller-owned observers ([`ObserverSet::watch`]) where errors must
-    /// be handled instead.
-    #[deprecated(note = "attach per run: `run_with(workload, ObserverSet::new().factory(f))`")]
-    pub fn with_observer(mut self, factory: Arc<dyn ObserverFactory>) -> Self {
-        self.observers.push(factory);
-        self
-    }
-
     /// Simulate the workload to completion with the default observer set
     /// (the built-in metric observers that assemble [`SimOutput`]).
     pub fn run(&self, workload: &Workload) -> SimOutput {
@@ -405,11 +429,8 @@ impl Simulation {
     ///
     /// This is the single observed-run entry point: borrowed observers,
     /// boxed observer slices, per-run factories, and the progress
-    /// heartbeat all attach through one [`ObserverSet`] (the historical
-    /// `run_observed` / `run_boxed` / `with_observer` /
-    /// `SimConfig::with_progress_every` surfaces survive as thin
-    /// deprecated shims over it). Observation is hash-neutral: the output
-    /// is bit-identical to an unobserved run.
+    /// heartbeat all attach through one [`ObserverSet`]. Observation is
+    /// hash-neutral: the output is bit-identical to an unobserved run.
     ///
     /// Caller-owned observers ([`ObserverSet::watch`] /
     /// [`ObserverSet::watch_boxed`]) stay inspectable after the run and
@@ -440,10 +461,8 @@ impl Simulation {
             progress_every,
         } = observers;
         let label = RunLabel::new(self.scheduler.label());
-        let mut made: Vec<Box<dyn Observer>> = self
-            .observers
+        let mut made: Vec<Box<dyn Observer>> = factories
             .iter()
-            .chain(factories.iter())
             .map(|f| f.make(&label))
             .collect::<Result<_, _>>()?;
         if let Some(every) = progress_every {
@@ -456,33 +475,24 @@ impl Simulation {
         for b in made.iter_mut() {
             extras.push(b.as_mut());
         }
-        // Expanding the scenario is a pure function of (spec, machine);
-        // FaultSpec::none() yields an empty list and the pre-fault path.
-        let fault_events = self.faults.materialize(&self.cfg.cluster);
-        // Likewise pure: a service scenario opens its seeded job stream
-        // fresh per run, so repeated runs replay identically.
-        let source: Option<Box<dyn JobSource>> = if self.service.is_none() {
-            None
+        // One arrival feed either way: a closed run replays the workload,
+        // an open run streams its scenario's seeded jobs — opened fresh
+        // per run, so repeated runs replay identically.
+        let source: Box<dyn JobSource + '_> = if self.service.is_none() {
+            Box::new(workload.source())
         } else {
-            let src = self.service.open_source(&self.cfg.cluster)?;
-            Some(Box::new(src))
+            Box::new(self.service.open_source(&self.cfg.cluster)?)
         };
-        let output = match self.cfg.event_queue {
-            EventQueueKind::BinaryHeap => self.run_on(
-                BinaryHeapQueue::with_capacity(workload.len() * 2),
-                workload,
-                &fault_events,
-                source,
-                &mut extras,
-            ),
-            EventQueueKind::Calendar => self.run_on(
-                CalendarQueue::new(),
-                workload,
-                &fault_events,
-                source,
-                &mut extras,
-            ),
-        };
+        let output = Engine::new(
+            &self.cfg,
+            &self.scheduler,
+            &self.faults,
+            &self.service,
+            Some(source),
+            &mut extras,
+            None,
+        )
+        .finish();
         drop(extras);
         // Factory-made observers die with this call, so a deferred sink
         // failure (e.g. trace disk full) would be silently lost — the
@@ -492,51 +502,6 @@ impl Simulation {
             return Err(e);
         }
         Ok(output)
-    }
-
-    /// Simulate with additional borrowed [`Observer`]s attached.
-    #[deprecated(note = "use `run_with` with `ObserverSet::new().watch(...)`")]
-    pub fn run_observed(
-        &self,
-        workload: &Workload,
-        observers: &mut [&mut dyn Observer],
-    ) -> SimOutput {
-        let mut set = ObserverSet::new();
-        for o in observers.iter_mut() {
-            set = set.watch(&mut **o);
-        }
-        self.run_with(workload, set)
-    }
-
-    /// Simulate with observers owned as boxes.
-    #[deprecated(note = "use `run_with` with `ObserverSet::new().watch_boxed(observers)`")]
-    pub fn run_boxed(&self, workload: &Workload, observers: &mut [Box<dyn Observer>]) -> SimOutput {
-        self.run_with(workload, ObserverSet::new().watch_boxed(observers))
-    }
-
-    /// Drive the monomorphized engine on one event-queue backend.
-    fn run_on<Q: EventQueue<Event>>(
-        &self,
-        events: Q,
-        workload: &Workload,
-        fault_events: &[(SimTime, FaultAction)],
-        source: Option<Box<dyn JobSource>>,
-        extras: &mut [&mut dyn Observer],
-    ) -> SimOutput {
-        let mut engine = Engine::new(
-            &self.cfg,
-            &self.scheduler,
-            &self.faults,
-            &self.service,
-            events,
-            workload,
-            fault_events,
-            source,
-            extras,
-            None,
-        );
-        engine.drive(workload);
-        engine.finalize()
     }
 }
 
@@ -554,24 +519,28 @@ struct Builtins {
     faults: FaultObserver,
 }
 
-pub(crate) struct Engine<'a, 'o, Q: EventQueue<Event>> {
+/// One run's kernel: a plain run drives it to completion with
+/// [`Engine::finish`]; a federation coordinator also steps it epoch by
+/// epoch ([`Engine::advance_until`]) and feeds it routed jobs
+/// ([`Engine::inject`]).
+pub(crate) struct Engine<'a, 'o> {
     cfg: &'a SimConfig,
     scheduler: &'a Scheduler,
     faults: &'a FaultSpec,
-    /// Open-system job stream; `None` on closed batch runs, which keep
-    /// the exact pre-service code path.
-    source: Option<Box<dyn JobSource>>,
-    /// The next arrival pulled but not yet submitted (its
-    /// [`Event::OpenArrival`] is in the queue). Pull-based admission keeps
-    /// exactly one arrival materialized at a time.
-    pending: Option<Job>,
+    /// Where the arrival feed refills from; `None` once exhausted, and on
+    /// federated sites, whose jobs arrive by [`Engine::inject`].
+    source: Option<Box<dyn JobSource + 'a>>,
+    /// The arrival feed's head buffer, in arrival order: at most one job
+    /// pulled ahead from `source` (pull-based admission keeps one arrival
+    /// materialized), or the jobs injected so far on a federated site.
+    arrivals: VecDeque<Job>,
     /// Whether this run has any fault events at all: false keeps every
     /// fault-handling branch dead, preserving bit-identical fault-free
     /// traces.
     faults_active: bool,
     cluster: Cluster,
     queue: WaitQueue,
-    events: Q,
+    events: EventSet,
     running: BTreeMap<JobId, RunningJob>,
     /// Planned releases of running jobs, sorted by planned end — handed to
     /// every pass as a view instead of being rebuilt per pass.
@@ -590,8 +559,6 @@ pub(crate) struct Engine<'a, 'o, Q: EventQueue<Event>> {
     /// User-attached observers; an empty slice on plain runs, so the
     /// dispatch loop is free then.
     extras: &'a mut [&'o mut dyn Observer],
-    /// Config-declared progress heartbeat, if any.
-    progress: Option<ProgressObserver>,
     now: SimTime,
     start_time: SimTime,
     events_processed: u64,
@@ -614,78 +581,52 @@ pub(crate) struct Engine<'a, 'o, Q: EventQueue<Event>> {
     /// set makes the `JobDeferred` observation fire once per job, not
     /// once per pass.
     deferred: BTreeSet<JobId>,
-    /// Jobs handed to this engine mid-run by a federation meta-scheduler,
-    /// in arrival order. Kept outside the event queue so an injected
-    /// arrival wins a same-instant tie against any already-scheduled
-    /// event — exactly the order a plain run produces, where every
-    /// arrival enters the queue before the run starts. Always empty on
-    /// plain runs.
-    injections: std::collections::VecDeque<Job>,
 }
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
+impl<'a, 'o> Engine<'a, 'o> {
+    /// Build a run's engine. `source` feeds its arrivals; a federated site
+    /// passes `None` (jobs come by [`Engine::inject`]) and pins its clock
+    /// to the fleet's shared `origin` instead, so all sites' clocks and
+    /// series origins agree at every epoch barrier.
+    pub(crate) fn new(
         cfg: &'a SimConfig,
         scheduler: &'a Scheduler,
         faults: &'a FaultSpec,
         service: &ServiceSpec,
-        mut events: Q,
-        workload: &Workload,
-        fault_events: &[(SimTime, FaultAction)],
-        mut source: Option<Box<dyn JobSource>>,
+        mut source: Option<Box<dyn JobSource + 'a>>,
         extras: &'a mut [&'o mut dyn Observer],
         origin: Option<SimTime>,
     ) -> Self {
         let cluster = Cluster::new(cfg.cluster);
-        let open = source.is_some();
-        // Open runs pull their first arrival up front: it pins the time
-        // origin exactly like a materialized workload's first arrival.
-        let pending = source.as_mut().and_then(|s| s.next_job());
-        let mut start_time = if let Some(origin) = origin {
-            // Federated site engines start empty and receive jobs by
-            // injection; all sites share the fleet's time origin so their
-            // clocks (and series origins) agree at every epoch barrier.
-            origin
-        } else if open {
-            pending.as_ref().map(|j| j.arrival).unwrap_or(SimTime::ZERO)
-        } else {
-            workload.first_arrival().unwrap_or(SimTime::ZERO)
-        };
+        let open = !service.is_none();
+        // The first arrival is pulled up front: it pins the time origin.
+        let first = source.as_mut().and_then(|s| s.next_job());
+        let jobs_hint = source
+            .as_ref()
+            .and_then(|s| s.size_hint())
+            .map(|rest| rest as usize + usize::from(first.is_some()))
+            .unwrap_or(0);
+        let mut start_time = origin
+            .or(first.as_ref().map(|j| j.arrival))
+            .unwrap_or(SimTime::ZERO);
+        // Expanding the scenario is a pure function of (spec, machine);
+        // FaultSpec::none() yields an empty list and the pre-fault path.
+        let fault_events = faults.materialize(&cfg.cluster);
         if let Some(&(first_fault, _)) = fault_events.first() {
             // Faults may precede the first arrival; the clock (and the
             // series origin) must not jump backwards onto them.
             start_time = start_time.min_of(first_fault);
         }
-        let jobs_hint = if open {
-            source
-                .as_ref()
-                .and_then(|s| s.size_hint())
-                .map(|rest| rest as usize + usize::from(pending.is_some()))
-                .unwrap_or(0)
-        } else {
-            workload.len()
-        };
-        if open {
-            if let Some(j) = &pending {
-                events.schedule(j.arrival, Event::OpenArrival);
-            }
-        } else {
-            for (i, job) in workload.iter().enumerate() {
-                events.schedule(job.arrival, Event::Arrival(i));
-            }
-        }
-        // After arrivals, so a same-instant arrival processes before the
-        // fault that might take its capacity (both backends are stable).
-        for &(at, action) in fault_events {
+        let mut events = EventSet::new(cfg.event_queue);
+        for &(at, action) in &fault_events {
             events.schedule(at, Event::Fault(action));
         }
         let domains = cluster.pools().len();
         let in_service = cluster.available_nodes();
-        let mut engine = Engine {
+        let engine = Engine {
             faults_active: !fault_events.is_empty(),
             queue: WaitQueue::new(),
             events,
@@ -697,7 +638,7 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             dynamic: cfg.scheduler.slowdown.is_dynamic(),
             obs: Builtins {
                 series: (!open).then(|| SeriesObserver::new(start_time, &cfg.cluster)),
-                stats: (!open).then(|| JobStatsObserver::with_capacity(workload.len())),
+                stats: (!open).then(|| JobStatsObserver::with_capacity(jobs_hint)),
                 sketch: open.then(|| {
                     SketchStatsObserver::new(
                         start_time,
@@ -709,9 +650,8 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
                 faults: FaultObserver::new(start_time, in_service),
             },
             source,
-            pending,
+            arrivals: first.into_iter().collect(),
             extras,
-            progress: cfg.observers.progress_every.map(ProgressObserver::every),
             now: start_time,
             start_time,
             events_processed: 0,
@@ -722,7 +662,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             next_wake: None,
             preemptions: 0,
             deferred: BTreeSet::new(),
-            injections: std::collections::VecDeque::new(),
             cfg,
             scheduler,
             faults,
@@ -735,9 +674,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             in_service_nodes: in_service,
             label: engine.scheduler.label(),
         };
-        if let Some(p) = &mut engine.progress {
-            p.on_run_start(&ctx);
-        }
         for o in engine.extras.iter_mut() {
             o.on_run_start(&ctx);
         }
@@ -756,9 +692,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             s.on_event(&ev);
         }
         self.obs.faults.on_event(&ev);
-        if let Some(p) = &mut self.progress {
-            p.on_event(&ev);
-        }
         for o in self.extras.iter_mut() {
             o.on_event(&ev);
         }
@@ -773,10 +706,16 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
         }
     }
 
-    fn drive(&mut self, workload: &Workload) {
-        self.drive_bounded(workload, None);
-        assert!(self.running.is_empty(), "jobs still running at drain");
-        assert_eq!(self.cluster.lease_count(), 0, "leaked leases");
+    /// Arrival time of the feed's head, refilling the head buffer from
+    /// the source when it is empty.
+    fn next_arrival(&mut self) -> Option<SimTime> {
+        if self.arrivals.is_empty() {
+            match self.source.as_mut()?.next_job() {
+                Some(job) => self.arrivals.push_back(job),
+                None => self.source = None,
+            }
+        }
+        self.arrivals.front().map(|j| j.arrival)
     }
 
     /// Process events strictly before `limit`, or every event when
@@ -787,17 +726,11 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
     /// While bounded, a drained event queue simply returns — more
     /// injections arrive at later barriers, so an idle queue is not the
     /// wedge it would be on a terminal drain.
-    fn drive_bounded(&mut self, workload: &Workload, limit: Option<SimTime>) {
+    fn drive_bounded(&mut self, limit: Option<SimTime>) {
         loop {
-            // Two event sources: the queue proper, and pending federation
-            // injections. An injected arrival wins a same-instant tie
-            // against any queued event, reproducing plain-run order (where
-            // every arrival is scheduled before anything else exists).
-            let queued = self.events.peek_time();
-            let injected = self.injections.front().map(|j| j.arrival);
-            let next = match (queued, injected) {
-                (Some(q), Some(i)) => Some(q.min_of(i)),
-                (q, i) => q.or(i),
+            let next = match (self.next_arrival(), self.events.peek_time()) {
+                (Some(a), Some(q)) => Some(a.min_of(q)),
+                (a, q) => a.or(q),
             };
             let t = match next {
                 Some(t) if limit.is_none_or(|lim| t < lim) => t,
@@ -849,20 +782,19 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             debug_assert!(t >= self.now, "event time went backwards");
             self.now = t;
             let mut changed = false;
-            while self
-                .injections
-                .front()
-                .is_some_and(|j| j.arrival == self.now)
-            {
-                // lint: allow(panic) — the surrounding branch peeked this injection
-                let job = self.injections.pop_front().expect("checked front");
+            // Every arrival due now is admitted before any queued event
+            // pops — the one arrival order closed, open, and federated
+            // runs share.
+            while self.next_arrival() == Some(self.now) {
+                // lint: allow(panic) — next_arrival just peeked this job
+                let job = self.arrivals.pop_front().expect("peeked arrival");
                 self.admit(job);
                 changed = true;
             }
             while self.events.peek_time() == Some(self.now) {
                 // lint: allow(panic) — the surrounding branch peeked this event
                 let (_, ev) = self.events.pop().expect("peeked");
-                changed |= self.process(ev, workload);
+                changed |= self.process(ev);
             }
             if changed {
                 self.batch_end();
@@ -870,24 +802,58 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
         }
     }
 
+    /// Simulate every event strictly before `limit` (the epoch barrier).
+    pub(crate) fn advance_until(&mut self, limit: SimTime) {
+        self.drive_bounded(Some(limit));
+    }
+
+    /// Drain every remaining event and assemble the run's [`SimOutput`].
+    pub(crate) fn finish(mut self) -> SimOutput {
+        self.drive_bounded(None);
+        assert!(self.running.is_empty(), "jobs still running at drain");
+        assert_eq!(self.cluster.lease_count(), 0, "leaked leases");
+        self.finalize()
+    }
+
     /// Admit a job into this site engine at its true arrival time
     /// (federation routing). The coordinator routes each epoch's arrivals
     /// at the epoch barrier — before any site simulates past it — and in
-    /// arrival order, so injections form a sorted pending-arrival list.
-    fn inject(&mut self, job: Job) {
+    /// arrival order, so injections keep the arrival feed sorted.
+    pub(crate) fn inject(&mut self, job: Job) {
         debug_assert!(job.arrival >= self.now, "injected job arrives in the past");
         debug_assert!(
-            self.injections
+            self.arrivals
                 .back()
                 .is_none_or(|b| b.arrival <= job.arrival),
             "injections must be issued in arrival order"
         );
-        self.injections.push_back(job);
+        self.arrivals.push_back(job);
     }
 
-    /// The arrival path shared by workload arrivals, open-stream
-    /// arrivals, and federation injections: same hash tag, same emitted
-    /// event, same counters — which is what makes a one-site fleet run
+    /// Observe the site for the meta-scheduler, tagged with its fleet
+    /// index. Pure data — snapshots cross the worker channel by value.
+    pub(crate) fn snapshot(&self, site: usize) -> SiteSnapshot {
+        let mem_capacity = self.cfg.cluster.total_local_mem() + self.cfg.cluster.total_pool_mem();
+        let total_mem = mem_capacity as f64;
+        let used = (self.cluster.total_local_used() + self.cluster.total_pool_used()) as f64;
+        SiteSnapshot {
+            site,
+            queue_depth: self.queue.len(),
+            queued_nodes: self.queue.total_requested_nodes(),
+            free_nodes: self.cluster.free_nodes(),
+            total_nodes: self.cfg.cluster.total_nodes(),
+            mem_pressure: if total_mem > 0.0 {
+                used / total_mem
+            } else {
+                0.0
+            },
+            mem_capacity,
+        }
+    }
+
+    /// The one arrival path: same hash tag, same emitted event, same
+    /// counters whether the job came from a workload, an open stream, or
+    /// a federation injection — which is what makes a one-site fleet run
     /// bit-identical to the plain run of the same workload.
     fn admit(&mut self, job: Job) {
         self.hash_mix([1, self.now.as_micros(), job.id.0]);
@@ -902,12 +868,8 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
     }
 
     /// Process one event; returns whether system state changed.
-    fn process(&mut self, ev: Event, workload: &Workload) -> bool {
+    fn process(&mut self, ev: Event) -> bool {
         match ev {
-            Event::Arrival(idx) => {
-                self.admit(workload.jobs()[idx].clone());
-                true
-            }
             Event::Finish { job, generation } => {
                 let stale = self
                     .running
@@ -924,25 +886,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             Event::Fault(action) => {
                 self.events_processed += 1;
                 self.apply_fault(action);
-                true
-            }
-            Event::OpenArrival => {
-                // The exact arrival path (same hash tag, same event, same
-                // counters), fed from the stream instead of the workload.
-                let job = self
-                    .pending
-                    .take()
-                    // lint: allow(panic) — open-system arrivals stage the job before the event fires
-                    .expect("open arrival without pending job");
-                self.admit(job);
-                // Refill: materialize the next arrival on demand, keeping
-                // exactly one in flight until the source's horizon.
-                if let Some(src) = self.source.as_mut() {
-                    if let Some(next) = src.next_job() {
-                        self.events.schedule(next.arrival, Event::OpenArrival);
-                        self.pending = Some(next);
-                    }
-                }
                 true
             }
             Event::Wake => {
@@ -1671,7 +1614,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             faults_active,
             obs,
             extras,
-            mut progress,
             now,
             start_time,
             events_processed,
@@ -1700,9 +1642,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             passes,
             trace_hash,
         };
-        if let Some(p) = &mut progress {
-            p.on_run_end(&run_end);
-        }
         for o in extras.iter_mut() {
             o.on_run_end(&run_end);
         }
@@ -1776,119 +1715,6 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
             faults: summary,
             preemptions,
             service: None,
-        }
-    }
-}
-
-/// One federated site's engine with the event-queue backend erased, so
-/// the federation coordinator can hold a homogeneous site list.
-///
-/// Site engines start with an empty workload and a caller-pinned time
-/// origin; jobs enter via [`SiteEngine::inject`] as the meta-scheduler
-/// routes them at epoch barriers. They never carry faults, services, or
-/// extra observers — those attach at the fleet level (or not at all)
-/// so site traces stay bit-identical to standalone runs.
-pub(crate) enum SiteEngine<'a> {
-    /// Binary-heap event queue backend.
-    Heap(Box<Engine<'a, 'static, BinaryHeapQueue<Event>>>),
-    /// Calendar event queue backend.
-    Calendar(Box<Engine<'a, 'static, CalendarQueue<Event>>>),
-}
-
-impl<'a> SiteEngine<'a> {
-    /// Build a site engine on `cfg.event_queue`'s backend, clock pinned
-    /// to the fleet `origin`. `faults` and `service` must be the none
-    /// specs (sites borrow them from the caller so the engine's borrowed
-    /// fields have somewhere to point).
-    pub(crate) fn new(
-        cfg: &'a SimConfig,
-        scheduler: &'a Scheduler,
-        faults: &'a FaultSpec,
-        service: &ServiceSpec,
-        empty: &Workload,
-        origin: SimTime,
-    ) -> Self {
-        debug_assert!(faults.is_none() && service.is_none());
-        match cfg.event_queue {
-            EventQueueKind::BinaryHeap => SiteEngine::Heap(Box::new(Engine::new(
-                cfg,
-                scheduler,
-                faults,
-                service,
-                BinaryHeapQueue::with_capacity(64),
-                empty,
-                &[],
-                None,
-                &mut [],
-                Some(origin),
-            ))),
-            EventQueueKind::Calendar => SiteEngine::Calendar(Box::new(Engine::new(
-                cfg,
-                scheduler,
-                faults,
-                service,
-                CalendarQueue::new(),
-                empty,
-                &[],
-                None,
-                &mut [],
-                Some(origin),
-            ))),
-        }
-    }
-
-    /// Admit a routed job at its true arrival time.
-    pub(crate) fn inject(&mut self, job: Job) {
-        match self {
-            SiteEngine::Heap(e) => e.inject(job),
-            SiteEngine::Calendar(e) => e.inject(job),
-        }
-    }
-
-    /// Simulate every event strictly before `limit` (the epoch barrier).
-    pub(crate) fn advance_until(&mut self, empty: &Workload, limit: SimTime) {
-        match self {
-            SiteEngine::Heap(e) => e.drive_bounded(empty, Some(limit)),
-            SiteEngine::Calendar(e) => e.drive_bounded(empty, Some(limit)),
-        }
-    }
-
-    /// Observe the site for the meta-scheduler, tagged with its fleet
-    /// index. Pure data — snapshots cross the worker channel by value.
-    pub(crate) fn snapshot(&self, site: usize) -> SiteSnapshot {
-        let (cfg, cluster, queue) = match self {
-            SiteEngine::Heap(e) => (e.cfg, &e.cluster, &e.queue),
-            SiteEngine::Calendar(e) => (e.cfg, &e.cluster, &e.queue),
-        };
-        let mem_capacity = cfg.cluster.total_local_mem() + cfg.cluster.total_pool_mem();
-        let total_mem = mem_capacity as f64;
-        let used = (cluster.total_local_used() + cluster.total_pool_used()) as f64;
-        SiteSnapshot {
-            site,
-            queue_depth: queue.len(),
-            queued_nodes: queue.total_requested_nodes(),
-            free_nodes: cluster.free_nodes(),
-            total_nodes: cfg.cluster.total_nodes(),
-            mem_pressure: if total_mem > 0.0 {
-                used / total_mem
-            } else {
-                0.0
-            },
-            mem_capacity,
-        }
-    }
-
-    /// Drain every remaining event and assemble the site's [`SimOutput`].
-    pub(crate) fn finish(self, empty: &Workload) -> SimOutput {
-        match self {
-            SiteEngine::Heap(mut e) => {
-                e.drive(empty);
-                e.finalize()
-            }
-            SiteEngine::Calendar(mut e) => {
-                e.drive(empty);
-                e.finalize()
-            }
         }
     }
 }
@@ -2161,6 +1987,32 @@ mod tests {
         let out = local_sim().run(&w);
         assert_eq!(out.report.rejected, 1);
         assert_eq!(out.report.completed, 1);
+    }
+
+    #[test]
+    fn conservative_rejects_impossible_job_queued_behind_blocked_head() {
+        // The full-machine head waits for job 1; the 99-node job behind it
+        // can never run and must be rejected, not reserved.
+        let mk = |id: u64, arrival: u64, nodes: u32| {
+            JobBuilder::new(id)
+                .arrival_secs(arrival)
+                .nodes(nodes)
+                .runtime_secs(100, 200)
+                .mem_per_node(GIB)
+                .build()
+        };
+        let w = Workload::from_jobs(vec![mk(1, 0, 2), mk(2, 10, 4), mk(3, 20, 99)]);
+        let sched = SchedulerBuilder::new()
+            .backfill(dmhpc_sched::BackfillPolicy::Conservative)
+            .build();
+        let out = Simulation::new(SimConfig::new(machine(PoolTopology::None), sched).checked())
+            .unwrap()
+            .run(&w);
+        assert_eq!(out.report.completed, 2);
+        assert_eq!(out.report.rejected, 1);
+        let rejected = out.records.iter().find(|r| r.job.id.0 == 3).unwrap();
+        assert_eq!(rejected.outcome, JobOutcome::Rejected);
+        assert_eq!(rejected.finish, None);
     }
 
     #[test]
@@ -2750,55 +2602,18 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash);
         // submit + start + grab + pass + release + finish, twice.
         assert_eq!(seen.load(Ordering::Relaxed), 12);
-        // The deprecated persistent-attachment shim builds one fresh
-        // observer per run through the same path.
-        #[allow(deprecated)]
-        let sim = local_sim().with_observer(factory);
-        let c = sim.run(&w);
-        assert_eq!(a.trace_hash, c.trace_hash);
-        assert_eq!(seen.load(Ordering::Relaxed), 18);
     }
 
     #[test]
-    fn deprecated_run_shims_delegate_to_run_with() {
-        use crate::observe::EventCounter;
-        let w = Workload::from_jobs(vec![JobBuilder::new(1)
-            .nodes(1)
-            .runtime_secs(100, 200)
-            .mem_per_node(GIB)
-            .build()]);
-        let sim = local_sim();
-        let plain = sim.run(&w);
-        let mut counter = EventCounter::new();
-        #[allow(deprecated)]
-        let observed = sim.run_observed(&w, &mut [&mut counter]);
-        assert_eq!(plain.trace_hash, observed.trace_hash);
-        assert_eq!(counter.count("submit"), 1);
-        let mut boxed: Vec<Box<dyn Observer>> = vec![Box::new(EventCounter::new())];
-        #[allow(deprecated)]
-        let observed = sim.run_boxed(&w, &mut boxed);
-        assert_eq!(plain.trace_hash, observed.trace_hash);
-    }
-
-    #[test]
-    fn config_progress_observer_is_trace_neutral() {
+    fn progress_heartbeat_is_trace_neutral() {
         let w = Workload::from_jobs(vec![JobBuilder::new(1)
             .nodes(1)
             .runtime_secs(100, 200)
             .mem_per_node(GIB)
             .build()]);
         let quiet = local_sim().run(&w);
-        // Per-run attachment is the front door…
+        // Too sparse to print.
         let noisy = local_sim().run_with(&w, ObserverSet::new().progress_every(1_000_000));
-        assert_eq!(quiet.trace_hash, noisy.trace_hash);
-        assert_eq!(quiet.report.mean_wait_s, noisy.report.mean_wait_s);
-        // …and the deprecated config knob still works through the shim.
-        let sched = SchedulerBuilder::new().build();
-        #[allow(deprecated)]
-        let cfg = SimConfig::new(machine(PoolTopology::None), sched)
-            .checked()
-            .with_progress_every(1_000_000); // too sparse to print
-        let noisy = Simulation::new(cfg).unwrap().run(&w);
         assert_eq!(quiet.trace_hash, noisy.trace_hash);
         assert_eq!(quiet.report.mean_wait_s, noisy.report.mean_wait_s);
     }
@@ -3247,5 +3062,130 @@ mod tests {
             .run(&w);
         assert_eq!(out.trace_hash, base.trace_hash);
         assert_eq!(out.preemptions, 0);
+    }
+
+    // ------------------------------------------------------ arrival feed
+
+    /// A tiny in-test [`JobSource`]: a job list streamed in order, with no
+    /// size hint (like a duration-bounded service stream).
+    struct VecSource(std::vec::IntoIter<Job>);
+
+    impl JobSource for VecSource {
+        fn next_job(&mut self) -> Option<Job> {
+            self.0.next()
+        }
+
+        fn size_hint(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    /// Run `sim` with its arrivals pulled from `source` — the feed an open
+    /// service run uses — instead of a workload replay.
+    fn run_stream(sim: &Simulation, jobs: Vec<Job>) -> SimOutput {
+        Engine::new(
+            &sim.cfg,
+            &sim.scheduler,
+            &sim.faults,
+            &sim.service,
+            Some(Box::new(VecSource(jobs.into_iter()))),
+            &mut [],
+            None,
+        )
+        .finish()
+    }
+
+    #[test]
+    fn streamed_arrivals_tie_with_finishes_like_closed_arrivals() {
+        // One node, 10 s jobs every 5 s: job i finishes on the very
+        // microsecond job i + 2 arrives. The arrival must be admitted
+        // before the finish pops, exactly as in the closed run.
+        let jobs: Vec<Job> = (0..5)
+            .map(|i| {
+                JobBuilder::new(i + 1)
+                    .arrival_secs(5 * i)
+                    .nodes(1)
+                    .runtime_secs(10, 20)
+                    .mem_per_node(GIB)
+                    .build()
+            })
+            .collect();
+        let one_node = ClusterSpec::new(1, 1, NodeSpec::new(64, 256 * GIB), PoolTopology::None);
+        let sim =
+            Simulation::new(SimConfig::new(one_node, SchedulerBuilder::new().build()).checked())
+                .unwrap();
+        let closed = sim.run(&Workload::from_jobs(jobs.clone()));
+        let streamed = run_stream(&sim, jobs);
+        assert_eq!(streamed.trace_hash, closed.trace_hash);
+        assert_eq!(streamed.events_processed, closed.events_processed);
+        assert_eq!(closed.events_processed, 10, "5 arrivals + 5 finishes");
+    }
+
+    /// A whole-second random job over a short horizon, so arrivals and
+    /// finishes collide often (same shape as `random_job` in
+    /// `tests/property.rs`, compressed in time).
+    fn whole_second_job(rng: &mut dmhpc_des::rng::Pcg64, id: u64) -> Job {
+        let runtime = 1 + rng.bounded_u64(120);
+        Job {
+            id: JobId(id),
+            user: (id % 7) as u32,
+            arrival: SimTime::from_secs(rng.bounded_u64(600)),
+            nodes: 1 + rng.index(4) as u32,
+            walltime: SimDuration::from_secs(runtime * (1 + rng.bounded_u64(3))),
+            runtime: SimDuration::from_secs(runtime),
+            mem_per_node: 256 + rng.bounded_u64(400 * GIB),
+            intensity: rng.next_f64(),
+            slo: None,
+        }
+    }
+
+    #[test]
+    fn closed_streamed_and_one_site_fleet_runs_agree() {
+        use crate::federation::{FleetSimulation, FleetSpec};
+        let pool = PoolTopology::PerRack {
+            mib_per_rack: 512 * GIB,
+        };
+        for case in 0..100u64 {
+            let mut rng = dmhpc_des::rng::Pcg64::new_stream(0xFEED, case);
+            let n = 1 + rng.index(40);
+            let jobs: Vec<Job> = (0..n)
+                .map(|i| whole_second_job(&mut rng, i as u64))
+                .collect();
+            let w = Workload::from_jobs(jobs);
+            let sched = SchedulerBuilder::new()
+                .memory([MemoryPolicy::LocalOnly, MemoryPolicy::PoolBestFit][rng.index(2)])
+                .backfill(
+                    [
+                        dmhpc_sched::BackfillPolicy::Easy,
+                        dmhpc_sched::BackfillPolicy::Conservative,
+                    ][rng.index(2)],
+                )
+                .slowdown(SlowdownModel::Contention {
+                    penalty: 1.5,
+                    gamma: 1.0,
+                })
+                .build();
+            for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
+                let cfg = SimConfig::new(machine(pool), sched).with_event_queue(kind);
+                let sim = Simulation::new(cfg).unwrap();
+                let closed = sim.run(&w);
+                let streamed = run_stream(&sim, w.jobs().to_vec());
+                let fleet = FleetSimulation::new(
+                    &FleetSpec::symmetric(1, 300.0, dmhpc_sched::MetaPolicyKind::RoundRobin),
+                    cfg,
+                )
+                .unwrap()
+                .run(&w);
+                let expect = (closed.trace_hash, closed.events_processed, closed.passes);
+                for (name, out) in [("streamed", &streamed), ("fleet", &fleet.site_outputs[0])] {
+                    assert_eq!(
+                        (out.trace_hash, out.events_processed, out.passes),
+                        expect,
+                        "case {case}: {name} run on {}",
+                        kind.name()
+                    );
+                }
+            }
+        }
     }
 }

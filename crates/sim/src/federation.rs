@@ -43,7 +43,7 @@
 
 use crate::collector::SeriesBundle;
 use crate::config::SimConfig;
-use crate::engine::{SimOutput, SiteEngine, FNV_OFFSET, FNV_PRIME};
+use crate::engine::{Engine, SimOutput, FNV_OFFSET, FNV_PRIME};
 use crate::error::SimError;
 use crate::faults::FaultSpec;
 use crate::service::ServiceSpec;
@@ -308,18 +308,8 @@ impl FleetSimulation {
         let site_outputs = if workers <= 1 {
             let runtimes: Vec<SiteRuntime> =
                 self.sites.iter().map(|s| SiteRuntime::new(s.cfg)).collect();
-            let empty = Workload::from_jobs(Vec::new());
-            let engines: Vec<SiteEngine<'_>> = runtimes
-                .iter()
-                .map(|rt| rt.engine(&empty, origin))
-                .collect();
-            run_epochs(
-                SerialTransport {
-                    engines,
-                    empty: &empty,
-                },
-                &mut router,
-            )
+            let engines = runtimes.iter().map(|rt| rt.engine(origin)).collect();
+            run_epochs(SerialTransport { engines }, &mut router)
         } else {
             self.run_threaded(workers, origin, &mut router)
         };
@@ -463,9 +453,11 @@ impl FleetSimulation {
     }
 }
 
-/// The per-site owned state a [`SiteEngine`] borrows from. Fleet sites
-/// never carry faults or services; the none specs live here so the
-/// engine's borrowed fields have a stable home.
+/// The per-site owned state a site [`Engine`] borrows from. Fleet sites
+/// never carry faults, services, or extra observers — those attach at the
+/// fleet level (or not at all) so site traces stay bit-identical to
+/// standalone runs; the none specs live here so the engine's borrowed
+/// fields have a stable home.
 struct SiteRuntime {
     cfg: SimConfig,
     scheduler: Scheduler,
@@ -484,14 +476,17 @@ impl SiteRuntime {
         }
     }
 
-    fn engine<'a>(&'a self, empty: &Workload, origin: SimTime) -> SiteEngine<'a> {
-        SiteEngine::new(
+    /// A site engine with no arrival source (jobs come by injection) and
+    /// its clock pinned to the fleet `origin`.
+    fn engine(&self, origin: SimTime) -> Engine<'_, 'static> {
+        Engine::new(
             &self.cfg,
             &self.scheduler,
             &self.faults,
             &self.service,
-            empty,
-            origin,
+            None,
+            &mut [],
+            Some(origin),
         )
     }
 }
@@ -582,18 +577,17 @@ fn run_epochs<T: EpochTransport>(mut transport: T, router: &mut Router) -> Vec<S
 }
 
 /// All sites advanced inline on the caller's thread.
-struct SerialTransport<'e, 'a> {
-    engines: Vec<SiteEngine<'a>>,
-    empty: &'e Workload,
+struct SerialTransport<'a> {
+    engines: Vec<Engine<'a, 'static>>,
 }
 
-impl EpochTransport for SerialTransport<'_, '_> {
+impl EpochTransport for SerialTransport<'_> {
     fn step(&mut self, batch: Vec<(usize, Job)>, until: SimTime) -> Vec<SiteSnapshot> {
         for (site, job) in batch {
             self.engines[site].inject(job);
         }
         for e in self.engines.iter_mut() {
-            e.advance_until(self.empty, until);
+            e.advance_until(until);
         }
         self.engines
             .iter()
@@ -602,12 +596,11 @@ impl EpochTransport for SerialTransport<'_, '_> {
             .collect()
     }
 
-    fn finish(self, batch: Vec<(usize, Job)>) -> Vec<SimOutput> {
-        let SerialTransport { mut engines, empty } = self;
+    fn finish(mut self, batch: Vec<(usize, Job)>) -> Vec<SimOutput> {
         for (site, job) in batch {
-            engines[site].inject(job);
+            self.engines[site].inject(job);
         }
-        engines.into_iter().map(|e| e.finish(empty)).collect()
+        self.engines.into_iter().map(Engine::finish).collect()
     }
 }
 
@@ -715,13 +708,12 @@ fn worker_loop(
         .iter()
         .map(|&(_, cfg)| SiteRuntime::new(cfg))
         .collect();
-    let empty = Workload::from_jobs(Vec::new());
-    let mut engines: Vec<(usize, SiteEngine<'_>)> = my_sites
+    let mut engines: Vec<(usize, Engine<'_, 'static>)> = my_sites
         .iter()
         .zip(runtimes.iter())
-        .map(|(&(global, _), rt)| (global, rt.engine(&empty, origin)))
+        .map(|(&(global, _), rt)| (global, rt.engine(origin)))
         .collect();
-    let inject = |engines: &mut Vec<(usize, SiteEngine<'_>)>, jobs: Vec<(usize, Job)>| {
+    let inject = |engines: &mut Vec<(usize, Engine<'_, 'static>)>, jobs: Vec<(usize, Job)>| {
         for (site, job) in jobs {
             let e = engines
                 .iter_mut()
@@ -736,7 +728,7 @@ fn worker_loop(
             Cmd::Step { jobs, until } => {
                 inject(&mut engines, jobs);
                 for (_, e) in engines.iter_mut() {
-                    e.advance_until(&empty, until);
+                    e.advance_until(until);
                 }
                 let snaps = engines.iter().map(|(g, e)| e.snapshot(*g)).collect();
                 if reply.send(Reply::Snaps(snaps)).is_err() {
@@ -746,10 +738,7 @@ fn worker_loop(
             Cmd::Finish { jobs } => {
                 inject(&mut engines, jobs);
                 let engines = std::mem::take(&mut engines);
-                let outs = engines
-                    .into_iter()
-                    .map(|(g, e)| (g, e.finish(&empty)))
-                    .collect();
+                let outs = engines.into_iter().map(|(g, e)| (g, e.finish())).collect();
                 let _ = reply.send(Reply::Done(outs));
                 return;
             }

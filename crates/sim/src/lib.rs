@@ -64,7 +64,7 @@ pub mod service;
 pub mod sweep;
 
 pub use collector::SeriesBundle;
-pub use config::{EventQueueKind, ObserverSpec, SimConfig};
+pub use config::{EventQueueKind, SimConfig};
 pub use engine::{ObserverSet, SimOutput, Simulation};
 pub use error::SimError;
 pub use experiment::{

@@ -313,8 +313,8 @@ impl StreamingSynthetic {
     /// `(process, load)` pair replace them).
     ///
     /// For [`LoadControl::Utilization`], `E[nodes × runtime]` is estimated
-    /// here from a pilot sample of [`PILOT_JOBS`] draws on dedicated RNG
-    /// streams, making the rate a deterministic function of
+    /// here from a fixed-size pilot sample (`PILOT_JOBS` draws) on
+    /// dedicated RNG streams, making the rate a deterministic function of
     /// `(spec, seed, target)`.
     pub fn new(
         spec: SyntheticSpec,

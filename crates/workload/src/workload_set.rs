@@ -1,6 +1,7 @@
 //! An ordered collection of jobs.
 
 use crate::job::{Job, JobId};
+use crate::source::JobSource;
 use dmhpc_des::time::{SimDuration, SimTime};
 
 /// A workload: jobs sorted by `(arrival, id)`. The simulator consumes jobs
@@ -52,6 +53,12 @@ impl Workload {
     /// Iterate in arrival order.
     pub fn iter(&self) -> std::slice::Iter<'_, Job> {
         self.jobs.iter()
+    }
+
+    /// Replay the jobs as a lazy [`JobSource`], in arrival order. Each
+    /// pull clones one job; nothing is copied up front.
+    pub fn source(&self) -> impl JobSource + '_ {
+        Replay(self.jobs.iter())
     }
 
     /// Job by id (linear scan — fine for setup-time lookups).
@@ -112,6 +119,19 @@ impl<'a> IntoIterator for &'a Workload {
     type IntoIter = std::slice::Iter<'a, Job>;
     fn into_iter(self) -> Self::IntoIter {
         self.jobs.iter()
+    }
+}
+
+/// The stream [`Workload::source`] returns.
+struct Replay<'a>(std::slice::Iter<'a, Job>);
+
+impl JobSource for Replay<'_> {
+    fn next_job(&mut self) -> Option<Job> {
+        self.0.next().cloned()
+    }
+
+    fn size_hint(&self) -> Option<u64> {
+        Some(self.0.len() as u64)
     }
 }
 
@@ -233,6 +253,21 @@ mod tests {
         b.push(JobBuilder::new(10).build());
         let id = b.add(|j| j);
         assert_eq!(id, JobId(11));
+    }
+
+    #[test]
+    fn source_replays_jobs_in_arrival_order() {
+        let w = Workload::from_jobs(vec![
+            JobBuilder::new(2).arrival_secs(20).build(),
+            JobBuilder::new(1).arrival_secs(10).build(),
+        ]);
+        let mut src = w.source();
+        assert_eq!(src.size_hint(), Some(2));
+        assert_eq!(src.next_job().as_ref(), w.jobs().first());
+        assert_eq!(src.size_hint(), Some(1));
+        assert_eq!(src.next_job().as_ref(), w.jobs().get(1));
+        assert_eq!(src.next_job(), None);
+        assert_eq!(src.size_hint(), Some(0));
     }
 
     #[test]

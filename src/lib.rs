@@ -113,8 +113,8 @@ pub mod prelude {
     pub use dmhpc_sim::{
         CellKey, CellResult, EventQueueKind, ExperimentResults, ExperimentRunner, ExperimentSpec,
         FaultAction, FaultGenerator, FaultSpec, FleetOutput, FleetSimulation, FleetSpec,
-        InterruptPolicy, ObserverSet, ObserverSpec, ResultCache, RunStats, ServiceLoad,
-        ServiceSpec, Shard, SimConfig, SimError, SimOutput, Simulation, SiteSpec, WorkloadSource,
+        InterruptPolicy, ObserverSet, ResultCache, RunStats, ServiceLoad, ServiceSpec, Shard,
+        SimConfig, SimError, SimOutput, Simulation, SiteSpec, WorkloadSource,
     };
     pub use dmhpc_workload::source::{ArrivalProcess, JobSource};
     pub use dmhpc_workload::{
