@@ -3,7 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmhpc_des::rng::Pcg64;
 use dmhpc_des::time::{SimDuration, SimTime};
-use dmhpc_platform::{Cluster, ClusterSpec, NodeSpec, PoolTopology};
+use dmhpc_platform::{Cluster, ClusterSpec, MemoryAssignment, NodeId, NodeSpec, PoolTopology};
 use dmhpc_sched::{AvailabilityProfile, Demand, Release, ReleaseIndex, RunningRelease};
 
 fn make(releases: usize) -> (Cluster, Vec<Release>) {
@@ -24,6 +24,31 @@ fn make(releases: usize) -> (Cluster, Vec<Release>) {
         })
         .collect();
     (cluster, rels)
+}
+
+/// A machine with every node busy that drains over 100,000 s: `n` evenly
+/// spaced releases hand each rack back 32 nodes in total. A demand for 31
+/// nodes per rack fits only after ~97% of the releases, so `earliest_fit`
+/// scans nearly every breakpoint.
+fn draining(n: usize) -> AvailabilityProfile {
+    let (mut cluster, _) = make(0);
+    for node in 0..cluster.total_nodes() {
+        cluster
+            .allocate(
+                node as u64,
+                MemoryAssignment::local(vec![NodeId(node)], 1024),
+            )
+            .unwrap();
+    }
+    let per_rack = |j: usize| ((j + 1) * 32 / n - j * 32 / n) as u32;
+    let rels: Vec<Release> = (0..n)
+        .map(|j| Release {
+            time: SimTime::from_secs(((j + 1) * 100_000 / n) as u64),
+            nodes_per_rack: vec![per_rack(j); 8],
+            pool_per_domain: vec![0; 8],
+        })
+        .collect();
+    AvailabilityProfile::from_cluster(SimTime::ZERO, &cluster, &rels)
 }
 
 /// The same releases held in a [`ReleaseIndex`], as an engine holds them.
@@ -70,18 +95,16 @@ fn bench_profile(c: &mut Criterion) {
                 ))
             })
         });
-        let profile = AvailabilityProfile::from_cluster(SimTime::ZERO, &cluster, &rels);
+        let mut profile = draining(n);
+        let demand = Demand {
+            nodes: 31 * 8,
+            remote_per_node: 1024,
+        };
+        let wall = SimDuration::from_hours(2);
+        let (start, _) = profile.earliest_fit(SimTime::ZERO, wall, &demand).unwrap();
+        assert!(start >= SimTime::from_secs(95_000), "fits late, at {start}");
         group.bench_with_input(BenchmarkId::new("earliest_fit", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(profile.earliest_fit(
-                    SimTime::ZERO,
-                    SimDuration::from_hours(2),
-                    &Demand {
-                        nodes: 64,
-                        remote_per_node: 32 * 1024,
-                    },
-                ))
-            })
+            b.iter(|| black_box(profile.earliest_fit(SimTime::ZERO, wall, &demand)))
         });
     }
     group.finish();

@@ -9,7 +9,12 @@ use dmhpc_sched::{
 };
 use dmhpc_workload::SystemPreset;
 
+/// The instant every benchmarked pass runs at.
+const NOW_S: u64 = 600_000;
+
 /// A mostly-full cluster with a populated queue: the worst case for a pass.
+/// Every running lease ends after [`NOW_S`], so the pass's availability
+/// profile sees the cluster as busy as `plan()` does.
 fn setup(depth: usize) -> (Cluster, WaitQueue, ReleaseIndex) {
     let mut cluster = Cluster::new(ClusterSpec::new(
         8,
@@ -32,7 +37,7 @@ fn setup(depth: usize) -> (Cluster, WaitQueue, ReleaseIndex) {
         releases.insert(
             lease,
             RunningRelease {
-                planned_end: SimTime::from_secs(600 + (i as u64 % 96) * 600),
+                planned_end: SimTime::from_secs(NOW_S + 600 + (i as u64 % 96) * 600),
                 nodes_per_rack,
                 pool_per_domain: vec![0; 8],
             },
@@ -50,7 +55,7 @@ fn setup(depth: usize) -> (Cluster, WaitQueue, ReleaseIndex) {
 fn pass(sched: &Scheduler, cluster: &Cluster, queue: &WaitQueue, releases: &ReleaseIndex) {
     let mut c = cluster.clone();
     let mut q = queue.clone();
-    black_box(sched.schedule(SimTime::from_secs(600_000), &mut q, &mut c, releases.view()));
+    black_box(sched.schedule(SimTime::from_secs(NOW_S), &mut q, &mut c, releases.view()));
 }
 
 fn bench_sched(c: &mut Criterion) {

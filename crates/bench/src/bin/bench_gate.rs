@@ -229,3 +229,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("bench gate OK");
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Entries no gate names — like the scheduling-pass and profile
+    /// latencies CI appends to the same file — are skipped, and the last
+    /// occurrence of a gated entry still wins.
+    #[test]
+    fn mean_of_skips_entries_no_gate_reads() {
+        let lines = [
+            r#"{"name": "experiment_runner/run/1", "mean_ns": 100.0, "std_ns": 1.0}"#,
+            r#"{"name": "scheduling_pass/conservative/512", "mean_ns": 200000.0, "std_ns": 1.0}"#,
+            r#"{"name": "availability_profile/earliest_fit/1024", "mean_ns": 70000.0, "std_ns": 1.0}"#,
+            r#"{"name": "experiment_runner/run/1", "mean_ns": 120.0, "std_ns": 1.0}"#,
+        ]
+        .join("\n");
+        assert_eq!(mean_of(&lines, RUN_BENCH), Ok(120.0));
+        assert!(mean_of(&lines, RAW_BENCH).is_err());
+    }
+}

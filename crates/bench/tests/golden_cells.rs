@@ -9,9 +9,16 @@
 //! long-standing smoke grids to the values captured before the redesign,
 //! and prove a warm cache replays byte-identically on both event-queue
 //! backends.
+//!
+//! Every smoke cell backfills EASY, so a conservative grid over all three
+//! pool topologies, with and without faults, pins both its cell keys and
+//! its trace hashes — every decision the conservative pass makes.
 
 use dmhpc_bench::experiments;
-use dmhpc_sim::{EventQueueKind, ExperimentRunner, ExperimentSpec};
+use dmhpc_platform::{PoolTopology, SlowdownModel};
+use dmhpc_sched::{BackfillPolicy, MemoryPolicy, SchedulerBuilder};
+use dmhpc_sim::{EventQueueKind, ExperimentRunner, ExperimentSpec, FaultSpec};
+use dmhpc_workload::SystemPreset;
 
 /// `(cell label, cache cell key)` for every cell of a grid, captured
 /// before SLO stamps / `SchedContext` / deadline policies existed.
@@ -124,6 +131,88 @@ fn smoke_service_cell_keys_match_pre_slo_goldens() {
         &experiments::smoke_service_spec().unwrap(),
         SMOKE_SERVICE_GOLDEN_CELLS,
     );
+}
+
+/// Conservative backfilling on all three pool topologies (none, per-rack,
+/// global), fault-free and under the canned fault storm, whose node
+/// failures and pool degradations drive the pass's degraded branch.
+fn conservative_spec() -> ExperimentSpec {
+    let sched = |memory| {
+        SchedulerBuilder::new()
+            .backfill(BackfillPolicy::Conservative)
+            .memory(memory)
+            .slowdown(SlowdownModel::Contention {
+                penalty: 1.5,
+                gamma: 1.0,
+            })
+            .build()
+    };
+    ExperimentSpec::builder("golden-conservative")
+        .preset(SystemPreset::HighThroughput, 240)
+        .pools([
+            PoolTopology::None,
+            PoolTopology::PerRack {
+                mib_per_rack: 384 * 1024,
+            },
+            PoolTopology::Global { mib: 1536 * 1024 },
+        ])
+        .load(0.95)
+        .seeds([1, 2])
+        .scheduler(sched(MemoryPolicy::PoolBestFit))
+        .scheduler(sched(MemoryPolicy::SlowdownAware { max_dilation: 1.4 }))
+        .fault(FaultSpec::none())
+        .fault(experiments::default_fault_scenario())
+        .build()
+        .unwrap()
+}
+
+/// `(cell label, cache cell key, trace hash)` for every cell of
+/// [`conservative_spec`], captured before the conservative pass learned to
+/// stop reserving once nothing more can start. The trace hash pins every
+/// scheduling decision, not just the cell's inputs.
+const CONSERVATIVE_GOLDEN_CELLS: &[(&str, u64, u64)] = &[
+    ("no-pool|load0.95|seed1|fcfs+conservative+pool-bf+con1.5g1", 0xc50dae0052143b2c, 0x41be9277617a8a0b),
+    ("no-pool|load0.95|seed1|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0xfa742d876d61094d, 0x41be9277617a8a0b),
+    ("no-pool|load0.95|seed1|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+pool-bf+con1.5g1", 0x1b096de70e5212e3, 0x6ac906bde8db7c23),
+    ("no-pool|load0.95|seed1|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0xb4f12a6e64cbce7a, 0x6ac906bde8db7c23),
+    ("no-pool|load0.95|seed2|fcfs+conservative+pool-bf+con1.5g1", 0xc5cd9c4623c30985, 0x52d8b69e46a9e972),
+    ("no-pool|load0.95|seed2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0x81028bd2104181ae, 0x52d8b69e46a9e972),
+    ("no-pool|load0.95|seed2|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+pool-bf+con1.5g1", 0xf7bcc304a72bed92, 0x1b38dc02ef8cfa57),
+    ("no-pool|load0.95|seed2|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0x7e7b8d9b16b19e9d, 0x1b38dc02ef8cfa57),
+    ("rack-384gib|load0.95|seed1|fcfs+conservative+pool-bf+con1.5g1", 0x6b8a61bc194dcff3, 0xbebface4b21419ce),
+    ("rack-384gib|load0.95|seed1|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0xaad1f638d2337110, 0x9a6fdc23ba8b3c93),
+    ("rack-384gib|load0.95|seed1|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+pool-bf+con1.5g1", 0xa3d629c214ccc9f0, 0x721b4b6d7d916600),
+    ("rack-384gib|load0.95|seed1|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0xca5307d617e23a47, 0x487722b876bdfa33),
+    ("rack-384gib|load0.95|seed2|fcfs+conservative+pool-bf+con1.5g1", 0x263be87f91ffae0e, 0xaa38c9b278f01e80),
+    ("rack-384gib|load0.95|seed2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0x3e7abc1504ac3783, 0x6f3aa171a3b826aa),
+    ("rack-384gib|load0.95|seed2|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+pool-bf+con1.5g1", 0x67bae302869877fd, 0x3a3dcbb158d0a8be),
+    ("rack-384gib|load0.95|seed2|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0x3ff7a47eca4bfaa0, 0xa6c0ace7803ebf87),
+    ("global-1536gib|load0.95|seed1|fcfs+conservative+pool-bf+con1.5g1", 0x506bc09cb6322b0d, 0x7903793c46c103ae),
+    ("global-1536gib|load0.95|seed1|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0x99c61e448a930816, 0x09012c43f216ae56),
+    ("global-1536gib|load0.95|seed1|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+pool-bf+con1.5g1", 0xeb6a4c490d098c3a, 0x150213170b42e0c8),
+    ("global-1536gib|load0.95|seed1|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0x06c9b63a4c58afa5, 0xb370238764c9dc9c),
+    ("global-1536gib|load0.95|seed2|fcfs+conservative+pool-bf+con1.5g1", 0xf5b6200026450824, 0x7d6b6275ee2e86b5),
+    ("global-1536gib|load0.95|seed2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0x93f5beeb548659a5, 0x694ff96ca65ef55d),
+    ("global-1536gib|load0.95|seed2|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+pool-bf+con1.5g1", 0xb10a227429226f1b, 0xfa8d6745a0923501),
+    ("global-1536gib|load0.95|seed2|gen21-mtbf900-drain3000-pdeg5000-ckpt120-r2|fcfs+conservative+slowdown-aware1.4+con1.5g1", 0xf8f1dc2c607100b2, 0x912bc4bd0571e305),
+];
+
+#[test]
+fn conservative_cells_match_goldens() {
+    let spec = conservative_spec();
+    let keys: Vec<(&str, u64)> = CONSERVATIVE_GOLDEN_CELLS
+        .iter()
+        .map(|&(label, key, _)| (label, key))
+        .collect();
+    assert_cells_match(&spec, &keys);
+    let results = ExperimentRunner::with_threads(2).run(&spec).unwrap();
+    assert_eq!(results.len(), CONSERVATIVE_GOLDEN_CELLS.len());
+    for (cell, &(label, _, trace)) in results.cells().iter().zip(CONSERVATIVE_GOLDEN_CELLS) {
+        assert_eq!(
+            cell.output.trace_hash, trace,
+            "{label}: a conservative-backfill decision changed"
+        );
+    }
 }
 
 /// The deadline grid, by contrast, must NOT collide with any pre-SLO key:

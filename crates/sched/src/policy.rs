@@ -18,6 +18,38 @@
 //!      start exactly those whose reservation is *now* and whose concrete
 //!      placement agrees with the profile. No job is ever delayed by a
 //!      later-queued one.
+//!
+//! ## Conservative backfilling stops reserving once nothing can start
+//!
+//! A pass throws its reservations away when it ends; they matter only to
+//! later jobs' "is my reservation *now*?" test. Once the profile's origin
+//! has no free node, no job that needs a node can start in this pass (its
+//! window holds the origin row), so from there on each job needs only the
+//! two rejection tests, in queue order:
+//!
+//! * no nominal shape → [`RejectReason::CapacityExceeded`];
+//! * never fits the profile → [`RejectReason::ProfileInfeasible`], or stay
+//!   queued on a degraded machine.
+//!
+//! "Never fits" is "does not fit the last breakpoint"
+//! (`AvailabilityProfile::fits_at_last`) while every row is at most the
+//! last one, component by component: a profile built from releases only
+//! grows over time, and a reservation that ends leaves the last row as it
+//! was. So the pass defers the reservations of the jobs it no longer
+//! needs, and tests against the last row — which the deferred
+//! reservations would not have touched — only while
+//!
+//! * no reservation the pass made is open-ended (its end saturated to
+//!   [`SimTime::MAX`]), and
+//! * every deferred reservation provably ends: a job's reservation starts
+//!   no later than the last breakpoint, so the pass keeps a bound on that
+//!   breakpoint as deferred reservations would have pushed it, plus each
+//!   deferred walltime.
+//!
+//! A job that breaks either condition (or needs no node) makes the pass
+//! first place the deferred reservations, in queue order, and then treat
+//! the job in full, so every decision is the one the reserve-every-job
+//! loop makes (pinned by a differential test against that loop).
 
 use crate::admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
 use crate::memory::MemoryPolicy;
@@ -29,6 +61,7 @@ use crate::traits::{Ordering, PassDirective, Placement, SchedContext};
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, MemoryAssignment, PlatformError, SlowdownModel};
 use dmhpc_workload::{Job, JobId};
+use std::ops::Range;
 
 /// Backfilling flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,22 +400,70 @@ impl Scheduler {
         running: ReleaseView<'_>,
     ) -> PassResult {
         let mut result = PassResult::default();
-        {
-            let ctx = self.ctx(now, cluster, running);
-            let entries = queue.entries_mut();
-            self.order.order(entries, &ctx);
-            // Batch-forming orderings may hold the whole start set until
-            // their latency budget expires (directives with `until ≤ now`
-            // proceed — the budget is already spent).
-            if let PassDirective::Hold { until } = self.order.directive(entries, &ctx) {
-                if until > now {
-                    result.hold_until = Some(until);
-                    return result;
-                }
+        if let Some(until) = self.order_queue(now, queue, cluster, running) {
+            result.hold_until = Some(until);
+            return result;
+        }
+        self.start_heads(now, queue, cluster, running, &mut result);
+        if !queue.is_empty() && self.cfg.backfill != BackfillPolicy::None {
+            let (mut profile, degraded) =
+                self.backfill_profile(now, cluster, running, &result.started);
+            match self.cfg.backfill {
+                BackfillPolicy::None => unreachable!("checked above"),
+                BackfillPolicy::Easy => self.easy_pass(
+                    now,
+                    queue,
+                    cluster,
+                    running,
+                    degraded,
+                    &mut profile,
+                    &mut result,
+                ),
+                BackfillPolicy::Conservative => self.conservative_pass(
+                    now,
+                    queue,
+                    cluster,
+                    running,
+                    degraded,
+                    &mut profile,
+                    &mut result,
+                ),
             }
         }
+        self.admission_pass(now, queue, cluster, running, &mut result);
+        result
+    }
 
-        // Phase 1: greedy head starts.
+    /// Order the queue; `Some(until)` when the ordering holds the whole
+    /// start set until then.
+    fn order_queue(
+        &self,
+        now: SimTime,
+        queue: &mut WaitQueue,
+        cluster: &Cluster,
+        running: ReleaseView<'_>,
+    ) -> Option<SimTime> {
+        let ctx = self.ctx(now, cluster, running);
+        let entries = queue.entries_mut();
+        self.order.order(entries, &ctx);
+        // Batch-forming orderings may hold the whole start set until their
+        // latency budget expires (directives with `until ≤ now` proceed —
+        // the budget is already spent).
+        match self.order.directive(entries, &ctx) {
+            PassDirective::Hold { until } if until > now => Some(until),
+            _ => None,
+        }
+    }
+
+    /// Phase 1: greedy head starts, until the head blocks.
+    fn start_heads(
+        &self,
+        now: SimTime,
+        queue: &mut WaitQueue,
+        cluster: &mut Cluster,
+        running: ReleaseView<'_>,
+        result: &mut PassResult,
+    ) {
         while let Some(head) = queue.front() {
             let job = &head.job;
             let ctx = self.ctx(now, cluster, running);
@@ -411,12 +492,18 @@ impl Scheduler {
                 planned_walltime,
             });
         }
+    }
 
-        if queue.is_empty() || self.cfg.backfill == BackfillPolicy::None {
-            self.admission_pass(now, queue, cluster, running, &mut result);
-            return result;
-        }
-
+    /// The profile a backfilling pass starts from — the cluster now, the
+    /// running jobs' releases, and those of the jobs phase 1 `started` —
+    /// and whether the machine is degraded.
+    fn backfill_profile(
+        &self,
+        now: SimTime,
+        cluster: &Cluster,
+        running: ReleaseView<'_>,
+        started: &[StartedJob],
+    ) -> (AvailabilityProfile, bool) {
         // View iteration is already time-sorted, so the profile builds
         // straight from it: no release copy, no sort.
         let mut profile = AvailabilityProfile::from_sorted(
@@ -426,8 +513,7 @@ impl Scheduler {
                 .iter()
                 .map(|r| (r.planned_end, &r.nodes_per_rack[..], &r.pool_per_domain[..])),
         );
-        // Jobs started in phase 1 also release capacity later.
-        for s in &result.started {
+        for s in started {
             let r = RunningRelease::of(cluster, &s.assignment, now + s.planned_walltime);
             profile.add_release(r.planned_end, &r.nodes_per_rack, &r.pool_per_domain);
         }
@@ -442,30 +528,7 @@ impl Scheduler {
         // pre-fault rejection behaviour is untouched.
         let degraded = cluster.available_nodes() < cluster.total_nodes() as usize
             || cluster.pools().iter().any(|p| p.health() < 1.0);
-
-        match self.cfg.backfill {
-            BackfillPolicy::None => unreachable!("handled above"),
-            BackfillPolicy::Easy => self.easy_pass(
-                now,
-                queue,
-                cluster,
-                running,
-                degraded,
-                &mut profile,
-                &mut result,
-            ),
-            BackfillPolicy::Conservative => self.conservative_pass(
-                now,
-                queue,
-                cluster,
-                running,
-                degraded,
-                &mut profile,
-                &mut result,
-            ),
-        }
-        self.admission_pass(now, queue, cluster, running, &mut result);
-        result
+        (profile, degraded)
     }
 
     /// Assess every job the pass left queued against the admission
@@ -585,7 +648,9 @@ impl Scheduler {
         }
     }
 
-    /// Conservative: a reservation per queued job, in queue order.
+    /// Conservative: a reservation per queued job, in queue order — until
+    /// nothing more can start, after which jobs need only the two
+    /// rejection tests (see module docs).
     #[allow(clippy::too_many_arguments)]
     fn conservative_pass(
         &self,
@@ -597,6 +662,11 @@ impl Scheduler {
         profile: &mut AvailabilityProfile,
         result: &mut PassResult,
     ) {
+        // Some reservation of this pass holds capacity for ever.
+        let mut open_ended = false;
+        // The queue index from which reservations are deferred, and a bound
+        // on the last breakpoint the profile would have if they were made.
+        let mut deferred: Option<(usize, SimTime)> = None;
         let mut idx = 0;
         while idx < queue.len() {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
@@ -615,6 +685,31 @@ impl Scheduler {
                 continue;
             };
             let wall = self.planned_walltime(job, dilation);
+            let (first, horizon) = deferred.unwrap_or((idx, profile.last_breakpoint()));
+            let end_bound = horizon.saturating_add(wall);
+            if !open_ended
+                && demand.nodes > 0
+                && end_bound < SimTime::MAX
+                && profile.no_free_node_at_origin()
+            {
+                // Nothing more can start now: defer this job's reservation,
+                // which would end by `end_bound`, and only test whether it
+                // could ever fit.
+                if profile.fits_at_last(&demand) {
+                    deferred = Some((first, end_bound));
+                } else if !degraded {
+                    let entry = queue.remove(idx);
+                    result
+                        .rejected
+                        .push((entry.job, RejectReason::ProfileInfeasible));
+                    continue;
+                }
+                idx += 1;
+                continue;
+            }
+            if let Some((first, _)) = deferred.take() {
+                self.reserve_deferred(now, queue, cluster, running, profile, first..idx);
+            }
             let Some((start, split)) = profile.earliest_fit(now, wall, &demand) else {
                 if degraded {
                     // Transiently unservable (see `schedule`): keep it
@@ -643,6 +738,7 @@ impl Scheduler {
                             .allocate(entry.job.id.as_u64(), plan.assignment.clone())
                             // lint: allow(panic) — plan() only returns assignments the cluster can satisfy right now
                             .expect("plan() returned an unallocatable assignment");
+                        open_ended |= now.saturating_add(plan_wall) == SimTime::MAX;
                         profile.reserve(
                             now,
                             plan_wall,
@@ -660,8 +756,39 @@ impl Scheduler {
                 }
             }
             // Hold a reservation; the job stays queued.
+            open_ended |= start.saturating_add(wall) == SimTime::MAX;
             profile.reserve(start, wall, &split, demand.remote_per_node);
             idx += 1;
+        }
+    }
+
+    /// Make the reservations that the still-queued jobs at `indexes` would
+    /// have held, in queue order — for when the pass must leave the
+    /// deferring mode, so the profile is again exactly the one the full
+    /// loop would have built.
+    fn reserve_deferred(
+        &self,
+        now: SimTime,
+        queue: &WaitQueue,
+        cluster: &Cluster,
+        running: ReleaseView<'_>,
+        profile: &mut AvailabilityProfile,
+        indexes: Range<usize>,
+    ) {
+        for idx in indexes {
+            // lint: allow(panic) — deferred indexes lie below the current one
+            let job = &queue.get(idx).expect("deferred index < len").job;
+            let (demand, dilation) = self
+                .placement
+                .nominal_shape(job, &self.ctx(now, cluster, running))
+                // lint: allow(panic) — the job had a shape when it was deferred, and nothing has changed since
+                .expect("a deferred job has a shape");
+            let wall = self.planned_walltime(job, dilation);
+            // A job that never fits (on a degraded machine) holds nothing.
+            if let Some((start, split)) = profile.earliest_fit(now, wall, &demand) {
+                debug_assert_ne!(start, now, "a deferred job cannot start now");
+                profile.reserve(start, wall, &split, demand.remote_per_node);
+            }
         }
     }
 }
@@ -680,6 +807,7 @@ fn split_of(cluster: &Cluster, assignment: &MemoryAssignment) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::release::ReleaseIndex;
+    use dmhpc_des::rng::Pcg64;
     use dmhpc_platform::{ClusterSpec, NodeSpec, PoolTopology};
     use dmhpc_workload::{JobBuilder, JobId};
 
@@ -1167,5 +1295,447 @@ mod tests {
         );
         // Deadlines: job 2 at t=40 (stamp), job 1 at t=3600 (run-wide).
         assert_eq!(ids(&result.started), vec![2, 1]);
+    }
+
+    // ------------------------------ differential: reserve every queued job
+
+    /// The conservative loop as it was before it deferred reservations: a
+    /// full `earliest_fit` and a reservation for every queued job. The
+    /// oracle the deferring pass is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_conservative_pass(
+        sched: &Scheduler,
+        now: SimTime,
+        queue: &mut WaitQueue,
+        cluster: &mut Cluster,
+        running: ReleaseView<'_>,
+        degraded: bool,
+        profile: &mut AvailabilityProfile,
+        result: &mut PassResult,
+    ) {
+        let mut idx = 0;
+        while idx < queue.len() {
+            let job = &queue.get(idx).expect("idx < len").job;
+            let Some((demand, dilation)) = sched
+                .placement
+                .nominal_shape(job, &sched.ctx(now, cluster, running))
+            else {
+                let entry = queue.remove(idx);
+                result
+                    .rejected
+                    .push((entry.job, RejectReason::CapacityExceeded));
+                continue;
+            };
+            let wall = sched.planned_walltime(job, dilation);
+            let Some((start, split)) = profile.earliest_fit(now, wall, &demand) else {
+                if degraded {
+                    idx += 1;
+                    continue;
+                }
+                let entry = queue.remove(idx);
+                result
+                    .rejected
+                    .push((entry.job, RejectReason::ProfileInfeasible));
+                continue;
+            };
+            if start == now {
+                if let Some(plan) = sched.placement.plan(job, &sched.ctx(now, cluster, running)) {
+                    let plan_wall = sched.planned_walltime(job, plan.dilation);
+                    let plan_split = split_of(cluster, &plan.assignment);
+                    if profile.fits_split(
+                        now,
+                        plan_wall,
+                        &plan_split,
+                        plan.assignment.remote_per_node,
+                    ) {
+                        let entry = queue.remove(idx);
+                        cluster
+                            .allocate(entry.job.id.as_u64(), plan.assignment.clone())
+                            .expect("plan() returned an unallocatable assignment");
+                        profile.reserve(
+                            now,
+                            plan_wall,
+                            &plan_split,
+                            plan.assignment.remote_per_node,
+                        );
+                        result.started.push(StartedJob {
+                            job: entry.job,
+                            assignment: plan.assignment,
+                            dilation: plan.dilation,
+                            planned_walltime: plan_wall,
+                        });
+                        continue;
+                    }
+                }
+            }
+            profile.reserve(start, wall, &split, demand.remote_per_node);
+            idx += 1;
+        }
+    }
+
+    /// [`Scheduler::schedule`] with [`reference_conservative_pass`] as its
+    /// backfilling pass (the scheduler must be conservative).
+    fn reference_schedule(
+        sched: &Scheduler,
+        now: SimTime,
+        queue: &mut WaitQueue,
+        cluster: &mut Cluster,
+        running: ReleaseView<'_>,
+    ) -> PassResult {
+        assert_eq!(sched.cfg.backfill, BackfillPolicy::Conservative);
+        let mut result = PassResult::default();
+        if let Some(until) = sched.order_queue(now, queue, cluster, running) {
+            result.hold_until = Some(until);
+            return result;
+        }
+        sched.start_heads(now, queue, cluster, running, &mut result);
+        if !queue.is_empty() {
+            let (mut profile, degraded) =
+                sched.backfill_profile(now, cluster, running, &result.started);
+            reference_conservative_pass(
+                sched,
+                now,
+                queue,
+                cluster,
+                running,
+                degraded,
+                &mut profile,
+                &mut result,
+            );
+        }
+        sched.admission_pass(now, queue, cluster, running, &mut result);
+        result
+    }
+
+    /// A walltime so long that a few of them overflow the clock: what an
+    /// open-ended request looks like once it reaches a pass.
+    const OPEN_ENDED: SimDuration = SimDuration::from_micros(u64::MAX / 4);
+
+    /// A random conservative scheduler over the whole policy matrix a
+    /// conservative pass can meet.
+    fn random_conservative(rng: &mut Pcg64) -> Scheduler {
+        let memory = [
+            MemoryPolicy::LocalOnly,
+            MemoryPolicy::PoolFirstFit,
+            MemoryPolicy::PoolBestFit,
+            MemoryPolicy::SlowdownAware { max_dilation: 1.4 },
+            MemoryPolicy::LaxityAware { max_dilation: 1.4 },
+        ][rng.index(5)];
+        let order = [OrderPolicy::Fcfs, OrderPolicy::Sjf, OrderPolicy::Edf][rng.index(3)];
+        let admission = [
+            AdmissionPolicy::AdmitAll,
+            AdmissionPolicy::RejectInfeasible,
+            AdmissionPolicy::DeferUntilFeasible,
+        ][rng.index(3)];
+        Scheduler::new(
+            SchedulerBuilder::new()
+                .backfill(BackfillPolicy::Conservative)
+                .order(order)
+                .memory(memory)
+                .admission(admission)
+                .inflate_walltime(rng.chance(0.7))
+                .build(),
+        )
+        .unwrap()
+    }
+
+    /// One random pass input.
+    struct PassCase {
+        now: SimTime,
+        cluster: Cluster,
+        running: ReleaseIndex,
+        queue: WaitQueue,
+    }
+
+    /// A small cluster with leases parked on a random share of it (often
+    /// all of it, so the origin has no free node), their releases (a few
+    /// already past, a few never), perhaps failed nodes or a degraded
+    /// pool, and a queue of jobs that mostly fit, some only borrowing,
+    /// some never, some open-ended (longer than the clock can run, or, if
+    /// `inflate` is off, ending exactly at its end), some deadline-stamped.
+    fn random_pass_case(rng: &mut Pcg64, inflate: bool) -> PassCase {
+        let now = SimTime::from_secs(1000);
+        // Ends exactly at the end of time when started now: any later start
+        // makes an open-ended reservation. Only uninflated walltimes can be
+        // this long.
+        let forever = SimDuration::from_micros(u64::MAX - now.as_micros());
+        let racks = 1 + rng.index(3) as u32;
+        let per_rack = 2 + rng.index(5) as u32;
+        let pool = match rng.index(3) {
+            0 => PoolTopology::None,
+            1 => PoolTopology::PerRack {
+                mib_per_rack: 128 * GIB,
+            },
+            _ => PoolTopology::Global { mib: 256 * GIB },
+        };
+        let mut cluster = Cluster::new(ClusterSpec::new(
+            racks,
+            per_rack,
+            NodeSpec::new(64, 64 * GIB),
+            pool,
+        ));
+        let total = racks * per_rack;
+        let busy = [1.0, 1.0, 0.85, 0.6, 0.4][rng.index(5)];
+        let mut running = ReleaseIndex::new();
+        for node in 0..total {
+            if !rng.chance(busy) || !cluster.is_free(dmhpc_platform::NodeId(node)) {
+                continue;
+            }
+            let mut nodes = vec![dmhpc_platform::NodeId(node)];
+            let partner = dmhpc_platform::NodeId(rng.bounded_u64(total as u64) as u32);
+            if rng.chance(0.3) && partner.0 != node && cluster.is_free(partner) {
+                nodes.push(partner);
+            }
+            let a = if pool != PoolTopology::None && rng.chance(0.4) {
+                MemoryAssignment::hybrid(nodes, 48 * GIB, rng.bounded_u64(48) * GIB + 1)
+            } else {
+                MemoryAssignment::local(nodes, 48 * GIB)
+            };
+            let lease = 10_000 + node as u64;
+            if cluster.allocate(lease, a.clone()).is_err() {
+                continue;
+            }
+            // A lease the pass knows no end for: healthy machines then
+            // see jobs that never fit the profile.
+            if rng.chance(0.06) {
+                continue;
+            }
+            let end = match rng.index(40) {
+                0 | 1 => SimTime::MAX,
+                2 => SimTime::from_secs(500),
+                _ => now + SimDuration::from_secs(1 + rng.bounded_u64(4000)),
+            };
+            running.insert(lease, RunningRelease::of(&cluster, &a, end));
+        }
+        if rng.chance(0.3) {
+            for _ in 0..1 + rng.index(2) {
+                let node = dmhpc_platform::NodeId(rng.bounded_u64(total as u64) as u32);
+                cluster.fail_node(node).unwrap();
+            }
+        }
+        if pool != PoolTopology::None && rng.chance(0.2) {
+            cluster
+                .set_pool_health(dmhpc_platform::PoolId(0), 0.5)
+                .unwrap();
+        }
+        let mut queue = WaitQueue::new();
+        for id in 0..rng.index(14) as u64 {
+            let mut builder = JobBuilder::new(id)
+                .arrival_secs(rng.bounded_u64(1000))
+                .nodes(1 + rng.bounded_u64(total as u64 + 1) as u32)
+                .mem_per_node((8 + rng.bounded_u64(150)) * GIB)
+                .intensity(rng.bounded_u64(11) as f64 / 10.0)
+                .runtime_secs(5, 10 + rng.bounded_u64(3000));
+            if rng.chance(0.3) {
+                builder = builder.slo(dmhpc_workload::Slo::Deadline {
+                    deadline_s: 1000.0 + rng.bounded_u64(20_000) as f64,
+                });
+            }
+            let mut job = builder.build();
+            match rng.index(20) {
+                0..=2 => job.walltime = OPEN_ENDED,
+                3 if !inflate => job.walltime = forever,
+                _ => {}
+            }
+            queue.push(job, SimTime::ZERO);
+        }
+        PassCase {
+            now,
+            cluster,
+            running,
+            queue,
+        }
+    }
+
+    fn queued_ids(queue: &WaitQueue) -> Vec<u64> {
+        queue.iter().map(|e| e.job.id.0).collect()
+    }
+
+    /// Run one case through both passes: equal results, queues and
+    /// clusters. Returns the result, and whether the pass left jobs queued
+    /// on a machine without a free node.
+    fn assert_pass_matches_reference(
+        sched: &Scheduler,
+        case: &PassCase,
+        ctx: &str,
+    ) -> (PassResult, bool) {
+        let (mut q1, mut c1) = (case.queue.clone(), case.cluster.clone());
+        let (mut q2, mut c2) = (case.queue.clone(), case.cluster.clone());
+        let view = case.running.view();
+        let got = sched.schedule(case.now, &mut q1, &mut c1, view);
+        let want = reference_schedule(sched, case.now, &mut q2, &mut c2, view);
+        assert_eq!(ids(&got.started), ids(&want.started), "{ctx}: started");
+        let reasons = |r: &PassResult| -> Vec<(u64, RejectReason)> {
+            r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect()
+        };
+        assert_eq!(reasons(&got), reasons(&want), "{ctx}: rejected");
+        assert_eq!(got.deferred, want.deferred, "{ctx}: deferred");
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{ctx}: pass result"
+        );
+        assert_eq!(queued_ids(&q1), queued_ids(&q2), "{ctx}: queue");
+        assert_eq!(format!("{c1:?}"), format!("{c2:?}"), "{ctx}: cluster");
+        (got, !q1.is_empty() && c1.free_nodes() == 0)
+    }
+
+    /// The deferring conservative pass decides exactly as the loop that
+    /// reserves every queued job, over random clusters (healthy and
+    /// degraded, often full), releases (past, future and never) and queues
+    /// (impossible, borrowing, open-ended and deadline-stamped jobs),
+    /// under every memory policy, three orderings and every admission
+    /// policy.
+    #[test]
+    fn conservative_pass_matches_reserve_every_job_loop() {
+        let (mut full, mut degraded, mut open_ended) = (0, 0, 0);
+        let (mut started, mut infeasible, mut deferred) = (0, 0, 0);
+        for case in 0..400u64 {
+            let mut rng = Pcg64::new_stream(0xC0B5, case);
+            let sched = random_conservative(&mut rng);
+            let pass = random_pass_case(&mut rng, sched.config().inflate_walltime);
+            degraded += usize::from(
+                pass.cluster.available_nodes() < pass.cluster.total_nodes() as usize
+                    || pass.cluster.pools().iter().any(|p| p.health() < 1.0),
+            );
+            open_ended += usize::from(pass.queue.iter().any(|e| e.job.walltime >= OPEN_ENDED));
+            let ctx = format!("case {case} ({})", sched.config().full_label());
+            let (result, left_full) = assert_pass_matches_reference(&sched, &pass, &ctx);
+            full += usize::from(left_full);
+            started += usize::from(!result.started.is_empty());
+            deferred += usize::from(!result.deferred.is_empty());
+            infeasible += usize::from(
+                result
+                    .rejected
+                    .iter()
+                    .any(|(_, why)| *why == RejectReason::ProfileInfeasible),
+            );
+        }
+        let seen = format!(
+            "full {full}, degraded {degraded}, open-ended {open_ended}, \
+             started {started}, infeasible {infeasible}, deferred {deferred}"
+        );
+        assert!(full >= 100 && degraded >= 80 && open_ended >= 100, "{seen}");
+        assert!(
+            started >= 100 && infeasible >= 20 && deferred >= 20,
+            "{seen}"
+        );
+    }
+
+    /// A full machine and a queue of open-ended jobs: their deferred
+    /// reservations would overflow the clock after a few, so the pass makes
+    /// the deferred ones after all and goes on in full — still deciding as
+    /// the reference does.
+    #[test]
+    fn conservative_pass_makes_deferred_reservations_before_one_could_be_open_ended() {
+        let sched = Scheduler::new(
+            SchedulerBuilder::new()
+                .backfill(BackfillPolicy::Conservative)
+                .memory(MemoryPolicy::PoolFirstFit)
+                .inflate_walltime(false)
+                .build(),
+        )
+        .unwrap();
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park_all(&mut cluster, &mut running, 1000);
+        let mut queue = WaitQueue::new();
+        for id in 1..=8 {
+            let mut j = job(id, 1 + (id % 4) as u32, 50, 100);
+            j.walltime = OPEN_ENDED;
+            queue.push(j, SimTime::ZERO);
+        }
+        queue.push(job(9, 8, 50, 100), SimTime::ZERO); // never fits
+        let case = PassCase {
+            now: SimTime::ZERO,
+            cluster,
+            running,
+            queue,
+        };
+        assert!(assert_pass_matches_reference(&sched, &case, "open-ended").1);
+    }
+
+    /// An open-ended reservation leaves the last breakpoint short, so the
+    /// last-breakpoint test no longer decides rejection: the pass keeps
+    /// reserving, and a short job that fits before the open-ended one
+    /// begins stays queued.
+    #[test]
+    fn conservative_pass_keeps_reserving_after_an_open_ended_reservation() {
+        let sched = Scheduler::new(
+            SchedulerBuilder::new()
+                .backfill(BackfillPolicy::Conservative)
+                .memory(MemoryPolicy::PoolFirstFit)
+                .inflate_walltime(false)
+                .build(),
+        )
+        .unwrap();
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0, 1], 0, 100);
+        park(&mut cluster, &mut running, 101, &[2, 3], 0, 200);
+        let mut queue = WaitQueue::new();
+        // All 4 nodes from t=200 on, for ever.
+        let mut forever = job(1, 4, 50, 100);
+        forever.walltime = SimDuration::MAX;
+        queue.push(forever, SimTime::ZERO);
+        // 2 nodes for 50 s: fit at t=100, never at the last breakpoint.
+        queue.push(job(2, 2, 50, 50), SimTime::ZERO);
+        let case = PassCase {
+            now: SimTime::ZERO,
+            cluster,
+            running,
+            queue,
+        };
+        let (result, _) = assert_pass_matches_reference(&sched, &case, "open-ended reservation");
+        assert!(result.rejected.is_empty() && result.started.is_empty());
+    }
+
+    /// Once nothing can start, a job that can never fit is still rejected
+    /// on a healthy machine and still kept on a degraded one.
+    #[test]
+    fn conservative_pass_rejects_after_the_origin_fills() {
+        let sched = Scheduler::new(
+            SchedulerBuilder::new()
+                .backfill(BackfillPolicy::Conservative)
+                .memory(MemoryPolicy::PoolFirstFit)
+                .build(),
+        )
+        .unwrap();
+        for degrade in [false, true] {
+            // Nodes 0–2 run until t=1000; node 3 is lost for good: failed
+            // (degraded), or held by a lease the pass knows no end for.
+            let mut cluster = small_cluster();
+            let mut running = ReleaseIndex::new();
+            park(&mut cluster, &mut running, 100, &[0, 1, 2], 0, 1000);
+            let node3 = dmhpc_platform::NodeId(3);
+            if degrade {
+                cluster.fail_node(node3).unwrap();
+            } else {
+                let a = MemoryAssignment::local(vec![node3], 32 * GIB);
+                cluster.allocate(101, a).unwrap();
+            }
+            let mut queue = WaitQueue::new();
+            queue.push(job(1, 2, 50, 100), SimTime::ZERO);
+            queue.push(job(2, 4, 50, 100), SimTime::ZERO); // never fits
+            queue.push(job(3, 1, 50, 100), SimTime::ZERO);
+            let case = PassCase {
+                now: SimTime::ZERO,
+                cluster,
+                running,
+                queue,
+            };
+            assert!(assert_pass_matches_reference(&sched, &case, "full origin").1);
+            let (mut q, mut c) = (case.queue.clone(), case.cluster.clone());
+            let r = sched.schedule(case.now, &mut q, &mut c, case.running.view());
+            let rejected: Vec<(u64, RejectReason)> =
+                r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect();
+            if degrade {
+                assert!(rejected.is_empty());
+                assert_eq!(queued_ids(&q), vec![1, 2, 3]);
+            } else {
+                assert_eq!(rejected, vec![(2, RejectReason::ProfileInfeasible)]);
+                assert_eq!(queued_ids(&q), vec![1, 3]);
+            }
+        }
     }
 }
