@@ -561,11 +561,13 @@ fn emit_bench_entry(name: &str, value: f64) {
 }
 
 fn bench_engine_scale(c: &mut Criterion) {
-    // Federation scaling: the same 4-site fleet advanced by one worker
-    // (`serial`) and by one worker per site (`threaded`), in conservative
-    // lockstep epochs either way. Worker count is purely an execution
-    // knob — the aggregates are byte-identical (asserted below) — so the
-    // threaded/serial time ratio isolates the within-run parallelism win.
+    // Federation scaling: the same 4-site fleet advanced on one thread
+    // (`serial`) and with 4 workers asked for (`threaded`; the library
+    // clamps that to the host's cores, and the calling thread advances
+    // one group of sites itself), in conservative lockstep epochs either
+    // way. Worker count is purely an execution knob — the aggregates are
+    // byte-identical (asserted below) — so the threaded/serial time ratio
+    // isolates the within-run parallelism win.
     // `bench_gate` bounds that ratio (`fleet_scale_ratio`) on multi-core
     // CI runners and skips the gate on single-core hosts, where lockstep
     // threading cannot beat serial; the `engine_scale/parallelism`

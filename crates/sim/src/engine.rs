@@ -189,6 +189,29 @@ struct RunningJob {
     ends_by_kill: bool,
 }
 
+impl RunningJob {
+    /// The job's final record at `now`, having consumed `consumed` of its
+    /// undilated work: the achieved dilation is residence over work (the
+    /// current factor when no work was consumed).
+    fn into_record(self, outcome: JobOutcome, now: SimTime, consumed: SimDuration) -> JobRecord {
+        let dilation_actual = if consumed.is_zero() {
+            self.dilation
+        } else {
+            (now - self.start).ratio(consumed)
+        };
+        JobRecord {
+            nodes_allocated: self.assignment.node_count() as u32,
+            remote_per_node: self.assignment.remote_per_node,
+            job: self.job,
+            outcome,
+            start: Some(self.start),
+            finish: Some(now),
+            dilation_planned: self.dilation_planned,
+            dilation_actual,
+        }
+    }
+}
+
 /// Everything a run produces.
 #[derive(Debug, Clone)]
 pub struct SimOutput {
@@ -831,7 +854,8 @@ impl<'a, 'o> Engine<'a, 'o> {
     }
 
     /// Observe the site for the meta-scheduler, tagged with its fleet
-    /// index. Pure data — snapshots cross the worker channel by value.
+    /// index. Pure data — a site on a group thread sends its snapshot to
+    /// the routing thread by value.
     pub(crate) fn snapshot(&self, site: usize) -> SiteSnapshot {
         let mem_capacity = self.cfg.cluster.total_local_mem() + self.cfg.cluster.total_pool_mem();
         let total_mem = mem_capacity as f64;
@@ -1017,33 +1041,7 @@ impl<'a, 'o> Engine<'a, 'o> {
     /// [`InterruptPolicy`] — or fail it terminally once its resubmission
     /// budget is spent.
     fn interrupt_job(&mut self, id: JobId) {
-        self.last_job_time = self.now;
-        // lint: allow(panic) — interrupts are generated from the running set itself
-        let mut r = self.running.remove(&id).expect("interrupt of unknown job");
-        // Settle work consumed at the current rate up to the interruption.
-        let elapsed = self.now - r.last_update;
-        let consumed_now = elapsed.scale(1.0 / r.dilation);
-        r.work_remaining = r.work_remaining.saturating_sub(consumed_now);
-
-        self.cluster
-            .release(id.as_u64())
-            // lint: allow(panic) — every started job allocated a lease; missing one is an engine bug
-            .expect("running job holds a lease");
-        let release = self
-            .releases
-            .remove(id.as_u64())
-            // lint: allow(panic) — every started job is registered in the release index
-            .expect("running job is release-indexed");
-        self.note_pool_change(id, &release.pool_per_domain, false);
-        self.emit(SimEvent::AllocationReleased {
-            at: self.now,
-            job: id,
-            nodes: r.assignment.node_count() as u32,
-            local_mib: r.assignment.local_per_node * r.assignment.node_count() as u64,
-            remote_mib: r.assignment.total_remote(),
-        });
-        self.hash_mix([11, self.now.as_micros(), id.0]);
-
+        let r = self.release_running(id, 11);
         let meta = self.fault_meta.entry(id).or_default();
         meta.next_gen = r.generation + 1;
         let attempt_wall = self.now - r.start;
@@ -1058,24 +1056,11 @@ impl<'a, 'o> Engine<'a, 'o> {
                 resubmitted: false,
             });
             self.hash_mix([12, self.now.as_micros(), id.0]);
-            let consumed_total = r.job.runtime.saturating_sub(r.work_remaining);
-            let dilation_actual = if consumed_total.is_zero() {
-                r.dilation
-            } else {
-                attempt_wall.ratio(consumed_total)
-            };
+            let consumed = r.job.runtime.saturating_sub(r.work_remaining);
+            let record = r.into_record(JobOutcome::Failed, self.now, consumed);
             self.emit(SimEvent::JobFailed {
                 at: self.now,
-                record: JobRecord {
-                    nodes_allocated: r.assignment.node_count() as u32,
-                    remote_per_node: r.assignment.remote_per_node,
-                    job: r.job,
-                    outcome: JobOutcome::Failed,
-                    start: Some(r.start),
-                    finish: Some(self.now),
-                    dilation_planned: r.dilation_planned,
-                    dilation_actual,
-                },
+                record,
             });
             return;
         }
@@ -1232,32 +1217,7 @@ impl<'a, 'o> Engine<'a, 'o> {
     /// fail a job. Returns the checkpointed job; the caller resubmits it
     /// after the rescue pass.
     fn preempt_release(&mut self, id: JobId, for_job: JobId, overhead_s: u64) -> Job {
-        self.last_job_time = self.now;
-        // lint: allow(panic) — preemption victims are chosen from the running set itself
-        let mut r = self.running.remove(&id).expect("preempt of unknown job");
-        // Settle work consumed at the current rate up to the preemption.
-        let elapsed = self.now - r.last_update;
-        let consumed_now = elapsed.scale(1.0 / r.dilation);
-        r.work_remaining = r.work_remaining.saturating_sub(consumed_now);
-
-        self.cluster
-            .release(id.as_u64())
-            // lint: allow(panic) — every started job allocated a lease; missing one is an engine bug
-            .expect("running job holds a lease");
-        let release = self
-            .releases
-            .remove(id.as_u64())
-            // lint: allow(panic) — every started job is registered in the release index
-            .expect("running job is release-indexed");
-        self.note_pool_change(id, &release.pool_per_domain, false);
-        self.emit(SimEvent::AllocationReleased {
-            at: self.now,
-            job: id,
-            nodes: r.assignment.node_count() as u32,
-            local_mib: r.assignment.local_per_node * r.assignment.node_count() as u64,
-            remote_mib: r.assignment.total_remote(),
-        });
-        self.hash_mix([15, self.now.as_micros(), id.0]);
+        let r = self.release_running(id, 15);
         // Restart generations guard against the aborted attempt's
         // in-flight finish event, exactly as fault interruptions do.
         self.fault_meta.entry(id).or_default().next_gen = r.generation + 1;
@@ -1276,15 +1236,8 @@ impl<'a, 'o> Engine<'a, 'o> {
     }
 
     fn finish_job(&mut self, id: JobId) {
-        self.last_job_time = self.now;
-        // lint: allow(panic) — finish events are scheduled only for running jobs
-        let mut r = self.running.remove(&id).expect("finish of unknown job");
-        // Convert elapsed wall time into consumed work.
-        let elapsed = self.now - r.last_update;
-        let consumed_now = elapsed.scale(1.0 / r.dilation);
-        r.work_remaining = r.work_remaining.saturating_sub(consumed_now);
-
-        let (outcome, consumed_total) = if r.ends_by_kill {
+        let r = self.release_running(id, 2);
+        let (outcome, consumed) = if r.ends_by_kill {
             (
                 JobOutcome::Killed,
                 r.job.runtime.saturating_sub(r.work_remaining),
@@ -1293,13 +1246,29 @@ impl<'a, 'o> Engine<'a, 'o> {
             // Natural completion: work is consumed exactly.
             (JobOutcome::Completed, r.job.runtime)
         };
-        let residence = self.now - r.start;
-        let dilation_actual = if consumed_total.is_zero() {
-            r.dilation
-        } else {
-            residence.ratio(consumed_total)
-        };
+        let record = r.into_record(outcome, self.now, consumed);
+        self.emit(SimEvent::JobFinished {
+            at: self.now,
+            record,
+        });
+    }
 
+    /// Take running job `id` off the machine — the release half shared by
+    /// finishes, fault interruptions and preemptions: settle the work it
+    /// consumed at its current rate, return its lease and release-index
+    /// entry, emit `AllocationReleased`, and fold `tag` into the trace
+    /// hash. Returns the job's settled running state.
+    fn release_running(&mut self, id: JobId, tag: u64) -> RunningJob {
+        self.last_job_time = self.now;
+        let mut r = self
+            .running
+            .remove(&id)
+            // lint: allow(panic) — finishes, interrupts and preemption victims all come from the running set
+            .expect("release of a job that is not running");
+        let elapsed = self.now - r.last_update;
+        r.work_remaining = r
+            .work_remaining
+            .saturating_sub(elapsed.scale(1.0 / r.dilation));
         self.cluster
             .release(id.as_u64())
             // lint: allow(panic) — every started job allocated a lease; missing one is an engine bug
@@ -1317,20 +1286,8 @@ impl<'a, 'o> Engine<'a, 'o> {
             local_mib: r.assignment.local_per_node * r.assignment.node_count() as u64,
             remote_mib: r.assignment.total_remote(),
         });
-        self.hash_mix([2, self.now.as_micros(), id.0]);
-        self.emit(SimEvent::JobFinished {
-            at: self.now,
-            record: JobRecord {
-                nodes_allocated: r.assignment.node_count() as u32,
-                remote_per_node: r.assignment.remote_per_node,
-                job: r.job,
-                outcome,
-                start: Some(r.start),
-                finish: Some(self.now),
-                dilation_planned: r.dilation_planned,
-                dilation_actual,
-            },
-        });
+        self.hash_mix([tag, self.now.as_micros(), id.0]);
+        r
     }
 
     /// Pressure input for a running job: the highest pressure among the pool
@@ -1695,7 +1652,7 @@ impl<'a, 'o> Engine<'a, 'o> {
         );
         let data = RunData {
             label: scheduler.label(),
-            records: records.clone(),
+            records,
             makespan_s: makespan.as_secs_f64(),
             node_util,
             pool_util: series.pool_util(end),
@@ -1706,7 +1663,7 @@ impl<'a, 'o> Engine<'a, 'o> {
         };
         SimOutput {
             report: SimReport::compute(&data, &thresholds),
-            records,
+            records: data.records,
             series,
             events_processed,
             passes,

@@ -33,13 +33,15 @@
 //!
 //! # Parallelism
 //!
-//! With `workers > 1` the sites are partitioned round-robin over worker
-//! threads (site `i` on worker `i mod W`); each worker owns its site
-//! engines for the whole run and the coordinator exchanges only plain
-//! data (routed jobs in, snapshots out) at barriers. This is the
-//! simulator's first *within-run* use of multiple cores: one huge
-//! federated run scales with the machine instead of only grid cells
-//! (`engine_scale` bench; `fleet_scale_ratio` gate).
+//! One epoch loop serves every thread count W. Sites are dealt round-robin
+//! into W groups (site `i` in group `i mod W`); each group's engines live
+//! on one thread for the whole run and exchange only plain data (routed
+//! jobs in, snapshots out) at barriers. The calling thread routes and
+//! advances group 0 itself; groups `1..W` run on scoped threads. At
+//! W = 1 nothing is spawned, so the serial run is this same loop.
+//! [`FleetSimulation::workers`] clamps W to the host's available
+//! parallelism and each run clamps it to the site count, so a fleet
+//! never asks for more threads than cores.
 
 use crate::collector::SeriesBundle;
 use crate::config::SimConfig;
@@ -261,7 +263,7 @@ impl FleetSimulation {
                     cfg.scheduler = *sc;
                 }
                 // Per-site schedulers must construct cleanly now so the
-                // run (possibly on a worker thread) cannot fail.
+                // run (possibly on a group thread) cannot fail.
                 Scheduler::new(cfg.scheduler)?;
                 Ok(ResolvedSite {
                     label: s.label.clone(),
@@ -281,10 +283,14 @@ impl FleetSimulation {
         })
     }
 
-    /// Set the worker-thread count (clamped to `[1, sites]`). Purely an
-    /// execution knob: results are byte-identical at any setting.
+    /// Set the thread count, clamped to `[1, available_parallelism]`
+    /// (and, per run, to the site count), so a fleet never asks for more
+    /// threads than the host has cores. The calling thread advances one
+    /// group of sites itself. Purely an execution knob: results are
+    /// byte-identical at any setting.
     pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        self.workers = n.clamp(1, cores);
         self
     }
 
@@ -304,15 +310,7 @@ impl FleetSimulation {
             policy: self.policy.build(),
             routed: vec![0u64; self.sites.len()],
         };
-        let workers = self.workers.min(self.sites.len()).max(1);
-        let site_outputs = if workers <= 1 {
-            let runtimes: Vec<SiteRuntime> =
-                self.sites.iter().map(|s| SiteRuntime::new(s.cfg)).collect();
-            let engines = runtimes.iter().map(|rt| rt.engine(origin)).collect();
-            run_epochs(SerialTransport { engines }, &mut router)
-        } else {
-            self.run_threaded(workers, origin, &mut router)
-        };
+        let site_outputs = run_epochs(&self.sites, self.threads(), origin, &mut router);
         let aggregate = self.aggregate(origin, &site_outputs);
         FleetOutput {
             site_labels: self.site_labels(),
@@ -322,37 +320,10 @@ impl FleetSimulation {
         }
     }
 
-    /// The threaded execution path: site `i` lives on worker `i mod W`
-    /// for the whole run; the coordinator exchanges routed jobs and
-    /// snapshots over channels at each barrier.
-    fn run_threaded(&self, workers: usize, origin: SimTime, router: &mut Router) -> Vec<SimOutput> {
-        std::thread::scope(|scope| {
-            let links: Vec<WorkerLink> = (0..workers)
-                .map(|w| {
-                    let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-                    let (rep_tx, rep_rx) = mpsc::channel::<Reply>();
-                    let my_sites: Vec<(usize, SimConfig)> = self
-                        .sites
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == w)
-                        .map(|(i, s)| (i, s.cfg))
-                        .collect();
-                    scope.spawn(move || worker_loop(my_sites, origin, cmd_rx, rep_tx));
-                    WorkerLink {
-                        cmd: cmd_tx,
-                        reply: rep_rx,
-                    }
-                })
-                .collect();
-            run_epochs(
-                ThreadedTransport {
-                    links,
-                    sites: self.sites.len(),
-                },
-                router,
-            )
-        })
+    /// Threads a run uses, the calling thread included: the configured
+    /// count, at most one per site.
+    fn threads(&self) -> usize {
+        self.workers.min(self.sites.len())
     }
 
     /// Synthesize the fleet-level [`SimOutput`] from the per-site ones.
@@ -418,7 +389,7 @@ impl FleetSimulation {
         let node_util = frac(busy_node_s, nodes);
         let data = RunData {
             label: self.base.scheduler.label(),
-            records: records.clone(),
+            records,
             makespan_s,
             node_util,
             pool_util: frac(busy_pool_s, pool_mem),
@@ -440,7 +411,7 @@ impl FleetSimulation {
         let thresholds = ClassThresholds::standard(self.base.cluster.node.local_mem);
         SimOutput {
             report: SimReport::compute(&data, &thresholds),
-            records,
+            records: data.records,
             series: SeriesBundle::new(origin, &self.base.cluster),
             events_processed,
             passes,
@@ -534,216 +505,160 @@ impl Router<'_> {
     }
 }
 
-/// How the epoch coordinator reaches the site engines: inline (serial)
-/// or over channels (threaded). The coordinator issues the exact same
-/// call sequence either way, which is what makes worker count a pure
-/// execution knob.
-trait EpochTransport {
-    /// Inject the routed `batch`, advance every site to `until`, and
-    /// return the barrier snapshots indexed by site.
-    fn step(&mut self, batch: Vec<(usize, Job)>, until: SimTime) -> Vec<SiteSnapshot>;
-    /// Inject the final `batch`, drain every site, and return the
-    /// per-site outputs in fleet order.
-    fn finish(self, batch: Vec<(usize, Job)>) -> Vec<SimOutput>;
-}
-
-/// The conservative-lockstep epoch loop, shared by both transports.
-fn run_epochs<T: EpochTransport>(mut transport: T, router: &mut Router) -> Vec<SimOutput> {
-    let origin = SimTime::from_micros(router.origin_us);
-    // A zero-length step yields the initial (empty-fleet) snapshots.
-    let mut snaps = transport.step(Vec::new(), origin);
-    let mut advanced = origin;
-    loop {
-        let Some(barrier) = router.next_barrier() else {
-            return transport.finish(Vec::new());
-        };
-        if barrier > advanced {
-            // Only reachable on the first iteration (later iterations
-            // pre-advance to the next barrier below); re-snapshot at it.
-            snaps = transport.step(Vec::new(), barrier);
-        }
-        let batch = router.route_batch(barrier, &mut snaps);
-        match router.next_barrier() {
-            // The next routing decision is at `next` (≥ one epoch ahead
-            // — route_batch consumed the whole current epoch), so the
-            // sites can safely simulate up to it in one stride.
-            Some(next) => {
-                snaps = transport.step(batch, next);
-                advanced = next;
-            }
-            None => return transport.finish(batch),
-        }
-    }
-}
-
-/// All sites advanced inline on the caller's thread.
-struct SerialTransport<'a> {
+/// The engines of the sites one thread owns: with `stride` groups, group
+/// `index` holds sites `index, index + stride, …` (site `i` is in group
+/// `i mod stride`, at position `i / stride`).
+struct Group<'a> {
+    index: usize,
+    stride: usize,
     engines: Vec<Engine<'a, 'static>>,
 }
 
-impl EpochTransport for SerialTransport<'_> {
-    fn step(&mut self, batch: Vec<(usize, Job)>, until: SimTime) -> Vec<SiteSnapshot> {
-        for (site, job) in batch {
-            self.engines[site].inject(job);
-        }
-        for e in self.engines.iter_mut() {
-            e.advance_until(until);
-        }
-        self.engines
-            .iter()
-            .enumerate()
-            .map(|(i, e)| e.snapshot(i))
-            .collect()
-    }
-
-    fn finish(mut self, batch: Vec<(usize, Job)>) -> Vec<SimOutput> {
-        for (site, job) in batch {
-            self.engines[site].inject(job);
-        }
-        self.engines.into_iter().map(Engine::finish).collect()
-    }
-}
-
-/// A barrier command to one worker.
-enum Cmd {
-    /// Inject the worker's share of the batch and advance to `until`.
-    Step {
-        jobs: Vec<(usize, Job)>,
-        until: SimTime,
-    },
-    /// Inject the final share and drain to completion.
-    Finish { jobs: Vec<(usize, Job)> },
-}
-
-/// A worker's answer: snapshots after a step, outputs after the drain.
+/// A group's answer to one exchange, its sites in group order.
 enum Reply {
+    /// Barrier snapshots, after an advance.
     Snaps(Vec<SiteSnapshot>),
-    Done(Vec<(usize, SimOutput)>),
+    /// Per-site outputs, after the final drain.
+    Outputs(Vec<SimOutput>),
 }
 
-struct WorkerLink {
-    cmd: mpsc::Sender<Cmd>,
-    reply: mpsc::Receiver<Reply>,
-}
-
-/// Sites partitioned over worker threads; the coordinator fans each
-/// barrier out and reassembles replies in site order.
-struct ThreadedTransport {
-    links: Vec<WorkerLink>,
-    sites: usize,
-}
-
-impl ThreadedTransport {
-    fn partition(&self, batch: Vec<(usize, Job)>) -> Vec<Vec<(usize, Job)>> {
-        let mut per: Vec<Vec<(usize, Job)>> = (0..self.links.len()).map(|_| Vec::new()).collect();
-        for (site, job) in batch {
-            per[site % self.links.len()].push((site, job));
+impl Reply {
+    fn snaps(self) -> Vec<SiteSnapshot> {
+        match self {
+            Reply::Snaps(s) => s,
+            Reply::Outputs(_) => unreachable!("a group drained before the last barrier"),
         }
-        per
+    }
+
+    fn outputs(self) -> Vec<SimOutput> {
+        match self {
+            Reply::Outputs(o) => o,
+            Reply::Snaps(_) => unreachable!("a group advanced at the drain"),
+        }
     }
 }
 
-impl EpochTransport for ThreadedTransport {
-    fn step(&mut self, batch: Vec<(usize, Job)>, until: SimTime) -> Vec<SiteSnapshot> {
-        for (link, jobs) in self.links.iter().zip(self.partition(batch)) {
-            link.cmd
-                .send(Cmd::Step { jobs, until })
-                // lint: allow(panic) — site workers outlive the epoch loop; a dead worker is a panic we should propagate
-                .expect("worker alive");
+impl<'a> Group<'a> {
+    fn new(index: usize, stride: usize, runtimes: &'a [SiteRuntime], origin: SimTime) -> Self {
+        Group {
+            index,
+            stride,
+            engines: runtimes.iter().map(|rt| rt.engine(origin)).collect(),
         }
-        let mut snaps: Vec<Option<SiteSnapshot>> = vec![None; self.sites];
-        for link in &self.links {
-            // lint: allow(panic) — site workers outlive the epoch loop; a dead worker is a panic we should propagate
-            match link.reply.recv().expect("worker alive") {
-                Reply::Snaps(s) => {
-                    for snap in s {
-                        snaps[snap.site] = Some(snap);
-                    }
-                }
-                Reply::Done(_) => unreachable!("finish reply during step"),
-            }
-        }
-        snaps
-            .into_iter()
-            // lint: allow(panic) — the reply loop above snapshotted every site
-            .map(|s| s.expect("every site snapshotted"))
-            .collect()
     }
 
-    fn finish(self, batch: Vec<(usize, Job)>) -> Vec<SimOutput> {
-        let per = self.partition(batch);
-        for (link, jobs) in self.links.iter().zip(per) {
-            // lint: allow(panic) — site workers outlive the epoch loop; a dead worker is a panic we should propagate
-            link.cmd.send(Cmd::Finish { jobs }).expect("worker alive");
-        }
-        let mut outputs: Vec<Option<SimOutput>> = (0..self.sites).map(|_| None).collect();
-        for link in &self.links {
-            // lint: allow(panic) — site workers outlive the epoch loop; a dead worker is a panic we should propagate
-            match link.reply.recv().expect("worker alive") {
-                Reply::Done(outs) => {
-                    for (site, out) in outs {
-                        outputs[site] = Some(out);
-                    }
-                }
-                Reply::Snaps(_) => unreachable!("step reply during finish"),
-            }
-        }
-        outputs
-            .into_iter()
-            // lint: allow(panic) — the finish loop above collected every site
-            .map(|o| o.expect("every site finished"))
-            .collect()
-    }
-}
-
-/// One worker thread: owns its sites' engines for the whole run,
-/// answering barrier commands until the final drain.
-fn worker_loop(
-    my_sites: Vec<(usize, SimConfig)>,
-    origin: SimTime,
-    cmd: mpsc::Receiver<Cmd>,
-    reply: mpsc::Sender<Reply>,
-) {
-    let runtimes: Vec<SiteRuntime> = my_sites
-        .iter()
-        .map(|&(_, cfg)| SiteRuntime::new(cfg))
-        .collect();
-    let mut engines: Vec<(usize, Engine<'_, 'static>)> = my_sites
-        .iter()
-        .zip(runtimes.iter())
-        .map(|(&(global, _), rt)| (global, rt.engine(origin)))
-        .collect();
-    let inject = |engines: &mut Vec<(usize, Engine<'_, 'static>)>, jobs: Vec<(usize, Job)>| {
+    /// Inject this group's share of a routed batch; then advance every
+    /// site to `until` and snapshot it, or, with `None`, drain every site.
+    fn exchange(&mut self, jobs: Vec<(usize, Job)>, until: Option<SimTime>) -> Reply {
         for (site, job) in jobs {
-            let e = engines
-                .iter_mut()
-                .find(|(g, _)| *g == site)
-                // lint: allow(panic) — the router only dispatches jobs to the worker owning their site
-                .expect("job routed to a site this worker owns");
-            e.1.inject(job);
+            self.engines[site / self.stride].inject(job);
         }
-    };
-    while let Ok(c) = cmd.recv() {
-        match c {
-            Cmd::Step { jobs, until } => {
-                inject(&mut engines, jobs);
-                for (_, e) in engines.iter_mut() {
-                    e.advance_until(until);
-                }
-                let snaps = engines.iter().map(|(g, e)| e.snapshot(*g)).collect();
-                if reply.send(Reply::Snaps(snaps)).is_err() {
-                    return;
-                }
-            }
-            Cmd::Finish { jobs } => {
-                inject(&mut engines, jobs);
-                let engines = std::mem::take(&mut engines);
-                let outs = engines.into_iter().map(|(g, e)| (g, e.finish())).collect();
-                let _ = reply.send(Reply::Done(outs));
-                return;
-            }
-        }
+        let Some(t) = until else {
+            let engines = std::mem::take(&mut self.engines);
+            return Reply::Outputs(engines.into_iter().map(Engine::finish).collect());
+        };
+        let (index, stride) = (self.index, self.stride);
+        let snaps = self.engines.iter_mut().enumerate().map(|(k, e)| {
+            e.advance_until(t);
+            e.snapshot(index + k * stride)
+        });
+        Reply::Snaps(snaps.collect())
     }
+}
+
+/// The fleet's owned site state for group `index` of `stride`.
+fn group_runtimes(sites: &[ResolvedSite], index: usize, stride: usize) -> Vec<SiteRuntime> {
+    let mine = sites.iter().skip(index).step_by(stride);
+    mine.map(|s| SiteRuntime::new(s.cfg)).collect()
+}
+
+/// Reassemble the groups' replies (group `g` answering for sites
+/// `g, g + W, …`) into fleet order.
+fn interleave<T>(replies: Vec<Reply>, part: fn(Reply) -> Vec<T>) -> Vec<T> {
+    let stride = replies.len();
+    let mut groups: Vec<_> = replies.into_iter().map(|r| part(r).into_iter()).collect();
+    let total = groups.iter().map(ExactSizeIterator::len).sum();
+    (0..total)
+        // lint: allow(panic) — group g answers for exactly the sites ≡ g (mod W)
+        .map(|i| groups[i % stride].next().expect("site in its group"))
+        .collect()
+}
+
+/// The conservative-lockstep epoch loop for every thread count. The
+/// calling thread owns group 0; groups `1..threads` each live on a scoped
+/// thread for the whole run, reached over one command and one reply
+/// channel. With one thread nothing is spawned and no channel opened. A
+/// panicking site drops its reply sender, so the `recv` below fails and
+/// the panic propagates instead of hanging the run.
+fn run_epochs(
+    sites: &[ResolvedSite],
+    threads: usize,
+    origin: SimTime,
+    router: &mut Router,
+) -> Vec<SimOutput> {
+    type Cmd = (Vec<(usize, Job)>, Option<SimTime>);
+    std::thread::scope(|scope| {
+        let links: Vec<(mpsc::Sender<Cmd>, mpsc::Receiver<Reply>)> = (1..threads)
+            .map(|g| {
+                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
+                let (reply_tx, reply_rx) = mpsc::channel();
+                scope.spawn(move || {
+                    let runtimes = group_runtimes(sites, g, threads);
+                    let mut group = Group::new(g, threads, &runtimes, origin);
+                    while let Ok((jobs, until)) = cmd_rx.recv() {
+                        if reply_tx.send(group.exchange(jobs, until)).is_err() || until.is_none() {
+                            return;
+                        }
+                    }
+                });
+                (cmd_tx, reply_rx)
+            })
+            .collect();
+        let runtimes = group_runtimes(sites, 0, threads);
+        let mut local = Group::new(0, threads, &runtimes, origin);
+        // One barrier: hand every group its share, advance group 0 here
+        // while the others run, and collect the replies in group order.
+        let mut exchange = |batch: Vec<(usize, Job)>, until: Option<SimTime>| -> Vec<Reply> {
+            let mut shares: Vec<Vec<(usize, Job)>> = (0..threads).map(|_| Vec::new()).collect();
+            for (site, job) in batch {
+                shares[site % threads].push((site, job));
+            }
+            let mut shares = shares.into_iter();
+            let mine = shares.next().unwrap_or_default();
+            for ((cmd, _), jobs) in links.iter().zip(shares) {
+                // lint: allow(panic) — a group thread outlives the loop unless it panicked; propagate
+                cmd.send((jobs, until)).expect("fleet group alive");
+            }
+            let mut replies = vec![local.exchange(mine, until)];
+            for (_, reply) in &links {
+                // lint: allow(panic) — a group thread outlives the loop unless it panicked; propagate
+                replies.push(reply.recv().expect("fleet group alive"));
+            }
+            replies
+        };
+        // A zero-length step yields the initial (empty-fleet) snapshots.
+        let mut snaps = interleave(exchange(Vec::new(), Some(origin)), Reply::snaps);
+        let mut advanced = origin;
+        loop {
+            let Some(barrier) = router.next_barrier() else {
+                return interleave(exchange(Vec::new(), None), Reply::outputs);
+            };
+            if barrier > advanced {
+                // Only reachable on the first iteration (later iterations
+                // pre-advance to the next barrier below); re-snapshot at it.
+                snaps = interleave(exchange(Vec::new(), Some(barrier)), Reply::snaps);
+            }
+            let batch = router.route_batch(barrier, &mut snaps);
+            // The next routing decision is at `next` (≥ one epoch ahead —
+            // route_batch consumed the whole current epoch), so the sites
+            // can safely simulate up to it in one stride.
+            let Some(next) = router.next_barrier() else {
+                return interleave(exchange(batch, None), Reply::outputs);
+            };
+            snaps = interleave(exchange(batch, Some(next)), Reply::snaps);
+            advanced = next;
+        }
+    })
 }
 
 #[cfg(test)]
@@ -822,12 +737,14 @@ mod tests {
     #[test]
     fn worker_count_is_byte_identical_on_both_backends() {
         let w = burst(60);
+        // (sites, workers): the 3- and 5-site fleets at two threads split
+        // into uneven groups on any host with at least two cores.
+        let cases = [(4, 2), (4, 3), (4, 4), (4, 8), (3, 2), (5, 2)];
         for backend in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
             let cfg = base().with_event_queue(backend);
-            let fleet = FleetSpec::symmetric(4, 180.0, MetaPolicyKind::LeastMemoryPressure);
-            let sim = FleetSimulation::new(&fleet, cfg).unwrap();
-            let serial = sim.run(&w);
-            for workers in [2, 3, 4, 8] {
+            for (sites, workers) in cases {
+                let fleet = FleetSpec::symmetric(sites, 180.0, MetaPolicyKind::LeastMemoryPressure);
+                let serial = FleetSimulation::new(&fleet, cfg).unwrap().run(&w);
                 let threaded = FleetSimulation::new(&fleet, cfg)
                     .unwrap()
                     .workers(workers)
@@ -835,9 +752,10 @@ mod tests {
                 assert_eq!(
                     threaded.aggregate.trace_hash,
                     serial.aggregate.trace_hash,
-                    "workers={workers} backend={}",
+                    "sites={sites} workers={workers} backend={}",
                     backend.name()
                 );
+                assert_eq!(threaded.site_outputs.len(), sites);
                 for (a, b) in serial.site_outputs.iter().zip(&threaded.site_outputs) {
                     assert_eq!(a.trace_hash, b.trace_hash);
                     assert_eq!(
@@ -849,6 +767,26 @@ mod tests {
                 assert_eq!(threaded.routed_jobs, serial.routed_jobs);
             }
         }
+    }
+
+    #[test]
+    fn threads_never_exceed_cores_or_sites() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        for sites in [1, 2, 3, 5] {
+            let fleet = FleetSpec::symmetric(sites, 60.0, MetaPolicyKind::RoundRobin);
+            for asked in [0, 1, 2, 3, 8, 64, usize::MAX] {
+                let sim = FleetSimulation::new(&fleet, base()).unwrap().workers(asked);
+                assert_eq!(sim.workers, asked.clamp(1, cores), "asked {asked}");
+                let threads = sim.threads();
+                assert!(
+                    (1..=cores.min(sites)).contains(&threads),
+                    "sites={sites} asked={asked} threads={threads}"
+                );
+            }
+        }
+        // Unset, a fleet runs on the calling thread alone.
+        let fleet = FleetSpec::symmetric(4, 60.0, MetaPolicyKind::RoundRobin);
+        assert_eq!(FleetSimulation::new(&fleet, base()).unwrap().threads(), 1);
     }
 
     #[test]

@@ -33,8 +33,7 @@
 use crate::error::WorkloadError;
 use crate::job::{Job, JobId};
 use crate::slo::Slo;
-use crate::synthetic::{ArrivalModel, SyntheticSpec};
-use dmhpc_des::rng::dist::Zipf;
+use crate::synthetic::{ArrivalModel, JobSampler, SyntheticSpec};
 use dmhpc_des::rng::Pcg64;
 use dmhpc_des::time::{SimDuration, SimTime};
 
@@ -291,17 +290,10 @@ pub struct StreamingSynthetic {
     mmpp: Option<MmppState>,
     horizon: Horizon,
     r_arrival: Pcg64,
-    r_size: Pcg64,
-    r_runtime: Pcg64,
-    r_walltime: Pcg64,
-    r_memory: Pcg64,
-    r_intensity: Pcg64,
-    r_user: Pcg64,
-    r_slo: Pcg64,
+    sampler: JobSampler,
     /// Fixed objective stamped on every job when the spec carries no
     /// [`crate::SloModel`] of its own (the service layer's default stamp).
     default_slo: Option<Slo>,
-    user_dist: Zipf,
     t_secs: f64,
     emitted: u64,
     done: bool,
@@ -390,15 +382,8 @@ impl StreamingSynthetic {
         };
 
         Ok(StreamingSynthetic {
-            user_dist: Zipf::new(spec.users, spec.user_zipf_s),
+            sampler: JobSampler::new(&spec, &root),
             r_arrival,
-            r_size: root.fork(2),
-            r_runtime: root.fork(3),
-            r_walltime: root.fork(4),
-            r_memory: root.fork(5),
-            r_intensity: root.fork(6),
-            r_user: root.fork(7),
-            r_slo: root.fork(8),
             default_slo: None,
             spec,
             arrivals,
@@ -454,33 +439,14 @@ impl JobSource for StreamingSynthetic {
         }
         self.t_secs = t;
 
-        // Per-job draw order matches the batch generator exactly.
-        let nodes = self.spec.sizes.sample(&mut self.r_size);
-        let runtime = self.spec.runtime.sample(&mut self.r_runtime);
-        let walltime = self.spec.walltime.sample(&mut self.r_walltime, runtime);
-        let mem_per_node = self.spec.memory.sample(&mut self.r_memory);
-        let mem_frac = mem_per_node as f64 / self.spec.memory.node_mem_mib as f64;
-        let intensity = self.spec.intensity.sample(&mut self.r_intensity, mem_frac);
-        let user = self.user_dist.sample_index(&mut self.r_user) as u32;
-        // Matches the batch generator: the SLO stream advances only when
-        // the spec stamps, so unstamped streams replay bit-identically.
-        let slo = match &self.spec.slo {
-            Some(m) => Some(m.sample(&mut self.r_slo)),
-            None => self.default_slo,
-        };
-        let id = JobId(self.emitted);
+        // The batch generator's own per-job draw; the fixed default stamp
+        // applies only where the spec draws no SLO of its own.
+        let mut job =
+            self.sampler
+                .sample(&self.spec, JobId(self.emitted), SimTime::from_secs_f64(t));
+        job.slo = job.slo.or(self.default_slo);
         self.emitted += 1;
-        Some(Job {
-            id,
-            user,
-            arrival: SimTime::from_secs_f64(t),
-            nodes,
-            walltime,
-            runtime,
-            mem_per_node,
-            intensity,
-            slo,
-        })
+        Some(job)
     }
 
     fn size_hint(&self) -> Option<u64> {

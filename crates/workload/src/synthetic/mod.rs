@@ -26,6 +26,7 @@ use crate::slo::SloModel;
 use crate::workload_set::Workload;
 use dmhpc_des::rng::dist::Zipf;
 use dmhpc_des::rng::Pcg64;
+use dmhpc_des::time::SimTime;
 
 /// A complete synthetic-workload description.
 #[derive(Debug, Clone)]
@@ -83,42 +84,72 @@ impl SyntheticSpec {
         // lint: allow(panic) — documented panicking contract; validate() is the fallible check
         self.validate().expect("invalid SyntheticSpec");
         let root = Pcg64::new(seed);
-        // Independent streams per component: stream labels are stable ABI.
-        let mut r_arrival = root.fork(1);
-        let mut r_size = root.fork(2);
-        let mut r_runtime = root.fork(3);
-        let mut r_walltime = root.fork(4);
-        let mut r_memory = root.fork(5);
-        let mut r_intensity = root.fork(6);
-        let mut r_user = root.fork(7);
-        let mut r_slo = root.fork(8);
-
-        let arrivals = self.arrivals.generate(&mut r_arrival, self.n_jobs);
-        let user_dist = Zipf::new(self.users, self.user_zipf_s);
-
+        // Stream label 1 is the arrival process; the sampler forks 2–8.
+        let arrivals = self.arrivals.generate(&mut root.fork(1), self.n_jobs);
+        let mut sampler = JobSampler::new(self, &root);
         let mut jobs = Vec::with_capacity(self.n_jobs);
         for (i, &arrival) in arrivals.iter().enumerate() {
-            let nodes = self.sizes.sample(&mut r_size);
-            let runtime = self.runtime.sample(&mut r_runtime);
-            let walltime = self.walltime.sample(&mut r_walltime, runtime);
-            let mem_per_node = self.memory.sample(&mut r_memory);
-            let mem_frac = mem_per_node as f64 / self.memory.node_mem_mib as f64;
-            let intensity = self.intensity.sample(&mut r_intensity, mem_frac);
-            let user = user_dist.sample_index(&mut r_user) as u32;
-            let slo = self.slo.as_ref().map(|m| m.sample(&mut r_slo));
-            jobs.push(Job {
-                id: JobId(i as u64),
-                user,
-                arrival,
-                nodes,
-                walltime,
-                runtime,
-                mem_per_node,
-                intensity,
-                slo,
-            });
+            jobs.push(sampler.sample(self, JobId(i as u64), arrival));
         }
         Workload::from_jobs(jobs)
+    }
+}
+
+/// The per-job draw shared by [`SyntheticSpec::generate`] and the
+/// streaming source: one forked PCG64 stream per component plus the
+/// user-popularity Zipf. Forks do not depend on the parent's draw count,
+/// so with equal arrivals job *i* of a stream equals job *i* of the batch.
+#[derive(Debug, Clone)]
+pub(crate) struct JobSampler {
+    r_size: Pcg64,
+    r_runtime: Pcg64,
+    r_walltime: Pcg64,
+    r_memory: Pcg64,
+    r_intensity: Pcg64,
+    r_user: Pcg64,
+    r_slo: Pcg64,
+    user_dist: Zipf,
+}
+
+impl JobSampler {
+    /// Fork the component streams off `root`. Stream labels are stable
+    /// ABI: 2–8 here, 1 for the caller's arrival process.
+    pub(crate) fn new(spec: &SyntheticSpec, root: &Pcg64) -> Self {
+        JobSampler {
+            r_size: root.fork(2),
+            r_runtime: root.fork(3),
+            r_walltime: root.fork(4),
+            r_memory: root.fork(5),
+            r_intensity: root.fork(6),
+            r_user: root.fork(7),
+            r_slo: root.fork(8),
+            user_dist: Zipf::new(spec.users, spec.user_zipf_s),
+        }
+    }
+
+    /// Draw job `id` of `spec` arriving at `arrival`. The SLO stream
+    /// advances only when the spec stamps, so unstamped workloads stay
+    /// bit-identical to pre-SLO output.
+    pub(crate) fn sample(&mut self, spec: &SyntheticSpec, id: JobId, arrival: SimTime) -> Job {
+        let nodes = spec.sizes.sample(&mut self.r_size);
+        let runtime = spec.runtime.sample(&mut self.r_runtime);
+        let walltime = spec.walltime.sample(&mut self.r_walltime, runtime);
+        let mem_per_node = spec.memory.sample(&mut self.r_memory);
+        let mem_frac = mem_per_node as f64 / spec.memory.node_mem_mib as f64;
+        let intensity = spec.intensity.sample(&mut self.r_intensity, mem_frac);
+        let user = self.user_dist.sample_index(&mut self.r_user) as u32;
+        let slo = spec.slo.as_ref().map(|m| m.sample(&mut self.r_slo));
+        Job {
+            id,
+            user,
+            arrival,
+            nodes,
+            walltime,
+            runtime,
+            mem_per_node,
+            intensity,
+            slo,
+        }
     }
 }
 
