@@ -47,32 +47,82 @@
 //!   lockstep threading cannot beat serial without cores to run on.
 //!
 //! Ratios, not absolute times: CI machines vary wildly in speed, but cost
-//! relative to a same-machine reference is a property of the code. Exits
-//! non-zero when a measured ratio exceeds `baseline × (1 + max_regression)`.
+//! relative to a same-machine reference is a property of the code. Every
+//! gate is read and printed; the run then exits non-zero, listing each red
+//! gate, when some measured ratio exceeds `baseline × (1 + max_regression)`
+//! or some gate's entries are missing.
 //!
 //! ```text
 //! BENCH_JSON=BENCH_ci.json cargo bench -p dmhpc-bench --bench bench_experiment
 //! cargo run -p dmhpc-bench --bin bench_gate -- BENCH_ci.json crates/bench/BENCH_baseline.json
 //! ```
 
-use dmhpc_metrics::json::parse;
+use dmhpc_metrics::json::{parse, Json};
 
-const RUN_BENCH: &str = "experiment_runner/run/1";
-const RAW_BENCH: &str = "experiment_runner/raw_cells";
-const KERNEL_CAL_BENCH: &str = "engine_kernel/calendar";
-const KERNEL_HEAP_BENCH: &str = "engine_kernel/heap";
-const FAULTS_STORM_BENCH: &str = "engine_faults/storm";
-const FAULTS_NONE_BENCH: &str = "engine_faults/none";
-const OBSERVERS_FULL_BENCH: &str = "engine_observers/full";
-const OBSERVERS_NONE_BENCH: &str = "engine_observers/none";
-const SERVICE_SKETCH_BENCH: &str = "engine_service/sketch";
-const SERVICE_JOBSTATS_BENCH: &str = "engine_service/jobstats";
-const DEADLINE_EDF_BENCH: &str = "engine_deadline/edf";
-const DEADLINE_FCFS_BENCH: &str = "engine_deadline/fcfs";
-const ADMISSION_GUARDED_BENCH: &str = "engine_admission/guarded";
-const ADMISSION_EDF_BENCH: &str = "engine_admission/edf";
-const SCALE_THREADED_BENCH: &str = "engine_scale/threaded";
-const SCALE_SERIAL_BENCH: &str = "engine_scale/serial";
+/// One ratio gate: `num` over `den` must stay within the baseline ratio
+/// stored under `baseline`.
+struct Gate {
+    label: &'static str,
+    num: &'static str,
+    den: &'static str,
+    baseline: &'static str,
+}
+
+/// The gates every host reads.
+const GATES: [Gate; 7] = [
+    Gate {
+        label: "runner overhead",
+        num: "experiment_runner/run/1",
+        den: "experiment_runner/raw_cells",
+        baseline: "runner_overhead_ratio",
+    },
+    Gate {
+        label: "kernel calendar-vs-heap",
+        num: "engine_kernel/calendar",
+        den: "engine_kernel/heap",
+        baseline: "kernel_calendar_vs_heap_ratio",
+    },
+    Gate {
+        label: "fault storm vs clean kernel",
+        num: "engine_faults/storm",
+        den: "engine_faults/none",
+        baseline: "faults_vs_clean_ratio",
+    },
+    Gate {
+        label: "observer overhead",
+        num: "engine_observers/full",
+        den: "engine_observers/none",
+        baseline: "observer_overhead_ratio",
+    },
+    Gate {
+        label: "service sketch vs jobstats",
+        num: "engine_service/sketch",
+        den: "engine_service/jobstats",
+        baseline: "sketch_vs_jobstats_ratio",
+    },
+    Gate {
+        label: "deadline ordering vs fcfs",
+        num: "engine_deadline/edf",
+        den: "engine_deadline/fcfs",
+        baseline: "deadline_vs_fcfs_ratio",
+    },
+    Gate {
+        label: "admission stack vs edf",
+        num: "engine_admission/guarded",
+        den: "engine_admission/edf",
+        baseline: "admission_vs_edf_ratio",
+    },
+];
+
+/// The speedup gate, read only on hosts with at least two cores.
+const FLEET_GATE: Gate = Gate {
+    label: "federation scaling",
+    num: "engine_scale/threaded",
+    den: "engine_scale/serial",
+    baseline: "fleet_scale_ratio",
+};
+
+/// The pseudo-entry recording the host's parallelism.
 const SCALE_PARALLELISM: &str = "engine_scale/parallelism";
 
 fn mean_of(lines: &str, bench: &str) -> Result<f64, String> {
@@ -97,22 +147,28 @@ fn mean_of(lines: &str, bench: &str) -> Result<f64, String> {
     })
 }
 
-/// Check one ratio gate; returns an error message when it regressed.
-fn gate(
-    label: &str,
-    num_name: &str,
-    den_name: &str,
-    num_ns: f64,
-    den_ns: f64,
-    baseline_ratio: f64,
-    max_regression: f64,
-) -> Result<(), String> {
+/// Read `g`'s entries and baseline and print its reading; returns an
+/// error message when the gate is red.
+fn check(g: &Gate, results: &str, baseline: &Json, max_regression: f64) -> Result<(), String> {
+    let labelled = |e: String| format!("{}: {e}", g.label);
+    let baseline_ratio = baseline
+        .expect_key(g.baseline)
+        .and_then(|b| b.to_f64())
+        .map_err(|e| labelled(e.to_string()))?;
+    let num_ns = mean_of(results, g.num).map_err(labelled)?;
+    let den_ns = mean_of(results, g.den).map_err(labelled)?;
     if den_ns <= 0.0 {
-        return Err(format!("{den_name} mean is not positive ({den_ns} ns)"));
+        return Err(labelled(format!(
+            "{} mean is not positive ({den_ns} ns)",
+            g.den
+        )));
     }
     let ratio = num_ns / den_ns;
     let limit = baseline_ratio * (1.0 + max_regression);
-    println!("{label}: {num_name} = {num_ns:.0} ns, {den_name} = {den_ns:.0} ns");
+    println!(
+        "{}: {} = {num_ns:.0} ns, {} = {den_ns:.0} ns",
+        g.label, g.num, g.den
+    );
     println!(
         "measured ratio {ratio:.3} vs baseline {baseline_ratio:.3} \
          (limit {limit:.3} = baseline × {:.2})",
@@ -120,10 +176,45 @@ fn gate(
     );
     if ratio > limit {
         return Err(format!(
-            "{label} regressed: ratio {ratio:.3} exceeds limit {limit:.3}"
+            "{} regressed: ratio {ratio:.3} exceeds limit {limit:.3}",
+            g.label
         ));
     }
     Ok(())
+}
+
+/// Check every gate, printing each reading; returns the red gates, one
+/// message each.
+fn red_gates(results: &str, baseline: &Json) -> Result<Vec<String>, String> {
+    let max_regression = baseline
+        .expect_key("max_regression")
+        .and_then(|m| m.to_f64())
+        .map_err(|e| e.to_string())?;
+    let mut red = Vec::new();
+    let mut read = |g: &Gate| {
+        if let Err(e) = check(g, results, baseline, max_regression) {
+            println!("{}: RED ({e})", g.label);
+            red.push(e);
+        }
+    };
+    GATES.iter().for_each(&mut read);
+    // The federation gate bounds a speedup, so it only means anything on
+    // a host with cores to parallelize over: the bench records the
+    // machine's parallelism next to its timings, and on a single-core
+    // runner the gate is skipped — loudly, so CI logs show the skip.
+    match mean_of(results, SCALE_PARALLELISM) {
+        Ok(parallelism) if parallelism < 2.0 => println!(
+            "federation scaling: SKIPPED (host parallelism {parallelism:.0} < 2 — \
+             lockstep threading cannot beat serial without cores; the ratio \
+             is gated on multi-core CI runners)"
+        ),
+        Ok(_) => read(&FLEET_GATE),
+        Err(e) => {
+            println!("{}: RED ({e})", FLEET_GATE.label);
+            red.push(format!("{}: {e}", FLEET_GATE.label));
+        }
+    }
+    Ok(red)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -137,94 +228,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline_text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("reading {baseline_path}: {e}"))?;
     let baseline = parse(&baseline_text)?;
-    let max_regression = baseline.expect_key("max_regression")?.to_f64()?;
-
-    gate(
-        "runner overhead",
-        RUN_BENCH,
-        RAW_BENCH,
-        mean_of(&results, RUN_BENCH)?,
-        mean_of(&results, RAW_BENCH)?,
-        baseline.expect_key("runner_overhead_ratio")?.to_f64()?,
-        max_regression,
-    )?;
-    gate(
-        "kernel calendar-vs-heap",
-        KERNEL_CAL_BENCH,
-        KERNEL_HEAP_BENCH,
-        mean_of(&results, KERNEL_CAL_BENCH)?,
-        mean_of(&results, KERNEL_HEAP_BENCH)?,
-        baseline
-            .expect_key("kernel_calendar_vs_heap_ratio")?
-            .to_f64()?,
-        max_regression,
-    )?;
-    gate(
-        "fault storm vs clean kernel",
-        FAULTS_STORM_BENCH,
-        FAULTS_NONE_BENCH,
-        mean_of(&results, FAULTS_STORM_BENCH)?,
-        mean_of(&results, FAULTS_NONE_BENCH)?,
-        baseline.expect_key("faults_vs_clean_ratio")?.to_f64()?,
-        max_regression,
-    )?;
-    gate(
-        "observer overhead",
-        OBSERVERS_FULL_BENCH,
-        OBSERVERS_NONE_BENCH,
-        mean_of(&results, OBSERVERS_FULL_BENCH)?,
-        mean_of(&results, OBSERVERS_NONE_BENCH)?,
-        baseline.expect_key("observer_overhead_ratio")?.to_f64()?,
-        max_regression,
-    )?;
-    gate(
-        "service sketch vs jobstats",
-        SERVICE_SKETCH_BENCH,
-        SERVICE_JOBSTATS_BENCH,
-        mean_of(&results, SERVICE_SKETCH_BENCH)?,
-        mean_of(&results, SERVICE_JOBSTATS_BENCH)?,
-        baseline.expect_key("sketch_vs_jobstats_ratio")?.to_f64()?,
-        max_regression,
-    )?;
-    gate(
-        "deadline ordering vs fcfs",
-        DEADLINE_EDF_BENCH,
-        DEADLINE_FCFS_BENCH,
-        mean_of(&results, DEADLINE_EDF_BENCH)?,
-        mean_of(&results, DEADLINE_FCFS_BENCH)?,
-        baseline.expect_key("deadline_vs_fcfs_ratio")?.to_f64()?,
-        max_regression,
-    )?;
-    gate(
-        "admission stack vs edf",
-        ADMISSION_GUARDED_BENCH,
-        ADMISSION_EDF_BENCH,
-        mean_of(&results, ADMISSION_GUARDED_BENCH)?,
-        mean_of(&results, ADMISSION_EDF_BENCH)?,
-        baseline.expect_key("admission_vs_edf_ratio")?.to_f64()?,
-        max_regression,
-    )?;
-    // The federation gate bounds a speedup, so it only means anything on
-    // a host with cores to parallelize over: the bench records the
-    // machine's parallelism next to its timings, and on a single-core
-    // runner the gate is skipped — loudly, so CI logs show the skip.
-    let parallelism = mean_of(&results, SCALE_PARALLELISM)?;
-    if parallelism < 2.0 {
-        println!(
-            "federation scaling: SKIPPED (host parallelism {parallelism:.0} < 2 — \
-             lockstep threading cannot beat serial without cores; the ratio \
-             is gated on multi-core CI runners)"
-        );
-    } else {
-        gate(
-            "federation scaling",
-            SCALE_THREADED_BENCH,
-            SCALE_SERIAL_BENCH,
-            mean_of(&results, SCALE_THREADED_BENCH)?,
-            mean_of(&results, SCALE_SERIAL_BENCH)?,
-            baseline.expect_key("fleet_scale_ratio")?.to_f64()?,
-            max_regression,
-        )?;
+    let red = red_gates(&results, &baseline)?;
+    if !red.is_empty() {
+        eprintln!("bench gate FAILED: {} red gate(s)", red.len());
+        for gate in &red {
+            eprintln!("  {gate}");
+        }
+        std::process::exit(1);
     }
     println!("bench gate OK");
     Ok(())
@@ -246,7 +256,60 @@ mod tests {
             r#"{"name": "experiment_runner/run/1", "mean_ns": 120.0, "std_ns": 1.0}"#,
         ]
         .join("\n");
-        assert_eq!(mean_of(&lines, RUN_BENCH), Ok(120.0));
-        assert!(mean_of(&lines, RAW_BENCH).is_err());
+        assert_eq!(mean_of(&lines, GATES[0].num), Ok(120.0));
+        assert!(mean_of(&lines, GATES[0].den).is_err());
+    }
+
+    /// Results where every gate but two reads 1.0, with a baseline of 1.0
+    /// for each and a 25% allowance.
+    fn readings(red: &[&str], parallelism: f64) -> (String, Json) {
+        let mut lines = Vec::new();
+        let mut baseline = String::from(r#"{"max_regression": 0.25"#);
+        for g in GATES.iter().chain([&FLEET_GATE]) {
+            let num = if red.contains(&g.label) { 200.0 } else { 100.0 };
+            lines.push(format!(r#"{{"name": "{}", "mean_ns": {num}}}"#, g.num));
+            lines.push(format!(r#"{{"name": "{}", "mean_ns": 100.0}}"#, g.den));
+            baseline.push_str(&format!(r#", "{}": 1.0"#, g.baseline));
+        }
+        lines.push(format!(
+            r#"{{"name": "{SCALE_PARALLELISM}", "mean_ns": {parallelism}}}"#
+        ));
+        baseline.push('}');
+        (lines.join("\n"), parse(&baseline).unwrap())
+    }
+
+    /// Two red gates are both reported: the first does not hide the second.
+    #[test]
+    fn every_red_gate_is_reported() {
+        let (results, baseline) = readings(&["observer overhead", "admission stack vs edf"], 1.0);
+        let red = red_gates(&results, &baseline).unwrap();
+        assert_eq!(red.len(), 2, "{red:?}");
+        assert!(red[0].starts_with("observer overhead regressed"), "{red:?}");
+        assert!(
+            red[1].starts_with("admission stack vs edf regressed"),
+            "{red:?}"
+        );
+    }
+
+    /// The federation gate is read on a multi-core host and skipped on a
+    /// single core; a missing entry is red without stopping the others.
+    #[test]
+    fn fleet_gate_follows_parallelism_and_missing_entries_are_red() {
+        let (results, baseline) = readings(&["federation scaling"], 2.0);
+        let red = red_gates(&results, &baseline).unwrap();
+        assert_eq!(red.len(), 1, "{red:?}");
+        let (results, baseline) = readings(&["federation scaling"], 1.0);
+        assert!(red_gates(&results, &baseline).unwrap().is_empty());
+        let results: String = results
+            .lines()
+            .filter(|l| !l.contains("engine_faults/none"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let red = red_gates(&results, &baseline).unwrap();
+        assert_eq!(red.len(), 1, "{red:?}");
+        assert!(
+            red[0].starts_with("fault storm vs clean kernel: "),
+            "{red:?}"
+        );
     }
 }

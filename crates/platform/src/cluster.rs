@@ -211,6 +211,14 @@ impl Cluster {
         self.up_count
     }
 
+    /// True when some node is out of service or some pool runs below full
+    /// health: capacity that a pending repair or drain end may restore, so
+    /// a job that fits nothing now may still fit later.
+    pub fn is_degraded(&self) -> bool {
+        self.available_nodes() < self.total_nodes() as usize
+            || self.pools.iter().any(|p| p.health() < 1.0)
+    }
+
     /// Free nodes in one rack.
     pub fn free_nodes_in_rack(&self, rack: RackId) -> u32 {
         self.rack_free[rack.0 as usize]

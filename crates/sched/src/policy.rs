@@ -7,17 +7,50 @@
 //! 2. Greedily start jobs from the head while the [`MemoryPolicy`] can
 //!    place them.
 //! 3. When the head blocks, backfill per [`BackfillPolicy`]:
-//!    * **EASY** — reserve the head at its earliest two-resource fit (via
-//!      [`AvailabilityProfile`]), then start any later job whose concrete
-//!      placement fits *alongside the reservation* for its whole (possibly
-//!      dilation-inflated) walltime. A backfill can therefore never delay
-//!      the head — including by stealing pool memory the head needs, which
-//!      single-resource backfilling misses.
+//!    * **EASY** — reserve the head at its earliest two-resource fit (over
+//!      two rows of the availability profile), then start any later job
+//!      whose concrete placement fits *alongside the reservation* for its
+//!      whole (possibly dilation-inflated) walltime. A backfill can
+//!      therefore never delay the head — including by stealing pool memory
+//!      the head needs, which single-resource backfilling misses.
 //!    * **Conservative** — walk the queue in order, give every job a
-//!      reservation at its earliest fit given all earlier reservations, and
-//!      start exactly those whose reservation is *now* and whose concrete
-//!      placement agrees with the profile. No job is ever delayed by a
-//!      later-queued one.
+//!      reservation at its earliest fit given all earlier reservations (on
+//!      a whole [`AvailabilityProfile`]), and start exactly those whose
+//!      reservation is *now* and whose concrete placement agrees with the
+//!      profile. No job is ever delayed by a later-queued one.
+//!
+//! ## EASY backfilling needs two rows of the profile
+//!
+//! An EASY pass asks the profile two kinds of question: where the head
+//! first fits, and whether a job that starts now fits beside every
+//! reservation so far. Both read at most two rows of it.
+//!
+//! * *The head.* Before the head is reserved, the profile holds the
+//!   cluster now plus releases only. A release adds capacity and nothing
+//!   subtracts, so every column is non-decreasing in time, and a window's
+//!   minimum is its first row. The head's earliest fit is therefore the
+//!   first row that fits it. The pass walks the releases in time order
+//!   (the running jobs' merged with those of phase 1's starts), folds each
+//!   instant's releases into one row, and stops at the first row that
+//!   fits: the reservation start `s` and the head's split. It never builds
+//!   the rows past `s`.
+//! * *Backfills.* After the head is reserved at `[s, s + w)` and backfills
+//!   at `[now, e_j)`, the row at a time `t` in `[now, s)` is the release
+//!   row minus the backfills with `e_j > t`. The release row never
+//!   decreases as `t` grows and the subtracted sum only loses terms, so
+//!   every column is non-decreasing on `[now, s)`. From `s` on the same
+//!   holds, since the head's and the backfills' reservations only end. A
+//!   candidate's window `[now, now + w)` therefore has the origin row as
+//!   its minimum when `now + w <= s`, and otherwise the smaller of the
+//!   origin row and the row at `s` (the *shadow* row).
+//!
+//! So the pass keeps two rows ([`EasyRows`]): the origin, with overdue
+//! releases folded in, and the shadow row, minus the head's split. A
+//! started backfill is subtracted from the origin, and also from the
+//! shadow row if it outlives `s`. When the head's reservation starts now,
+//! the origin is the shadow row, and there is one row. Every decision is
+//! the one the profile-based pass makes (pinned by a differential test
+//! against that pass).
 //!
 //! ## Conservative backfilling stops reserving once nothing can start
 //!
@@ -54,7 +87,7 @@
 use crate::admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
 use crate::memory::MemoryPolicy;
 use crate::order::OrderPolicy;
-use crate::profile::AvailabilityProfile;
+use crate::profile::{AvailabilityProfile, EasyRows};
 use crate::queue::WaitQueue;
 use crate::release::{ReleaseView, RunningRelease};
 use crate::traits::{Ordering, PassDirective, Placement, SchedContext};
@@ -405,29 +438,22 @@ impl Scheduler {
             return result;
         }
         self.start_heads(now, queue, cluster, running, &mut result);
-        if !queue.is_empty() && self.cfg.backfill != BackfillPolicy::None {
-            let (mut profile, degraded) =
-                self.backfill_profile(now, cluster, running, &result.started);
+        if !queue.is_empty() {
             match self.cfg.backfill {
-                BackfillPolicy::None => unreachable!("checked above"),
-                BackfillPolicy::Easy => self.easy_pass(
-                    now,
-                    queue,
-                    cluster,
-                    running,
-                    degraded,
-                    &mut profile,
-                    &mut result,
-                ),
-                BackfillPolicy::Conservative => self.conservative_pass(
-                    now,
-                    queue,
-                    cluster,
-                    running,
-                    degraded,
-                    &mut profile,
-                    &mut result,
-                ),
+                BackfillPolicy::None => {}
+                BackfillPolicy::Easy => self.easy_pass(now, queue, cluster, running, &mut result),
+                BackfillPolicy::Conservative => {
+                    let mut profile = self.backfill_profile(now, cluster, running, &result.started);
+                    self.conservative_pass(
+                        now,
+                        queue,
+                        cluster,
+                        running,
+                        cluster.is_degraded(),
+                        &mut profile,
+                        &mut result,
+                    );
+                }
             }
         }
         self.admission_pass(now, queue, cluster, running, &mut result);
@@ -494,16 +520,15 @@ impl Scheduler {
         }
     }
 
-    /// The profile a backfilling pass starts from — the cluster now, the
-    /// running jobs' releases, and those of the jobs phase 1 `started` —
-    /// and whether the machine is degraded.
+    /// The profile a conservative pass starts from: the cluster now, the
+    /// running jobs' releases, and those of the jobs phase 1 `started`.
     fn backfill_profile(
         &self,
         now: SimTime,
         cluster: &Cluster,
         running: ReleaseView<'_>,
         started: &[StartedJob],
-    ) -> (AvailabilityProfile, bool) {
+    ) -> AvailabilityProfile {
         // View iteration is already time-sorted, so the profile builds
         // straight from it: no release copy, no sort.
         let mut profile = AvailabilityProfile::from_sorted(
@@ -517,18 +542,7 @@ impl Scheduler {
             let r = RunningRelease::of(cluster, &s.assignment, now + s.planned_walltime);
             profile.add_release(r.planned_end, &r.nodes_per_rack, &r.pool_per_domain);
         }
-
-        // The profile only sees current free capacity plus running-job
-        // releases; it knows nothing about scheduled repairs or drain
-        // ends. On a degraded machine (out-of-service nodes or degraded
-        // pools), "never fits the profile" may therefore be transient —
-        // such jobs stay queued instead of being rejected, and the engine
-        // fails them terminally only once no event can restore capacity.
-        // On a healthy machine the predicate is always false, so the
-        // pre-fault rejection behaviour is untouched.
-        let degraded = cluster.available_nodes() < cluster.total_nodes() as usize
-            || cluster.pools().iter().any(|p| p.health() < 1.0);
-        (profile, degraded)
+        profile
     }
 
     /// Assess every job the pass left queued against the admission
@@ -580,16 +594,14 @@ impl Scheduler {
         }
     }
 
-    /// EASY: reserve the head, then start any later job that fits alongside.
-    #[allow(clippy::too_many_arguments)]
+    /// EASY: reserve the head, then start any later job that fits
+    /// alongside — over two rows of the profile (see module docs).
     fn easy_pass(
         &self,
         now: SimTime,
         queue: &mut WaitQueue,
         cluster: &mut Cluster,
         running: ReleaseView<'_>,
-        degraded: bool,
-        profile: &mut AvailabilityProfile,
         result: &mut PassResult,
     ) {
         // lint: allow(panic) — the caller enters the easy pass only with a non-empty queue
@@ -600,11 +612,24 @@ impl Scheduler {
             // lint: allow(panic) — phase 1 rejected jobs that can never fit, so the head has a shape
             .expect("head rejected in phase 1 if impossible");
         let head_wall = self.planned_walltime(head, head_dilation);
-        let Some((shadow, head_split)) = profile.earliest_fit(now, head_wall, &head_demand) else {
-            if degraded {
-                // Capacity lost to faults may return (pending repair /
-                // drain-end): keep the head queued and skip backfilling
-                // (no reservation to protect it against).
+        let mut started: Vec<RunningRelease> = result
+            .started
+            .iter()
+            .map(|s| RunningRelease::of(cluster, &s.assignment, now + s.planned_walltime))
+            .collect();
+        started.sort_by_key(|r| r.planned_end);
+        let releases = merge_by_end(running.iter(), started.iter())
+            .map(|r| (r.planned_end, &r.nodes_per_rack[..], &r.pool_per_domain[..]));
+        let Some(mut rows) =
+            EasyRows::reserve_head(now, cluster, releases, head_wall, &head_demand)
+        else {
+            // The rows see only current free capacity plus releases; they
+            // know nothing of scheduled repairs or drain ends. On a
+            // degraded machine "never fits" may be transient: keep the
+            // head queued and skip backfilling (no reservation to protect
+            // it against). The engine fails such jobs terminally only once
+            // no event can restore capacity.
+            if cluster.is_degraded() {
                 return;
             }
             // Healthy machine: cannot ever fit (pool topology too small
@@ -615,7 +640,6 @@ impl Scheduler {
                 .push((entry.job, RejectReason::ProfileInfeasible));
             return;
         };
-        profile.reserve(shadow, head_wall, &head_split, head_demand.remote_per_node);
 
         // Scan the rest of the queue in order.
         let mut idx = 1;
@@ -628,7 +652,8 @@ impl Scheduler {
             };
             let wall = self.planned_walltime(job, plan.dilation);
             let split = split_of(cluster, &plan.assignment);
-            if !profile.fits_split(now, wall, &split, plan.assignment.remote_per_node) {
+            let remote = plan.assignment.remote_per_node;
+            if !rows.fits(wall, &split, remote) {
                 idx += 1;
                 continue;
             }
@@ -637,7 +662,7 @@ impl Scheduler {
                 .allocate(entry.job.id.as_u64(), plan.assignment.clone())
                 // lint: allow(panic) — plan() only returns assignments the cluster can satisfy right now
                 .expect("plan() returned an unallocatable assignment");
-            profile.reserve(now, wall, &split, plan.assignment.remote_per_node);
+            rows.start(wall, &split, remote);
             result.started.push(StartedJob {
                 job: entry.job,
                 assignment: plan.assignment,
@@ -712,7 +737,7 @@ impl Scheduler {
             }
             let Some((start, split)) = profile.earliest_fit(now, wall, &demand) else {
                 if degraded {
-                    // Transiently unservable (see `schedule`): keep it
+                    // Transiently unservable (see `easy_pass`): keep it
                     // queued, unreserved, and move on.
                     idx += 1;
                     continue;
@@ -791,6 +816,19 @@ impl Scheduler {
             }
         }
     }
+}
+
+/// Two release streams, each in ascending planned-end order, as one.
+fn merge_by_end<'a>(
+    a: impl Iterator<Item = &'a RunningRelease>,
+    b: impl Iterator<Item = &'a RunningRelease>,
+) -> impl Iterator<Item = &'a RunningRelease> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.planned_end < x.planned_end => b.next(),
+        (Some(_), _) => a.next(),
+        _ => b.next(),
+    })
 }
 
 /// Count an assignment's nodes per rack.
@@ -1373,8 +1411,75 @@ mod tests {
         }
     }
 
-    /// [`Scheduler::schedule`] with [`reference_conservative_pass`] as its
-    /// backfilling pass (the scheduler must be conservative).
+    /// The EASY pass as it was before it kept two rows: a whole profile,
+    /// the head's `earliest_fit` and a reservation, and a window query for
+    /// every candidate. The oracle the two-row pass is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_easy_pass(
+        sched: &Scheduler,
+        now: SimTime,
+        queue: &mut WaitQueue,
+        cluster: &mut Cluster,
+        running: ReleaseView<'_>,
+        degraded: bool,
+        profile: &mut AvailabilityProfile,
+        result: &mut PassResult,
+    ) {
+        let head = &queue.front().expect("easy pass needs a head").job;
+        let (head_demand, head_dilation) = sched
+            .placement
+            .nominal_shape(head, &sched.ctx(now, cluster, running))
+            .expect("head rejected in phase 1 if impossible");
+        let head_wall = sched.planned_walltime(head, head_dilation);
+        let Some((shadow, head_split)) = profile.earliest_fit(now, head_wall, &head_demand) else {
+            if degraded {
+                // Capacity lost to faults may return (pending repair /
+                // drain-end): keep the head queued and skip backfilling
+                // (no reservation to protect it against).
+                return;
+            }
+            // Healthy machine: cannot ever fit (pool topology too small
+            // for the nominal shape) — reject rather than wedge the queue.
+            let entry = queue.pop_front();
+            result
+                .rejected
+                .push((entry.job, RejectReason::ProfileInfeasible));
+            return;
+        };
+        profile.reserve(shadow, head_wall, &head_split, head_demand.remote_per_node);
+
+        // Scan the rest of the queue in order.
+        let mut idx = 1;
+        while idx < queue.len() {
+            let job = &queue.get(idx).expect("idx < len").job;
+            let Some(plan) = sched.placement.plan(job, &sched.ctx(now, cluster, running)) else {
+                idx += 1;
+                continue;
+            };
+            let wall = sched.planned_walltime(job, plan.dilation);
+            let split = split_of(cluster, &plan.assignment);
+            if !profile.fits_split(now, wall, &split, plan.assignment.remote_per_node) {
+                idx += 1;
+                continue;
+            }
+            let entry = queue.remove(idx);
+            cluster
+                .allocate(entry.job.id.as_u64(), plan.assignment.clone())
+                .expect("plan() returned an unallocatable assignment");
+            profile.reserve(now, wall, &split, plan.assignment.remote_per_node);
+            result.started.push(StartedJob {
+                job: entry.job,
+                assignment: plan.assignment,
+                dilation: plan.dilation,
+                planned_walltime: wall,
+            });
+            // Do not advance idx: removal shifted the next candidate here.
+        }
+    }
+
+    /// [`Scheduler::schedule`] with [`reference_conservative_pass`] or
+    /// [`reference_easy_pass`] as its backfilling pass, on a whole profile
+    /// (the scheduler must backfill).
     fn reference_schedule(
         sched: &Scheduler,
         now: SimTime,
@@ -1382,7 +1487,6 @@ mod tests {
         cluster: &mut Cluster,
         running: ReleaseView<'_>,
     ) -> PassResult {
-        assert_eq!(sched.cfg.backfill, BackfillPolicy::Conservative);
         let mut result = PassResult::default();
         if let Some(until) = sched.order_queue(now, queue, cluster, running) {
             result.hold_until = Some(until);
@@ -1390,15 +1494,19 @@ mod tests {
         }
         sched.start_heads(now, queue, cluster, running, &mut result);
         if !queue.is_empty() {
-            let (mut profile, degraded) =
-                sched.backfill_profile(now, cluster, running, &result.started);
-            reference_conservative_pass(
+            let mut profile = sched.backfill_profile(now, cluster, running, &result.started);
+            let pass = match sched.cfg.backfill {
+                BackfillPolicy::Easy => reference_easy_pass,
+                BackfillPolicy::Conservative => reference_conservative_pass,
+                BackfillPolicy::None => panic!("the reference passes backfill"),
+            };
+            pass(
                 sched,
                 now,
                 queue,
                 cluster,
                 running,
-                degraded,
+                cluster.is_degraded(),
                 &mut profile,
                 &mut result,
             );
@@ -1411,9 +1519,9 @@ mod tests {
     /// open-ended request looks like once it reaches a pass.
     const OPEN_ENDED: SimDuration = SimDuration::from_micros(u64::MAX / 4);
 
-    /// A random conservative scheduler over the whole policy matrix a
-    /// conservative pass can meet.
-    fn random_conservative(rng: &mut Pcg64) -> Scheduler {
+    /// A random scheduler backfilling per `backfill`, over the whole policy
+    /// matrix a backfilling pass can meet.
+    fn random_scheduler(rng: &mut Pcg64, backfill: BackfillPolicy) -> Scheduler {
         let memory = [
             MemoryPolicy::LocalOnly,
             MemoryPolicy::PoolFirstFit,
@@ -1429,7 +1537,7 @@ mod tests {
         ][rng.index(3)];
         Scheduler::new(
             SchedulerBuilder::new()
-                .backfill(BackfillPolicy::Conservative)
+                .backfill(backfill)
                 .order(order)
                 .memory(memory)
                 .admission(admission)
@@ -1447,13 +1555,45 @@ mod tests {
         queue: WaitQueue,
     }
 
-    /// A small cluster with leases parked on a random share of it (often
-    /// all of it, so the origin has no free node), their releases (a few
-    /// already past, a few never), perhaps failed nodes or a degraded
-    /// pool, and a queue of jobs that mostly fit, some only borrowing,
-    /// some never, some open-ended (longer than the clock can run, or, if
-    /// `inflate` is off, ending exactly at its end), some deadline-stamped.
-    fn random_pass_case(rng: &mut Pcg64, inflate: bool) -> PassCase {
+    /// How busy [`random_pass_case`] makes its machines, and how long its
+    /// queues are.
+    struct Mix {
+        /// The share of nodes parked, one drawn per case.
+        busy: [f64; 5],
+        /// Of 40 releases, how many are already past.
+        overdue: usize,
+        /// Queues hold fewer jobs than this.
+        jobs: usize,
+        /// Future releases end on multiples of this many seconds from
+        /// `now`, so a coarse step makes them tie.
+        end_step: u64,
+    }
+
+    /// Often full, so the origin has no free node: the regime where a
+    /// conservative pass stops reserving.
+    const MOSTLY_FULL: Mix = Mix {
+        busy: [1.0, 1.0, 0.85, 0.6, 0.4],
+        overdue: 1,
+        jobs: 14,
+        end_step: 1,
+    };
+
+    /// Often with free nodes to backfill onto, longer queues to backfill
+    /// from, more overdue releases, and releases that end together.
+    const ROOM_TO_BACKFILL: Mix = Mix {
+        busy: [1.0, 0.85, 0.6, 0.4, 0.25],
+        overdue: 4,
+        jobs: 24,
+        end_step: 250,
+    };
+
+    /// A small cluster with leases parked on a random share of it (per
+    /// `mix`), their releases (a few already past, a few never), perhaps
+    /// failed nodes or a degraded pool, and a queue of jobs that mostly
+    /// fit, some only borrowing, some never, some open-ended (longer than
+    /// the clock can run, or, if `inflate` is off, ending exactly at its
+    /// end), some deadline-stamped.
+    fn random_pass_case(rng: &mut Pcg64, inflate: bool, mix: &Mix) -> PassCase {
         let now = SimTime::from_secs(1000);
         // Ends exactly at the end of time when started now: any later start
         // makes an open-ended reservation. Only uninflated walltimes can be
@@ -1475,7 +1615,7 @@ mod tests {
             pool,
         ));
         let total = racks * per_rack;
-        let busy = [1.0, 1.0, 0.85, 0.6, 0.4][rng.index(5)];
+        let busy = mix.busy[rng.index(5)];
         let mut running = ReleaseIndex::new();
         for node in 0..total {
             if !rng.chance(busy) || !cluster.is_free(dmhpc_platform::NodeId(node)) {
@@ -1502,8 +1642,11 @@ mod tests {
             }
             let end = match rng.index(40) {
                 0 | 1 => SimTime::MAX,
-                2 => SimTime::from_secs(500),
-                _ => now + SimDuration::from_secs(1 + rng.bounded_u64(4000)),
+                n if n < 2 + mix.overdue => SimTime::from_secs(500),
+                _ => {
+                    let secs = 1 + rng.bounded_u64(4000);
+                    now + SimDuration::from_secs(secs.div_ceil(mix.end_step) * mix.end_step)
+                }
             };
             running.insert(lease, RunningRelease::of(&cluster, &a, end));
         }
@@ -1519,7 +1662,7 @@ mod tests {
                 .unwrap();
         }
         let mut queue = WaitQueue::new();
-        for id in 0..rng.index(14) as u64 {
+        for id in 0..rng.index(mix.jobs) as u64 {
             let mut builder = JobBuilder::new(id)
                 .arrival_secs(rng.bounded_u64(1000))
                 .nodes(1 + rng.bounded_u64(total as u64 + 1) as u32)
@@ -1592,12 +1735,9 @@ mod tests {
         let (mut started, mut infeasible, mut deferred) = (0, 0, 0);
         for case in 0..400u64 {
             let mut rng = Pcg64::new_stream(0xC0B5, case);
-            let sched = random_conservative(&mut rng);
-            let pass = random_pass_case(&mut rng, sched.config().inflate_walltime);
-            degraded += usize::from(
-                pass.cluster.available_nodes() < pass.cluster.total_nodes() as usize
-                    || pass.cluster.pools().iter().any(|p| p.health() < 1.0),
-            );
+            let sched = random_scheduler(&mut rng, BackfillPolicy::Conservative);
+            let pass = random_pass_case(&mut rng, sched.config().inflate_walltime, &MOSTLY_FULL);
+            degraded += usize::from(pass.cluster.is_degraded());
             open_ended += usize::from(pass.queue.iter().any(|e| e.job.walltime >= OPEN_ENDED));
             let ctx = format!("case {case} ({})", sched.config().full_label());
             let (result, left_full) = assert_pass_matches_reference(&sched, &pass, &ctx);
@@ -1735,6 +1875,326 @@ mod tests {
             } else {
                 assert_eq!(rejected, vec![(2, RejectReason::ProfileInfeasible)]);
                 assert_eq!(queued_ids(&q), vec![1, 3]);
+            }
+        }
+    }
+
+    // ------------------------------- differential: EASY on a whole profile
+
+    /// Jobs phase 1 starts in `case`: the pass's starts that are not
+    /// backfills.
+    fn phase_one_starts(sched: &Scheduler, case: &PassCase) -> usize {
+        let (mut queue, mut cluster) = (case.queue.clone(), case.cluster.clone());
+        let view = case.running.view();
+        let mut result = PassResult::default();
+        if sched
+            .order_queue(case.now, &mut queue, &cluster, view)
+            .is_none()
+        {
+            sched.start_heads(case.now, &mut queue, &mut cluster, view, &mut result);
+        }
+        result.started.len()
+    }
+
+    /// The two-row EASY pass decides exactly as the profile-based pass over
+    /// `cases` random clusters (healthy and degraded, often full),
+    /// releases (overdue, future and open-ended) and queues (impossible,
+    /// borrowing, open-ended and deadline-stamped jobs), under every memory
+    /// policy, three orderings and every admission policy.
+    fn assert_easy_pass_matches_profile_pass(cases: u64) {
+        let (mut degraded, mut overdue, mut open_release) = (0, 0, 0);
+        let (mut backfilled, mut infeasible, mut deferred) = (0, 0, 0);
+        let mut open_ended = 0;
+        for case in 0..cases {
+            let mut rng = Pcg64::new_stream(0xEA5E, case);
+            let sched = random_scheduler(&mut rng, BackfillPolicy::Easy);
+            let inflate = sched.config().inflate_walltime;
+            let pass = random_pass_case(&mut rng, inflate, &ROOM_TO_BACKFILL);
+            let releases = || pass.running.view().iter().map(|r| r.planned_end);
+            degraded += usize::from(pass.cluster.is_degraded());
+            overdue += usize::from(releases().any(|end| end < pass.now));
+            open_release += usize::from(releases().any(|end| end == SimTime::MAX));
+            open_ended += usize::from(pass.queue.iter().any(|e| e.job.walltime >= OPEN_ENDED));
+            let ctx = format!("case {case} ({})", sched.config().full_label());
+            let (result, _) = assert_pass_matches_reference(&sched, &pass, &ctx);
+            backfilled += usize::from(result.started.len() > phase_one_starts(&sched, &pass));
+            deferred += usize::from(!result.deferred.is_empty());
+            infeasible += usize::from(
+                result
+                    .rejected
+                    .iter()
+                    .any(|(_, why)| *why == RejectReason::ProfileInfeasible),
+            );
+        }
+        let seen = format!(
+            "degraded {degraded}, overdue {overdue}, open-ended releases {open_release}, \
+             open-ended jobs {open_ended}, backfilled {backfilled}, \
+             infeasible {infeasible}, deferred {deferred}"
+        );
+        let share = |n: usize, per_400: u64| n as u64 * 400 >= per_400 * cases;
+        assert!(
+            share(degraded, 80) && share(overdue, 80) && share(open_release, 40),
+            "{seen}"
+        );
+        assert!(
+            share(open_ended, 150)
+                && share(backfilled, 50)
+                && share(infeasible, 8)
+                && share(deferred, 50),
+            "{seen}"
+        );
+    }
+
+    #[test]
+    fn easy_pass_matches_profile_pass() {
+        assert_easy_pass_matches_profile_pass(400);
+    }
+
+    /// The same over many more cases; run in release mode with `--ignored`.
+    #[test]
+    #[ignore]
+    fn easy_pass_matches_profile_pass_at_scale() {
+        assert_easy_pass_matches_profile_pass(20_000);
+    }
+
+    /// Holds `sched`'s EASY pass over `case` to the profile-based pass and
+    /// returns what it did: started and rejected job ids, and the queue.
+    fn easy_outcome(
+        sched: &Scheduler,
+        case: &PassCase,
+        ctx: &str,
+    ) -> (Vec<u64>, Vec<(u64, RejectReason)>, Vec<u64>) {
+        assert_pass_matches_reference(sched, case, ctx);
+        let (mut queue, mut cluster) = (case.queue.clone(), case.cluster.clone());
+        let r = sched.schedule(case.now, &mut queue, &mut cluster, case.running.view());
+        let rejected = r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect();
+        (ids(&r.started), rejected, queued_ids(&queue))
+    }
+
+    /// An uninflated FCFS EASY scheduler with pool first-fit placement.
+    fn exact_easy() -> Scheduler {
+        Scheduler::new(
+            SchedulerBuilder::new()
+                .memory(MemoryPolicy::PoolFirstFit)
+                .inflate_walltime(false)
+                .build(),
+        )
+        .unwrap()
+    }
+
+    fn case_of(now: SimTime, cluster: Cluster, running: ReleaseIndex, jobs: Vec<Job>) -> PassCase {
+        let mut queue = WaitQueue::new();
+        for job in jobs {
+            queue.push(job, SimTime::ZERO);
+        }
+        PassCase {
+            now,
+            cluster,
+            running,
+            queue,
+        }
+    }
+
+    /// Two releases end at the same instant and the head fits only after
+    /// both. The split comes from the row with both folded in, which leaves
+    /// rack 2 a node at the shadow time for a long backfill; a split from
+    /// the row with one release would take it.
+    #[test]
+    fn easy_head_split_comes_from_the_whole_row_at_a_tied_release() {
+        // 3 racks × 2 nodes; only node 5 (rack 2) is free now.
+        let mut cluster = Cluster::new(ClusterSpec::new(
+            3,
+            2,
+            NodeSpec::new(64, 256 * GIB),
+            PoolTopology::None,
+        ));
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0], 0, 100);
+        park(&mut cluster, &mut running, 101, &[2], 0, 100);
+        park(&mut cluster, &mut running, 102, &[1, 3, 4], 0, 1000);
+        let jobs = vec![job(1, 2, 50, 500), job(2, 1, 500, 2000)];
+        let case = case_of(SimTime::ZERO, cluster, running, jobs);
+        let (started, rejected, queued) = easy_outcome(&exact_easy(), &case, "tied release");
+        assert_eq!(
+            started,
+            vec![2],
+            "the long backfill keeps clear of [1, 1, 0]"
+        );
+        assert!(rejected.is_empty());
+        assert_eq!(queued, vec![1]);
+    }
+
+    /// A placement whose `plan()` refuses job 1 however free the machine
+    /// is, while its nominal shape is the one pool first-fit gives.
+    #[derive(Debug)]
+    struct RefusesJobOne;
+
+    impl Placement for RefusesJobOne {
+        fn name(&self) -> &str {
+            "refuses-job-one"
+        }
+
+        fn nominal_shape(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<(crate::Demand, f64)> {
+            Placement::nominal_shape(&MemoryPolicy::PoolFirstFit, job, ctx)
+        }
+
+        fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<crate::PlannedAllocation> {
+            if job.id == JobId(1) {
+                return None;
+            }
+            Placement::plan(&MemoryPolicy::PoolFirstFit, job, ctx)
+        }
+    }
+
+    /// The head's nominal shape fits now although `plan()` refused it, so
+    /// its reservation starts now and the origin is the shadow row: each
+    /// long backfill is subtracted from that one row once, and the second
+    /// one still fits.
+    #[test]
+    fn easy_head_reserved_now_leaves_one_row() {
+        let cfg = SchedulerBuilder::new()
+            .memory(MemoryPolicy::PoolFirstFit)
+            .inflate_walltime(false)
+            .build();
+        let sched =
+            Scheduler::with_policies(cfg, Box::new(cfg.order), Box::new(RefusesJobOne)).unwrap();
+        // 4 free nodes: the head reserves 2 of them now, for 1000 s.
+        let jobs = vec![
+            job(1, 2, 500, 1000),
+            job(2, 1, 500, 5000),
+            job(3, 1, 500, 5000),
+            job(4, 1, 500, 5000),
+        ];
+        let case = case_of(SimTime::ZERO, small_cluster(), ReleaseIndex::new(), jobs);
+        let (started, rejected, queued) = easy_outcome(&sched, &case, "reserved now");
+        assert_eq!(started, vec![2, 3]);
+        assert!(rejected.is_empty());
+        assert_eq!(queued, vec![1, 4]);
+    }
+
+    /// A release planned before `now` (a job overrunning its planned end)
+    /// counts as free at the origin: the head fits there, so nothing
+    /// backfills onto the one node that is really free.
+    #[test]
+    fn easy_folds_overdue_releases_into_the_origin() {
+        let now = SimTime::from_secs(1000);
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0, 1], 0, 500); // overdue
+        park(&mut cluster, &mut running, 101, &[2], 0, 2000);
+        let jobs = vec![job(1, 3, 500, 1000), job(2, 1, 50, 100)];
+        let case = case_of(now, cluster, running, jobs);
+        let (started, rejected, queued) = easy_outcome(&exact_easy(), &case, "overdue");
+        assert!(started.is_empty() && rejected.is_empty());
+        assert_eq!(queued, vec![1, 2]);
+    }
+
+    /// A phase-1 start's release ties a running one: the head fits only
+    /// with both, at the shared instant, where it takes every node.
+    #[test]
+    fn easy_folds_a_phase_one_release_that_ties_a_running_one() {
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0, 1], 0, 100);
+        let jobs = vec![
+            job(1, 1, 50, 100),   // phase 1: ends at t=100, with lease 100
+            job(2, 4, 500, 1000), // head: all 4 nodes from t=100
+            job(3, 1, 50, 500),   // outlives t=100: must wait
+            job(4, 1, 50, 100),   // ends at t=100: backfills
+        ];
+        let case = case_of(SimTime::ZERO, cluster, running, jobs);
+        let (started, rejected, queued) = easy_outcome(&exact_easy(), &case, "tied phase 1");
+        assert_eq!(started, vec![1, 4]);
+        assert!(rejected.is_empty());
+        assert_eq!(queued, vec![2, 3]);
+    }
+
+    /// A backfill that ends exactly at the shadow time leaves the shadow
+    /// row out of its window and starts; one a second longer does not.
+    #[test]
+    fn easy_backfill_ending_at_the_shadow_time_starts() {
+        for (wall_s, starts) in [(100, true), (101, false)] {
+            let mut cluster = small_cluster();
+            let mut running = ReleaseIndex::new();
+            park(&mut cluster, &mut running, 100, &[0, 1, 2], 0, 100);
+            let jobs = vec![job(1, 4, 500, 1000), job(2, 1, 50, wall_s)];
+            let case = case_of(SimTime::ZERO, cluster, running, jobs);
+            let ctx = format!("backfill of {wall_s} s");
+            let (started, _, _) = easy_outcome(&exact_easy(), &case, &ctx);
+            assert_eq!(started == vec![2], starts, "{ctx}");
+        }
+    }
+
+    /// A long backfill holds its nodes past the shadow time, so the next
+    /// long one no longer fits the shadow row; a short one still starts.
+    #[test]
+    fn easy_long_backfills_share_the_shadow_row() {
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0, 1], 0, 100);
+        // The head takes 3 of the 4 nodes from t=100: one is left there.
+        let jobs = vec![
+            job(1, 3, 500, 1000),
+            job(2, 1, 50, 500),
+            job(3, 1, 50, 500),
+            job(4, 1, 50, 100),
+        ];
+        let case = case_of(SimTime::ZERO, cluster, running, jobs);
+        let (started, rejected, queued) = easy_outcome(&exact_easy(), &case, "long backfills");
+        assert_eq!(started, vec![2, 4]);
+        assert!(rejected.is_empty());
+        assert_eq!(queued, vec![1, 3]);
+    }
+
+    /// A head whose reservation runs to the end of time holds the shadow
+    /// row for ever: only backfills that end by the shadow time start,
+    /// including none whose own end saturates.
+    #[test]
+    fn easy_head_reserved_to_the_end_of_time() {
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0, 1], 0, 100);
+        let mut head = job(1, 4, 500, 1000);
+        head.walltime = SimDuration::MAX;
+        let mut forever = job(4, 1, 50, 100);
+        forever.walltime = SimDuration::MAX;
+        let jobs = vec![head, job(2, 1, 50, 200), forever, job(3, 1, 50, 100)];
+        let case = case_of(SimTime::ZERO, cluster, running, jobs);
+        let (started, rejected, queued) = easy_outcome(&exact_easy(), &case, "open-ended head");
+        assert_eq!(started, vec![3]);
+        assert!(rejected.is_empty());
+        assert_eq!(queued, vec![1, 2, 4]);
+    }
+
+    /// A head that never fits is rejected on a healthy machine, and kept
+    /// queued (with nothing backfilled) on a degraded one.
+    #[test]
+    fn easy_head_that_never_fits() {
+        for degrade in [false, true] {
+            // Nodes 0–2 run until t=1000; node 3 is lost for good: failed
+            // (degraded), or held by a lease the pass knows no end for.
+            let mut cluster = small_cluster();
+            let mut running = ReleaseIndex::new();
+            park(&mut cluster, &mut running, 100, &[0, 1, 2], 0, 1000);
+            let node3 = dmhpc_platform::NodeId(3);
+            if degrade {
+                cluster.fail_node(node3).unwrap();
+            } else {
+                let a = MemoryAssignment::local(vec![node3], 32 * GIB);
+                cluster.allocate(101, a).unwrap();
+            }
+            assert_eq!(cluster.is_degraded(), degrade);
+            let jobs = vec![job(1, 4, 50, 100), job(2, 1, 50, 100)];
+            let case = case_of(SimTime::ZERO, cluster, running, jobs);
+            let ctx = if degrade { "degraded" } else { "healthy" };
+            let (started, rejected, queued) = easy_outcome(&exact_easy(), &case, ctx);
+            assert!(started.is_empty(), "{ctx}");
+            if degrade {
+                assert!(rejected.is_empty());
+                assert_eq!(queued, vec![1, 2]);
+            } else {
+                assert_eq!(rejected, vec![(1, RejectReason::ProfileInfeasible)]);
+                assert_eq!(queued, vec![2]);
             }
         }
     }

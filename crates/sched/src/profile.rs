@@ -52,7 +52,10 @@
 //!
 //! ## Layout
 //!
-//! A profile is rebuilt on every backfilling pass, so it is stored flat:
+//! Only a conservative pass builds a profile; an EASY pass keeps two of
+//! its rows ([`EasyRows`], see the `policy` module docs), and both apply
+//! the per-row rules of one [`Layout`]. A profile is rebuilt on every
+//! conservative pass, so it is stored flat:
 //! one `times` vector plus two row-major arrays, free nodes (points ×
 //! racks) and free pool (points × domains). A build from an already-sorted
 //! release stream ([`AvailabilityProfile::from_sorted`]) costs five
@@ -65,8 +68,11 @@ use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, MiB, PoolTopology, RackId};
 use std::ops::{AddAssign, Range};
 
+mod easy;
 #[cfg(test)]
 mod oracle;
+
+pub(crate) use easy::EasyRows;
 
 /// What a job needs from the profile: `nodes` spread over racks, each
 /// borrowing `remote_per_node` MiB from its rack's pool domain.
@@ -97,12 +103,150 @@ enum DomainKind {
     Global,
 }
 
-/// Piecewise-constant forecast of free capacity. See module docs.
-#[derive(Debug, Clone)]
-pub struct AvailabilityProfile {
+/// The shape of one row of free capacity: free nodes in `racks` columns,
+/// free pool MiB in `domains` columns, and how the domains serve the
+/// racks. Every per-row rule — what a column can give, the greedy fill,
+/// whether a split fits, subtracting a reservation — lives here, so the
+/// profile and EASY's two rows ([`EasyRows`]) apply the same ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
     kind: DomainKind,
     racks: usize,
     domains: usize,
+}
+
+impl Layout {
+    /// The layout of `cluster`'s rows.
+    fn of(cluster: &Cluster) -> Self {
+        let spec = cluster.spec();
+        Layout {
+            kind: match spec.pool {
+                PoolTopology::None => DomainKind::None,
+                PoolTopology::PerRack { .. } => DomainKind::PerRack,
+                PoolTopology::Global { .. } => DomainKind::Global,
+            },
+            racks: spec.racks as usize,
+            domains: cluster.pools().len(),
+        }
+    }
+
+    /// Append `cluster`'s free capacity now as a row.
+    fn push_free(&self, cluster: &Cluster, nodes: &mut Vec<u32>, pool: &mut Vec<MiB>) {
+        nodes.extend((0..self.racks as u32).map(|r| cluster.free_nodes_in_rack(RackId(r))));
+        pool.extend(cluster.pools().iter().map(|p| p.free()));
+    }
+
+    /// Column `col` of the row whose free nodes start `nodes` and whose
+    /// free pool starts `pool`, for nodes borrowing `remote` MiB each: for
+    /// a rack, its free nodes, capped for a per-rack pool by the nodes that
+    /// pool can serve; past the last rack, the nodes a global pool can
+    /// serve. The minimum of a column over a window is what that rack (or
+    /// pool) can give for the whole window — see module docs.
+    fn column(&self, nodes: &[u32], pool: &[MiB], col: usize, remote: MiB) -> u32 {
+        if col == self.racks {
+            return nodes_served(pool[0], remote);
+        }
+        match self.kind {
+            DomainKind::PerRack if remote > 0 => nodes[col].min(nodes_served(pool[col], remote)),
+            _ => nodes[col],
+        }
+    }
+
+    /// The last rack a greedy fill of `demand` takes nodes from, given
+    /// each column's minimum over a window (`min(racks)` is the global
+    /// pool's, read only when the demand borrows from one), or `None` when
+    /// that window cannot serve it. Counts only, so an infeasible window
+    /// allocates nothing.
+    fn fill_end(&self, demand: &Demand, min: impl Fn(usize) -> u32) -> Option<usize> {
+        if demand.remote_per_node > 0 {
+            match self.kind {
+                DomainKind::None => return None,
+                DomainKind::Global if min(self.racks) < demand.nodes => return None,
+                _ => {}
+            }
+        }
+        let mut total = 0u64;
+        (0..self.racks).position(|rack| {
+            total += u64::from(min(rack));
+            total >= u64::from(demand.nodes)
+        })
+    }
+
+    /// True iff `split`, each node borrowing `remote_per_node`, fits a
+    /// window whose minimum free nodes per rack are `node_min` and whose
+    /// minimum free pool per domain is `pool_min`.
+    fn split_fits(
+        &self,
+        split: &[u32],
+        remote_per_node: MiB,
+        node_min: impl Fn(usize) -> u32,
+        pool_min: impl Fn(usize) -> MiB,
+    ) -> bool {
+        // Racks the split leaves empty fit trivially.
+        let used = || {
+            split
+                .iter()
+                .copied()
+                .zip(0..self.racks)
+                .filter(|&(k, _)| k > 0)
+        };
+        if used().any(|(k, rack)| k > node_min(rack)) {
+            return false;
+        }
+        if remote_per_node == 0 {
+            return true;
+        }
+        match self.kind {
+            DomainKind::None => false,
+            DomainKind::PerRack => {
+                used().all(|(k, rack)| k as u64 * remote_per_node <= pool_min(rack))
+            }
+            DomainKind::Global => {
+                let total: u64 = split.iter().map(|&k| k as u64).sum();
+                total * remote_per_node <= pool_min(0)
+            }
+        }
+    }
+
+    /// Subtract `split` nodes, each borrowing `remote_per_node`, from the
+    /// row `nodes` / `pool`.
+    ///
+    /// # Panics
+    /// Panics if the split does not fit the row.
+    fn subtract(&self, nodes: &mut [u32], pool: &mut [MiB], split: &[u32], remote_per_node: MiB) {
+        for (f, &k) in nodes.iter_mut().zip(split) {
+            // lint: allow(panic) — callers subtract only splits that fit the row: a fill of its columns, or one split_fits accepted
+            *f = f.checked_sub(k).expect("reservation exceeds free nodes");
+        }
+        if remote_per_node == 0 {
+            return;
+        }
+        match self.kind {
+            // lint: allow(panic) — remote reservations are only produced for pool-backed clusters
+            DomainKind::None => panic!("remote reservation without pools"),
+            DomainKind::PerRack => {
+                for (f, &k) in pool.iter_mut().zip(split) {
+                    *f = f
+                        .checked_sub(k as u64 * remote_per_node)
+                        // lint: allow(panic) — callers subtract only splits that fit the row: a fill of its columns, or one split_fits accepted
+                        .expect("reservation exceeds pool");
+                }
+            }
+            DomainKind::Global => {
+                let total: u64 = split.iter().map(|&k| k as u64).sum();
+                pool[0] = pool[0]
+                    .checked_sub(total * remote_per_node)
+                    // lint: allow(panic) — callers subtract only splits that fit the row: a fill of its columns, or one split_fits accepted
+                    .expect("reservation exceeds pool");
+            }
+        }
+    }
+}
+
+/// Piecewise-constant forecast of free capacity. See module docs.
+#[derive(Debug, Clone)]
+pub struct AvailabilityProfile {
+    layout: Layout,
     /// Strictly ascending; `times[0]` is the profile origin ("now"); the
     /// last point extends to infinity.
     times: Vec<SimTime>,
@@ -118,9 +262,7 @@ pub struct AvailabilityProfile {
 /// Equal forecasts are equal profiles: the sweep storage is scratch.
 impl PartialEq for AvailabilityProfile {
     fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-            && self.racks == other.racks
-            && self.domains == other.domains
+        self.layout == other.layout
             && self.times == other.times
             && self.free_nodes == other.free_nodes
             && self.free_pool == other.free_pool
@@ -215,29 +357,20 @@ impl AvailabilityProfile {
         cluster: &Cluster,
         releases: impl IntoIterator<Item = (SimTime, &'r [u32], &'r [MiB])>,
     ) -> Self {
-        let spec = cluster.spec();
-        let kind = match spec.pool {
-            PoolTopology::None => DomainKind::None,
-            PoolTopology::PerRack { .. } => DomainKind::PerRack,
-            PoolTopology::Global { .. } => DomainKind::Global,
-        };
+        let layout = Layout::of(cluster);
         let releases = releases.into_iter();
         let rows = releases.size_hint().0 + 1;
-        let pools = cluster.pools();
-        let mut free_nodes = Vec::with_capacity(rows * spec.racks as usize);
-        free_nodes.extend((0..spec.racks).map(|r| cluster.free_nodes_in_rack(RackId(r))));
-        let mut free_pool = Vec::with_capacity(rows * pools.len());
-        free_pool.extend(pools.iter().map(|p| p.free()));
+        let mut free_nodes = Vec::with_capacity(rows * layout.racks);
+        let mut free_pool = Vec::with_capacity(rows * layout.domains);
+        layout.push_free(cluster, &mut free_nodes, &mut free_pool);
         let mut times = Vec::with_capacity(rows);
         times.push(now);
         let mut profile = AvailabilityProfile {
-            kind,
-            racks: free_nodes.len(),
-            domains: free_pool.len(),
+            layout,
             times,
             free_nodes,
             free_pool,
-            sweep: Sweep::with_capacity(rows, spec.racks as usize),
+            sweep: Sweep::with_capacity(rows, layout.racks),
         };
         for (time, nodes, pool) in releases {
             profile.add_release(time, nodes, pool);
@@ -250,16 +383,16 @@ impl AvailabilityProfile {
     /// release from the start. A release at or before the origin adds to
     /// every point; one after the last breakpoint appends a point.
     pub fn add_release(&mut self, time: SimTime, nodes: &[u32], pool: &[MiB]) {
-        debug_assert_eq!(nodes.len(), self.racks, "release rack arity");
+        debug_assert_eq!(nodes.len(), self.layout.racks, "release rack arity");
         let first = self.ensure_point(time);
         add_to_rows(
-            &mut self.free_nodes[first * self.racks..],
-            self.racks,
+            &mut self.free_nodes[first * self.layout.racks..],
+            self.layout.racks,
             nodes,
         );
         add_to_rows(
-            &mut self.free_pool[first * self.domains..],
-            self.domains,
+            &mut self.free_pool[first * self.layout.domains..],
+            self.layout.domains,
             pool,
         );
     }
@@ -287,7 +420,9 @@ impl AvailabilityProfile {
     /// True when no rack has a free node at the origin, so nothing that
     /// needs a node can start there.
     pub(crate) fn no_free_node_at_origin(&self) -> bool {
-        self.free_nodes[..self.racks].iter().all(|&free| free == 0)
+        self.free_nodes[..self.layout.racks]
+            .iter()
+            .all(|&free| free == 0)
     }
 
     /// Index of the last point with `time <= t` (clamped to the origin).
@@ -308,51 +443,24 @@ impl AvailabilityProfile {
 
     /// Minimum free nodes in `rack` over the window `rows`.
     fn node_min(&self, rows: &Range<usize>, rack: usize) -> u32 {
-        column_min(&self.free_nodes, self.racks, rows, rack)
+        column_min(&self.free_nodes, self.layout.racks, rows, rack)
     }
 
     /// Minimum free pool in `domain` over the window `rows`.
     fn pool_min(&self, rows: &Range<usize>, domain: usize) -> MiB {
-        column_min(&self.free_pool, self.domains, rows, domain)
+        column_min(&self.free_pool, self.layout.domains, rows, domain)
     }
 
-    /// Column `col` of row `row`, for nodes borrowing `remote` MiB each:
-    /// for a rack, its free nodes, capped for a per-rack pool by the nodes
-    /// that pool can serve; past the last rack, the nodes a global pool
-    /// can serve. The minimum of a column over a window is what that rack
-    /// (or pool) can give for the whole window — see module docs.
+    /// Column `col` of row `row`, for nodes borrowing `remote` MiB each
+    /// ([`Layout::column`]).
     fn column_value(&self, row: usize, col: usize, remote: MiB) -> u32 {
-        if col == self.racks {
-            return nodes_served(self.free_pool[row * self.domains], remote);
-        }
-        let nodes = self.free_nodes[row * self.racks + col];
-        match self.kind {
-            DomainKind::PerRack if remote > 0 => nodes.min(nodes_served(
-                self.free_pool[row * self.domains + col],
-                remote,
-            )),
-            _ => nodes,
-        }
-    }
-
-    /// The last rack a greedy fill of `demand` takes nodes from, given
-    /// each column's minimum over a window (`min(racks)` is the global
-    /// pool's, read only when the demand borrows from one), or `None` when
-    /// that window cannot serve it. Counts only, so an infeasible window
-    /// allocates nothing.
-    fn fill_end(&self, demand: &Demand, min: impl Fn(usize) -> u32) -> Option<usize> {
-        if demand.remote_per_node > 0 {
-            match self.kind {
-                DomainKind::None => return None,
-                DomainKind::Global if min(self.racks) < demand.nodes => return None,
-                _ => {}
-            }
-        }
-        let mut total = 0u64;
-        (0..self.racks).position(|rack| {
-            total += u64::from(min(rack));
-            total >= u64::from(demand.nodes)
-        })
+        let Layout { racks, domains, .. } = self.layout;
+        self.layout.column(
+            &self.free_nodes[row * racks..],
+            &self.free_pool[row * domains..],
+            col,
+            remote,
+        )
     }
 
     /// Find a fixed rack split serving `demand` throughout `[start,
@@ -371,8 +479,8 @@ impl AvailabilityProfile {
                 .map(|row| self.column_value(row, col, demand.remote_per_node))
                 .fold(u32::MAX, u32::min)
         };
-        let last = self.fill_end(demand, min)?;
-        Some(greedy_fill(self.racks, demand.nodes, last, min))
+        let last = self.layout.fill_end(demand, min)?;
+        Some(greedy_fill(self.layout.racks, demand.nodes, last, min))
     }
 
     /// True iff `demand` fits the last breakpoint, whose capacity lasts
@@ -385,10 +493,11 @@ impl AvailabilityProfile {
     /// open-ended.
     pub(crate) fn fits_at_last(&self, demand: &Demand) -> bool {
         let last = self.times.len() - 1;
-        self.fill_end(demand, |col| {
-            self.column_value(last, col, demand.remote_per_node)
-        })
-        .is_some()
+        self.layout
+            .fill_end(demand, |col| {
+                self.column_value(last, col, demand.remote_per_node)
+            })
+            .is_some()
     }
 
     /// True iff the *specific* split fits throughout the window. Used to
@@ -401,30 +510,12 @@ impl AvailabilityProfile {
         remote_per_node: MiB,
     ) -> bool {
         let rows = self.window(start, start.saturating_add(dur));
-        // Racks the split leaves empty fit trivially.
-        let used = || {
-            split
-                .iter()
-                .copied()
-                .zip(0..self.racks)
-                .filter(|&(k, _)| k > 0)
-        };
-        if used().any(|(k, rack)| k > self.node_min(&rows, rack)) {
-            return false;
-        }
-        if remote_per_node == 0 {
-            return true;
-        }
-        match self.kind {
-            DomainKind::None => false,
-            DomainKind::PerRack => {
-                used().all(|(k, rack)| k as u64 * remote_per_node <= self.pool_min(&rows, rack))
-            }
-            DomainKind::Global => {
-                let total: u64 = split.iter().map(|&k| k as u64).sum();
-                total * remote_per_node <= self.pool_min(&rows, 0)
-            }
-        }
+        self.layout.split_fits(
+            split,
+            remote_per_node,
+            |rack| self.node_min(&rows, rack),
+            |domain| self.pool_min(&rows, domain),
+        )
     }
 
     /// Earliest start `>= from` at which `demand` fits for `dur`, together
@@ -441,7 +532,7 @@ impl AvailabilityProfile {
         dur: SimDuration,
         demand: &Demand,
     ) -> Option<(SimTime, Vec<u32>)> {
-        if demand.remote_per_node > 0 && self.kind == DomainKind::None {
+        if demand.remote_per_node > 0 && self.layout.kind == DomainKind::None {
             return None;
         }
         let from = from.max_of(self.origin());
@@ -463,8 +554,8 @@ impl AvailabilityProfile {
         demand: &Demand,
     ) -> Option<(SimTime, Vec<u32>)> {
         let r = demand.remote_per_node;
-        let global = self.kind == DomainKind::Global && r > 0;
-        let cols = self.racks + usize::from(global);
+        let global = self.layout.kind == DomainKind::Global && r > 0;
+        let cols = self.layout.racks + usize::from(global);
         let rows = self.times.len();
         sweep.reset(cols, rows - first);
         // Rows before `next` have entered the window; candidate `row`'s
@@ -480,8 +571,9 @@ impl AvailabilityProfile {
                 next += 1;
             }
             sweep.evict_before(row);
-            if let Some(last) = self.fill_end(demand, |col| sweep.min(col)) {
-                let split = greedy_fill(self.racks, demand.nodes, last, |col| sweep.min(col));
+            if let Some(last) = self.layout.fill_end(demand, |col| sweep.min(col)) {
+                let split =
+                    greedy_fill(self.layout.racks, demand.nodes, last, |col| sweep.min(col));
                 return Some((start, split));
             }
         }
@@ -497,8 +589,8 @@ impl AvailabilityProfile {
             Err(0) => 0,
             Err(i) => {
                 self.times.insert(i, t);
-                duplicate_row(&mut self.free_nodes, self.racks, i);
-                duplicate_row(&mut self.free_pool, self.domains, i);
+                duplicate_row(&mut self.free_nodes, self.layout.racks, i);
+                duplicate_row(&mut self.free_pool, self.layout.domains, i);
                 i
             }
         }
@@ -517,57 +609,35 @@ impl AvailabilityProfile {
         split: &[u32],
         remote_per_node: MiB,
     ) {
-        assert_eq!(split.len(), self.racks, "split arity");
+        assert_eq!(split.len(), self.layout.racks, "split arity");
         let end = start.saturating_add(dur);
         let si = self.ensure_point(start);
         if end != SimTime::MAX {
             self.ensure_point(end);
         }
         let ei = si + self.times[si..].partition_point(|&t| t < end);
-        let total_nodes: u64 = split.iter().map(|&k| k as u64).sum();
-        let (racks, domains) = (self.racks, self.domains);
+        let layout = self.layout;
+        let (racks, domains) = (layout.racks, layout.domains);
         for row in si..ei {
-            for (f, &k) in self.free_nodes[row * racks..(row + 1) * racks]
-                .iter_mut()
-                .zip(split)
-            {
-                // lint: allow(panic) — reservations come from earliest_fit, which bounded them by free capacity
-                *f = f.checked_sub(k).expect("reservation exceeds free nodes");
-            }
-            if remote_per_node > 0 {
-                let pool = &mut self.free_pool[row * domains..(row + 1) * domains];
-                match self.kind {
-                    // lint: allow(panic) — remote reservations are only produced for pool-backed clusters
-                    DomainKind::None => panic!("remote reservation without pools"),
-                    DomainKind::PerRack => {
-                        for (f, &k) in pool.iter_mut().zip(split) {
-                            *f = f
-                                .checked_sub(k as u64 * remote_per_node)
-                                // lint: allow(panic) — reservations come from earliest_fit, which bounded them by pool capacity
-                                .expect("reservation exceeds pool");
-                        }
-                    }
-                    DomainKind::Global => {
-                        pool[0] = pool[0]
-                            .checked_sub(total_nodes * remote_per_node)
-                            // lint: allow(panic) — reservations come from earliest_fit, which bounded them by pool capacity
-                            .expect("reservation exceeds pool");
-                    }
-                }
-            }
+            layout.subtract(
+                &mut self.free_nodes[row * racks..(row + 1) * racks],
+                &mut self.free_pool[row * domains..(row + 1) * domains],
+                split,
+                remote_per_node,
+            );
         }
     }
 
     /// Free nodes per rack at time `t` (diagnostics/tests).
     pub fn free_nodes_at(&self, t: SimTime) -> Vec<u32> {
         let row = self.segment_at(t);
-        self.free_nodes[row * self.racks..(row + 1) * self.racks].to_vec()
+        self.free_nodes[row * self.layout.racks..(row + 1) * self.layout.racks].to_vec()
     }
 
     /// Free pool per domain at time `t` (diagnostics/tests).
     pub fn free_pool_at(&self, t: SimTime) -> Vec<MiB> {
         let row = self.segment_at(t);
-        self.free_pool[row * self.domains..(row + 1) * self.domains].to_vec()
+        self.free_pool[row * self.layout.domains..(row + 1) * self.layout.domains].to_vec()
     }
 }
 
@@ -578,7 +648,7 @@ fn nodes_served(pool: MiB, remote: MiB) -> u32 {
 }
 
 /// The greedy fill of `n` nodes over racks `0..=last` (where
-/// [`AvailabilityProfile::fill_end`] found it ends), each rack giving up
+/// [`Layout::fill_end`] found it ends), each rack giving up
 /// to its `usable` nodes.
 fn greedy_fill(racks: usize, n: u32, last: usize, usable: impl Fn(usize) -> u32) -> Vec<u32> {
     let mut split = vec![0u32; racks];
@@ -633,9 +703,11 @@ mod tests {
         releases: &[Release],
     ) -> AvailabilityProfile {
         let mut p = AvailabilityProfile {
-            kind,
-            racks: free_nodes.len(),
-            domains: free_pool.len(),
+            layout: Layout {
+                kind,
+                racks: free_nodes.len(),
+                domains: free_pool.len(),
+            },
             times: vec![now],
             free_nodes,
             free_pool,
@@ -1138,7 +1210,9 @@ mod tests {
             let at = t(rng.bounded_u64(scale.span() * 5 / 4));
             let dur = random_dur(rng, scale);
             let demand = random_demand(rng, scale);
-            let split: Vec<u32> = (0..flat.racks).map(|_| rng.bounded_u64(4) as u32).collect();
+            let split: Vec<u32> = (0..flat.layout.racks)
+                .map(|_| rng.bounded_u64(4) as u32)
+                .collect();
             let q = format!("{ctx}: at {at} dur {dur} demand {demand:?} split {split:?}");
             assert_eq!(flat.free_nodes_at(at), oracle.free_nodes_at(at), "{q}");
             assert_eq!(flat.free_pool_at(at), oracle.free_pool_at(at), "{q}");

@@ -4,7 +4,6 @@ use super::{Observer, ObserverFactory, RunContext, RunEnd, RunLabel, SimEvent};
 use crate::error::SimError;
 use crate::faults::FaultAction;
 use dmhpc_metrics::{JobOutcome, JobRecord};
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -32,7 +31,8 @@ pub struct TraceSink {
     out: BufWriter<File>,
     path: PathBuf,
     events: u64,
-    line: String,
+    /// The line being formatted: JSON is ASCII here, so bytes.
+    line: Vec<u8>,
     error: Option<SimError>,
 }
 
@@ -52,7 +52,7 @@ impl TraceSink {
             out: BufWriter::with_capacity(buffer.max(1), file),
             path,
             events: 0,
-            line: String::with_capacity(160),
+            line: Vec::with_capacity(160),
             error: None,
         })
     }
@@ -92,8 +92,8 @@ impl TraceSink {
         if self.error.is_some() {
             return;
         }
-        self.line.push('\n');
-        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
+        self.line.push(b'\n');
+        if let Err(e) = self.out.write_all(&self.line) {
             self.error = Some(SimError::io(
                 format!("writing trace {}", self.path.display()),
                 e,
@@ -101,24 +101,19 @@ impl TraceSink {
         }
     }
 
-    fn format_event(line: &mut String, ev: &SimEvent) {
-        let _ = write!(
-            line,
-            r#"{{"t_us":{},"kind":"{}""#,
-            ev.at().as_micros(),
-            ev.kind()
-        );
+    fn format_event(line: &mut Vec<u8>, ev: &SimEvent) {
+        line.extend_from_slice(br#"{"t_us":"#);
+        push_uint(line, ev.at().as_micros());
+        line.extend_from_slice(br#","kind":""#);
+        line.extend_from_slice(ev.kind().as_bytes());
+        line.push(b'"');
         match ev {
             SimEvent::JobSubmitted { job, resubmit, .. } => {
-                let _ = write!(
-                    line,
-                    r#","job":{},"nodes":{},"runtime_us":{},"mem_mib":{},"resubmit":{}"#,
-                    job.id.0,
-                    job.nodes,
-                    job.runtime.as_micros(),
-                    job.mem_per_node,
-                    resubmit
-                );
+                push_field(line, r#","job":"#, job.id.0);
+                push_field(line, r#","nodes":"#, job.nodes.into());
+                push_field(line, r#","runtime_us":"#, job.runtime.as_micros());
+                push_field(line, r#","mem_mib":"#, job.mem_per_node);
+                push_bool(line, r#","resubmit":"#, *resubmit);
             }
             SimEvent::JobStarted {
                 job,
@@ -126,11 +121,9 @@ impl TraceSink {
                 dilation,
                 ..
             } => {
-                let _ = write!(
-                    line,
-                    r#","job":{},"nodes":{nodes},"dilation":{dilation}"#,
-                    job.0
-                );
+                push_field(line, r#","job":"#, job.0);
+                push_field(line, r#","nodes":"#, (*nodes).into());
+                push_float(line, r#","dilation":"#, *dilation);
             }
             SimEvent::AllocationGrabbed {
                 job,
@@ -146,11 +139,10 @@ impl TraceSink {
                 remote_mib,
                 ..
             } => {
-                let _ = write!(
-                    line,
-                    r#","job":{},"nodes":{nodes},"local_mib":{local_mib},"remote_mib":{remote_mib}"#,
-                    job.0
-                );
+                push_field(line, r#","job":"#, job.0);
+                push_field(line, r#","nodes":"#, (*nodes).into());
+                push_field(line, r#","local_mib":"#, *local_mib);
+                push_field(line, r#","remote_mib":"#, *remote_mib);
             }
             SimEvent::JobFinished { record, .. }
             | SimEvent::JobFailed { record, .. }
@@ -161,11 +153,9 @@ impl TraceSink {
                 resubmitted,
                 ..
             } => {
-                let _ = write!(
-                    line,
-                    r#","job":{},"rework_s":{rework_s},"resubmitted":{resubmitted}"#,
-                    job.0
-                );
+                push_field(line, r#","job":"#, job.0);
+                push_float(line, r#","rework_s":"#, *rework_s);
+                push_bool(line, r#","resubmitted":"#, *resubmitted);
             }
             SimEvent::FaultApplied {
                 action,
@@ -178,20 +168,17 @@ impl TraceSink {
                 ..
             } => {
                 Self::format_action(line, action);
-                let _ = write!(line, r#","in_service":{nodes_in_service}"#);
+                push_field(line, r#","in_service":"#, *nodes_in_service as u64);
             }
             SimEvent::JobDeferred {
                 job, recheck_at, ..
             } => {
-                let _ = write!(
-                    line,
-                    r#","job":{},"recheck_us":{}"#,
-                    job.0,
-                    recheck_at.as_micros()
-                );
+                push_field(line, r#","job":"#, job.0);
+                push_field(line, r#","recheck_us":"#, recheck_at.as_micros());
             }
             SimEvent::JobPreempted { job, for_job, .. } => {
-                let _ = write!(line, r#","job":{},"for_job":{}"#, job.0, for_job.0);
+                push_field(line, r#","job":"#, job.0);
+                push_field(line, r#","for_job":"#, for_job.0);
             }
             SimEvent::PassCompleted {
                 started,
@@ -199,64 +186,105 @@ impl TraceSink {
                 queued,
                 ..
             } => {
-                let _ = write!(
-                    line,
-                    r#","started":{started},"rejected":{rejected},"queued":{queued}"#
-                );
+                push_field(line, r#","started":"#, *started as u64);
+                push_field(line, r#","rejected":"#, *rejected as u64);
+                push_field(line, r#","queued":"#, *queued as u64);
             }
         }
-        line.push('}');
+        line.push(b'}');
     }
 
-    fn format_record(line: &mut String, r: &JobRecord) {
+    fn format_record(line: &mut Vec<u8>, r: &JobRecord) {
         let outcome = match r.outcome {
             JobOutcome::Completed => "completed",
             JobOutcome::Killed => "killed",
             JobOutcome::Rejected => "rejected",
             JobOutcome::Failed => "failed",
         };
-        let _ = write!(line, r#","job":{},"outcome":"{outcome}""#, r.job.id.0);
+        push_field(line, r#","job":"#, r.job.id.0);
+        line.extend_from_slice(br#","outcome":""#);
+        line.extend_from_slice(outcome.as_bytes());
+        line.push(b'"');
         if let Some(start) = r.start {
-            let _ = write!(line, r#","start_us":{}"#, start.as_micros());
+            push_field(line, r#","start_us":"#, start.as_micros());
         }
         if let Some(finish) = r.finish {
-            let _ = write!(line, r#","finish_us":{}"#, finish.as_micros());
+            push_field(line, r#","finish_us":"#, finish.as_micros());
         }
         if r.start.is_some() {
-            let _ = write!(
-                line,
-                r#","nodes":{},"remote_per_node":{},"dilation":{}"#,
-                r.nodes_allocated, r.remote_per_node, r.dilation_actual
-            );
+            push_field(line, r#","nodes":"#, r.nodes_allocated.into());
+            push_field(line, r#","remote_per_node":"#, r.remote_per_node);
+            push_float(line, r#","dilation":"#, r.dilation_actual);
         }
     }
 
-    fn format_action(line: &mut String, action: &FaultAction) {
-        match *action {
-            FaultAction::NodeFail(n) => {
-                let _ = write!(line, r#","action":"node_fail","target":{}"#, n.0);
-            }
-            FaultAction::NodeRepair(n) => {
-                let _ = write!(line, r#","action":"node_repair","target":{}"#, n.0);
-            }
-            FaultAction::DrainStart(n) => {
-                let _ = write!(line, r#","action":"drain_start","target":{}"#, n.0);
-            }
-            FaultAction::DrainEnd(n) => {
-                let _ = write!(line, r#","action":"drain_end","target":{}"#, n.0);
-            }
-            FaultAction::PoolDegrade { pool, factor } => {
-                let _ = write!(
-                    line,
-                    r#","action":"pool_degrade","target":{},"factor":{factor}"#,
-                    pool.0
-                );
-            }
-            FaultAction::PoolRepair(p) => {
-                let _ = write!(line, r#","action":"pool_repair","target":{}"#, p.0);
-            }
+    fn format_action(line: &mut Vec<u8>, action: &FaultAction) {
+        let (name, target) = match *action {
+            FaultAction::NodeFail(n) => ("node_fail", n.0),
+            FaultAction::NodeRepair(n) => ("node_repair", n.0),
+            FaultAction::DrainStart(n) => ("drain_start", n.0),
+            FaultAction::DrainEnd(n) => ("drain_end", n.0),
+            FaultAction::PoolDegrade { pool, .. } => ("pool_degrade", pool.0),
+            FaultAction::PoolRepair(p) => ("pool_repair", p.0),
+        };
+        line.extend_from_slice(br#","action":""#);
+        line.extend_from_slice(name.as_bytes());
+        line.push(b'"');
+        push_field(line, r#","target":"#, target.into());
+        if let FaultAction::PoolDegrade { factor, .. } = *action {
+            push_float(line, r#","factor":"#, factor);
         }
     }
+}
+
+/// Append `key` (its leading comma, quotes and colon included) and `value`.
+fn push_field(line: &mut Vec<u8>, key: &str, value: u64) {
+    line.extend_from_slice(key.as_bytes());
+    push_uint(line, value);
+}
+
+/// Append `key` and `value` as `true` or `false`.
+fn push_bool(line: &mut Vec<u8>, key: &str, value: bool) {
+    line.extend_from_slice(key.as_bytes());
+    line.extend_from_slice(if value { b"true" } else { b"false" });
+}
+
+/// Append `key` and `value` as `Display` writes it. An integral value
+/// below 2^53 is written as its integer digits, which is what `Display`
+/// writes for it too, without going through `core::fmt`; -0 and every
+/// other value still go through `Display`.
+fn push_float(line: &mut Vec<u8>, key: &str, value: f64) {
+    line.extend_from_slice(key.as_bytes());
+    if value.fract() == 0.0 && value.is_sign_positive() && value < 9_007_199_254_740_992.0 {
+        push_uint(line, value as u64);
+    } else {
+        let _ = write!(line, "{value}");
+    }
+}
+
+/// The two-digit decimal strings "00" to "99", back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append `value` in decimal, two digits at a time.
+fn push_uint(line: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    while value >= 10 {
+        let pair = (value % 100) as usize * 2;
+        first -= 2;
+        digits[first..first + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        value /= 100;
+    }
+    if value > 0 || first == digits.len() {
+        first -= 1;
+        digits[first] = b'0' + value as u8;
+    }
+    line.extend_from_slice(&digits[first..]);
 }
 
 impl Observer for TraceSink {
@@ -402,6 +430,38 @@ mod tests {
         assert!(lines[0].contains(r#""kind":"submit""#));
         assert!(lines[0].contains(r#""job":7"#));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Numbers written without `core::fmt` read exactly as `Display`
+    /// writes them.
+    #[test]
+    fn numbers_match_display() {
+        for v in [0, 1, 9, 10, 11, 99, 100, 101, 4_294_967_295, u64::MAX] {
+            let mut line = Vec::new();
+            push_uint(&mut line, v);
+            assert_eq!(line, v.to_string().into_bytes());
+        }
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1.25,
+            1e15,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            1e20,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for v in floats {
+            let mut line = Vec::new();
+            push_float(&mut line, ",", v);
+            assert_eq!(line, format!(",{v}").into_bytes(), "{v:?}");
+        }
     }
 
     #[test]

@@ -240,3 +240,75 @@ fn sampled_probe_output_is_cadence_bounded() {
     assert_eq!(last.running, 0);
     assert_eq!(last.nodes_busy, 0);
 }
+
+/// FNV-1a 64 of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A small run streamed through a [`TraceSink`]; returns the trace text.
+fn traced(name: &str, sim: Simulation, w: &Workload) -> String {
+    let path = tmp(name);
+    let mut sink = TraceSink::create(&path).unwrap();
+    sim.run_with(w, ObserverSet::new().watch(&mut sink));
+    sink.finish().unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    text
+}
+
+/// The sink's bytes are pinned, not just its parse: a contention run
+/// (fractional dilations) and a fault storm (interruptions with rework,
+/// pool degradations by a fractional factor) hash as they did when every
+/// field went through `core::fmt`.
+#[test]
+fn trace_sink_bytes_are_pinned() {
+    let w = SystemPreset::HighThroughput.synthetic_spec(200).generate(5);
+    let cluster = ClusterSpec::new(2, 16, NodeSpec::new(32, 192 * 1024), per_rack(384));
+    let contention = SchedulerBuilder::new()
+        .memory(MemoryPolicy::PoolBestFit)
+        .slowdown(SlowdownModel::Contention {
+            penalty: 1.5,
+            gamma: 1.0,
+        })
+        .build();
+    let sim = Simulation::new(SimConfig::new(cluster, contention)).unwrap();
+    let text = traced("pinned-contention.jsonl", sim, &w);
+    assert!(text.contains(r#""dilation":1}"#) && text.contains(r#""dilation":1."#));
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x4be4_f94d_4491_e9a3,
+        "contention trace"
+    );
+
+    let mut gen = FaultGenerator::quiet(13, 300_000);
+    gen.node_mtbf_s = 30_000;
+    gen.node_repair_s = 8_000;
+    gen.drain_interval_s = 100_000;
+    gen.drain_duration_s = 20_000;
+    gen.pool_degrade_interval_s = 60_000;
+    gen.pool_degrade_duration_s = 15_000;
+    gen.pool_degrade_factor = 0.35;
+    let faults = FaultSpec::none()
+        .with_generator(gen)
+        .with_interrupt(InterruptPolicy::Checkpoint { overhead_s: 60 })
+        .with_max_resubmits(2);
+    let storm = SchedulerBuilder::new()
+        .memory(MemoryPolicy::PoolFirstFit)
+        .build();
+    let sim = Simulation::new(SimConfig::new(cluster, storm))
+        .unwrap()
+        .with_fault_spec(faults)
+        .unwrap();
+    let text = traced("pinned-storm.jsonl", sim, &w);
+    for kind in ["interrupt", "pool_degrade", "node_fail"] {
+        assert!(text.contains(kind), "the storm has {kind} events");
+    }
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0xa293_a4fc_0b21_f3af,
+        "fault-storm trace"
+    );
+}
