@@ -16,7 +16,7 @@
 //!   lognormal, gamma, Weibull, Pareto, Zipf, hyper-Gamma, alias-method
 //!   discrete, empirical).
 //! * [`stats`] — online statistics: Welford moments, P² streaming quantiles,
-//!   linear/log histograms, time-weighted step functions, CDF collection.
+//!   time-weighted step functions, CDF collection.
 //!
 //! Everything is `#![forbid(unsafe_code)]` and dependency-free, so
 //! determinism cannot rot underneath the simulator.

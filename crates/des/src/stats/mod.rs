@@ -3,7 +3,6 @@
 //! * [`OnlineStats`] — Welford single-pass moments with parallel merge.
 //! * [`P2Quantile`] — the Jain–Chlamtac P² streaming quantile estimator,
 //!   O(1) memory per tracked quantile.
-//! * [`Histogram`] / [`LogHistogram`] — fixed-width and log₂ bins.
 //! * [`TimeWeighted`] — integrates a step function over simulated time
 //!   (utilization, queue depth, pool occupancy).
 //! * [`StepSeries`] — records a (time, value) step series for figure output,
@@ -12,13 +11,11 @@
 //!   quantiles, figure-ready point series, and a two-sample KS distance.
 
 mod cdf;
-mod histogram;
 mod online;
 mod quantile;
 mod timeweighted;
 
 pub use cdf::CdfCollector;
-pub use histogram::{Histogram, LogHistogram};
 pub use online::OnlineStats;
 pub use quantile::P2Quantile;
 pub use timeweighted::{StepSeries, TimeWeighted};

@@ -26,12 +26,41 @@
 //!   (usually more nodes, less borrowing) even when it costs more
 //!   node-seconds. Jobs without a deadline see exactly the
 //!   slowdown-aware order, bit for bit.
+//!
+//! ## One shape list
+//!
+//! Each policy decides through one private list of candidate shapes,
+//! most preferred first, each with its predicted dilation: at pool
+//! pressure 0 for the idle machine reservations assume, at the current
+//! pressure for a start now. Local-only lists the inflated shape; the pool
+//! policies list the natural local shape when the job fits in DRAM, and
+//! otherwise the natural borrowing shape (if a pool could ever serve it)
+//! before the inflated one; the enumerating policies list every shape
+//! within budget in cost order, laxity-aware putting deadline-feasible
+//! shapes first. `first_shape` walks the list, and the three
+//! [`Placement`] hooks read it through that walk:
+//!
+//! * [`Placement::nominal_shape`] is the first idle shape, unless it needs
+//!   more nodes than the machine has.
+//! * [`Placement::plan`] places the first shape that fits right now, racks
+//!   in index order for pool first-fit and best-fit order otherwise. A
+//!   count-only probe comes first: every shape uses at least `job.nodes`
+//!   nodes, so with fewer free nothing is listed or allocated.
+//! * [`Placement::best_dilation`] is exactly 1 for the enumerating
+//!   policies: every dilation is at least 1
+//!   ([`SlowdownModel::validate`]), and the enumeration always ends at the
+//!   fully local shape, whose dilation is 1. The other policies price
+//!   feasibility with their nominal shape's dilation.
 
 use crate::profile::Demand;
+use crate::traits::{Placement, SchedContext};
 use dmhpc_platform::{
     Cluster, DilationInputs, MemoryAssignment, MiB, NodeId, RackId, SlowdownModel,
 };
 use dmhpc_workload::Job;
+
+#[cfg(test)]
+mod reference;
 
 /// A concrete, placeable allocation decision for one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,156 +120,67 @@ impl MemoryPolicy {
         (k.max(1) as u32).max(job.nodes)
     }
 
-    /// The shape this policy would give the job on an otherwise idle
-    /// machine, with its predicted dilation — what reservations are made
-    /// of. Returns `None` if the job cannot run on this machine at all
-    /// (e.g. needs more nodes than exist even inflated).
-    pub fn nominal_shape(
+    /// Walk this policy's candidate shapes for `job`, most preferred first
+    /// (see module docs), and return the first that `take` accepts: what
+    /// `take` made of it, and the shape's dilation at pool pressure 0 if
+    /// `idle`, else at the current pressure. The fixed-shape policies list
+    /// at most two shapes without allocating, and price a borrowing shape
+    /// only once it is taken.
+    fn first_shape<T>(
         &self,
         job: &Job,
-        cluster: &Cluster,
-        model: &SlowdownModel,
-    ) -> Option<(Demand, f64)> {
-        let spec = cluster.spec();
-        let node_local = spec.node.local_mem;
-        let total_nodes = spec.total_nodes();
-        let fits_locally = job.mem_per_node <= node_local;
-
-        let shape = match self {
-            MemoryPolicy::LocalOnly => {
-                let k = Self::inflated_nodes(job, node_local);
-                (
-                    Demand {
-                        nodes: k,
-                        remote_per_node: 0,
-                    },
-                    1.0,
-                )
-            }
-            MemoryPolicy::PoolFirstFit | MemoryPolicy::PoolBestFit => {
-                if fits_locally {
-                    (
-                        Demand {
-                            nodes: job.nodes,
-                            remote_per_node: 0,
-                        },
-                        1.0,
-                    )
-                } else {
-                    let remote = job.mem_per_node - node_local;
-                    if pool_can_ever_serve(cluster, job.nodes, remote) {
-                        let far = remote as f64 / job.mem_per_node as f64;
-                        let dil = model.dilation(DilationInputs {
-                            far_fraction: far,
-                            intensity: job.intensity,
-                            pool_pressure: 0.0,
-                        });
-                        (
-                            Demand {
-                                nodes: job.nodes,
-                                remote_per_node: remote,
-                            },
-                            dil,
-                        )
-                    } else {
-                        let k = Self::inflated_nodes(job, node_local);
-                        (
-                            Demand {
-                                nodes: k,
-                                remote_per_node: 0,
-                            },
-                            1.0,
-                        )
-                    }
-                }
-            }
-            // Without a scheduling context there is no laxity to consult,
-            // so laxity-aware degenerates to slowdown-aware here; the
-            // [`crate::traits::Placement`] impl routes context-bearing
-            // calls through the laxity ordering.
-            MemoryPolicy::SlowdownAware { max_dilation }
-            | MemoryPolicy::LaxityAware { max_dilation } => {
-                best_shape(job, cluster, model, *max_dilation, 0.0)?
-            }
+        ctx: &SchedContext<'_>,
+        idle: bool,
+        mut take: impl FnMut(Demand) -> Option<T>,
+    ) -> Option<(T, f64)> {
+        let (cluster, model) = (ctx.cluster, ctx.model);
+        let node_local = cluster.spec().node.local_mem;
+        let pressure = || if idle { 0.0 } else { current_pressure(cluster) };
+        let local = |nodes| Demand {
+            nodes,
+            remote_per_node: 0,
         };
-        if shape.0.nodes > total_nodes {
-            return None;
-        }
-        Some(shape)
-    }
-
-    /// Try to place the job on the cluster **right now**. Returns `None`
-    /// when no placement exists under this policy at this instant.
-    pub fn plan(
-        &self,
-        job: &Job,
-        cluster: &Cluster,
-        model: &SlowdownModel,
-    ) -> Option<PlannedAllocation> {
-        let spec = cluster.spec();
-        let node_local = spec.node.local_mem;
-        let fits_locally = job.mem_per_node <= node_local;
-
-        match self {
-            MemoryPolicy::LocalOnly => {
-                let k = Self::inflated_nodes(job, node_local);
-                place_local(job, cluster, k)
+        let inflated = || local(Self::inflated_nodes(job, node_local));
+        let fixed = match *self {
+            MemoryPolicy::LocalOnly => [Some(inflated()), None],
+            MemoryPolicy::PoolFirstFit | MemoryPolicy::PoolBestFit
+                if job.mem_per_node <= node_local =>
+            {
+                [Some(local(job.nodes)), None]
             }
             MemoryPolicy::PoolFirstFit | MemoryPolicy::PoolBestFit => {
-                if fits_locally {
-                    return place_local(job, cluster, job.nodes);
-                }
                 let remote = job.mem_per_node - node_local;
-                let best_fit = matches!(self, MemoryPolicy::PoolBestFit);
-                place_with_pool(job, cluster, model, job.nodes, node_local, remote, best_fit)
-                    .or_else(|| {
-                        // Pool can't serve now — inflate instead of waiting.
-                        let k = Self::inflated_nodes(job, node_local);
-                        place_local(job, cluster, k)
-                    })
+                let borrow = Demand {
+                    nodes: job.nodes,
+                    remote_per_node: remote,
+                };
+                [
+                    pool_can_ever_serve(cluster, job.nodes, remote).then_some(borrow),
+                    Some(inflated()),
+                ]
             }
-            // As in `nominal_shape`: no context, no laxity — slowdown-aware
-            // order. The `Placement` impl supplies the laxity-aware path.
             MemoryPolicy::SlowdownAware { max_dilation }
             | MemoryPolicy::LaxityAware { max_dilation } => {
-                let pressure = current_pressure(cluster);
-                // Enumerate shapes in cost order and take the first that is
-                // placeable right now.
-                let mut shapes = enumerate_shapes(job, cluster, model, *max_dilation, pressure);
-                sort_shapes_for_laxity(&mut shapes, job.walltime.as_secs_f64(), None);
-                place_first(job, cluster, model, node_local, shapes)
+                let mut ranked = enumerate_shapes(job, cluster, model, max_dilation, pressure());
+                let laxity = match self {
+                    MemoryPolicy::LaxityAware { .. } => ctx.laxity_s(job),
+                    _ => None,
+                };
+                sort_shapes_for_laxity(&mut ranked, job.walltime.as_secs_f64(), laxity);
+                return ranked
+                    .into_iter()
+                    .find_map(|(demand, dilation)| Some((take(demand)?, dilation)));
             }
-        }
-    }
-}
-
-/// Walk `shapes` in order and commit the first that is placeable now.
-fn place_first(
-    job: &Job,
-    cluster: &Cluster,
-    model: &SlowdownModel,
-    node_local: MiB,
-    shapes: Vec<(Demand, f64)>,
-) -> Option<PlannedAllocation> {
-    for (demand, _) in shapes {
-        let placed = if demand.remote_per_node == 0 {
-            place_local(job, cluster, demand.nodes)
-        } else {
-            place_with_pool(
-                job,
-                cluster,
-                model,
-                demand.nodes,
-                node_local,
-                demand.remote_per_node,
-                true,
-            )
         };
-        if placed.is_some() {
-            return placed;
-        }
+        fixed.into_iter().flatten().find_map(|demand| {
+            let taken = take(demand)?;
+            let dilation = match demand.remote_per_node {
+                0 => 1.0,
+                remote => borrow_dilation(job, model, node_local + remote, remote, pressure()),
+            };
+            Some((taken, dilation))
+        })
     }
-    None
 }
 
 /// Sort shapes for the laxity-aware policy: deadline-feasible shapes first
@@ -271,70 +211,44 @@ fn sort_shapes_for_laxity(shapes: &mut [(Demand, f64)], walltime_s: f64, laxity:
     });
 }
 
-impl crate::traits::Placement for MemoryPolicy {
+impl Placement for MemoryPolicy {
     fn name(&self) -> &str {
         MemoryPolicy::name(self)
     }
 
-    fn nominal_shape(
-        &self,
-        job: &Job,
-        ctx: &crate::traits::SchedContext<'_>,
-    ) -> Option<(Demand, f64)> {
-        if let MemoryPolicy::LaxityAware { max_dilation } = self {
-            let mut shapes = enumerate_shapes(job, ctx.cluster, ctx.model, *max_dilation, 0.0);
-            sort_shapes_for_laxity(&mut shapes, job.walltime.as_secs_f64(), ctx.laxity_s(job));
-            let shape = shapes.into_iter().next()?;
-            if shape.0.nodes > ctx.cluster.spec().total_nodes() {
-                return None;
-            }
-            return Some(shape);
-        }
-        MemoryPolicy::nominal_shape(self, job, ctx.cluster, ctx.model)
+    fn nominal_shape(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<(Demand, f64)> {
+        let total_nodes = ctx.cluster.spec().total_nodes();
+        self.first_shape(job, ctx, true, Some)
+            .filter(|(demand, _)| demand.nodes <= total_nodes)
     }
 
-    fn plan(&self, job: &Job, ctx: &crate::traits::SchedContext<'_>) -> Option<PlannedAllocation> {
+    fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation> {
         // Count-only probe: every shape of every policy places at least
         // `job.nodes` free nodes, so with fewer free no shape can be
         // placed. Exact, and it spares failing candidates every allocation.
-        if ctx.cluster.free_nodes() < job.nodes as usize {
+        let cluster = ctx.cluster;
+        if cluster.free_nodes() < job.nodes as usize {
             return None;
         }
-        if let MemoryPolicy::LaxityAware { max_dilation } = self {
-            let cluster = ctx.cluster;
-            let mut shapes = enumerate_shapes(
-                job,
-                cluster,
-                ctx.model,
-                *max_dilation,
-                current_pressure(cluster),
-            );
-            sort_shapes_for_laxity(&mut shapes, job.walltime.as_secs_f64(), ctx.laxity_s(job));
-            return place_first(
-                job,
-                cluster,
-                ctx.model,
-                cluster.spec().node.local_mem,
-                shapes,
-            );
-        }
-        MemoryPolicy::plan(self, job, ctx.cluster, ctx.model)
+        let best_fit = !matches!(self, MemoryPolicy::PoolFirstFit);
+        let place = |demand: Demand| {
+            if demand.remote_per_node == 0 {
+                place_local(job, cluster, demand.nodes)
+            } else {
+                place_with_pool(cluster, demand, best_fit)
+            }
+        };
+        let (assignment, dilation) = self.first_shape(job, ctx, false, place)?;
+        Some(PlannedAllocation {
+            assignment,
+            dilation,
+        })
     }
 
-    fn best_dilation(&self, job: &Job, ctx: &crate::traits::SchedContext<'_>) -> Option<f64> {
+    fn best_dilation(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<f64> {
         match self {
-            // Shape-enumerating policies can do better than their nominal
-            // (cost-optimal) shape when feasibility is what matters.
-            MemoryPolicy::SlowdownAware { max_dilation }
-            | MemoryPolicy::LaxityAware { max_dilation } => {
-                enumerate_shapes(job, ctx.cluster, ctx.model, *max_dilation, 0.0)
-                    .into_iter()
-                    .map(|(_, dil)| dil)
-                    // lint: allow(panic) — dilations are finite arithmetic on validated specs; NaN is a policy bug
-                    .min_by(|a, b| a.partial_cmp(b).expect("finite dilations"))
-            }
-            _ => MemoryPolicy::nominal_shape(self, job, ctx.cluster, ctx.model)
-                .map(|(_, dilation)| dilation),
+            MemoryPolicy::SlowdownAware { .. } | MemoryPolicy::LaxityAware { .. } => Some(1.0),
+            _ => self.nominal_shape(job, ctx).map(|(_, dilation)| dilation),
         }
     }
 }
@@ -364,6 +278,22 @@ fn pool_can_ever_serve(cluster: &Cluster, nodes: u32, remote_per_node: MiB) -> b
             per_rack * spec.racks as u64 >= nodes as u64
         }
     }
+}
+
+/// The dilation of `job` when `remote` of each node's `per_node` MiB
+/// lives in a pool at `pressure`.
+fn borrow_dilation(
+    job: &Job,
+    model: &SlowdownModel,
+    per_node: MiB,
+    remote: MiB,
+    pressure: f64,
+) -> f64 {
+    model.dilation(DilationInputs {
+        far_fraction: remote as f64 / per_node as f64,
+        intensity: job.intensity,
+        pool_pressure: pressure,
+    })
 }
 
 /// All shapes available to the slowdown-aware policy, with dilations, the
@@ -396,12 +326,7 @@ fn enumerate_shapes(
         if !pool_can_ever_serve(cluster, k, remote) {
             continue;
         }
-        let far = remote as f64 / per_node as f64;
-        let dil = model.dilation(DilationInputs {
-            far_fraction: far,
-            intensity: job.intensity,
-            pool_pressure: pressure,
-        });
+        let dil = borrow_dilation(job, model, per_node, remote, pressure);
         if dil <= max_dilation {
             shapes.push((
                 Demand {
@@ -415,53 +340,26 @@ fn enumerate_shapes(
     shapes
 }
 
-/// Cost-optimal shape for the slowdown-aware policy (idle-machine pressure).
-fn best_shape(
-    job: &Job,
-    cluster: &Cluster,
-    model: &SlowdownModel,
-    max_dilation: f64,
-    pressure: f64,
-) -> Option<(Demand, f64)> {
-    enumerate_shapes(job, cluster, model, max_dilation, pressure)
-        .into_iter()
-        .min_by(|a, b| {
-            let ca = a.0.nodes as f64 * a.1;
-            let cb = b.0.nodes as f64 * b.1;
-            ca.partial_cmp(&cb)
-                // lint: allow(panic) — placement costs are finite arithmetic on validated specs; NaN is a policy bug
-                .expect("finite costs")
-                .then(a.0.nodes.cmp(&b.0.nodes))
-        })
-}
-
 /// Place `k` nodes fully locally (first-fit).
-fn place_local(job: &Job, cluster: &Cluster, k: u32) -> Option<PlannedAllocation> {
+fn place_local(job: &Job, cluster: &Cluster, k: u32) -> Option<MemoryAssignment> {
     if k > cluster.total_nodes() {
         return None;
     }
     let nodes = cluster.first_fit_nodes(k as usize)?;
     let assignment = MemoryAssignment::local(nodes, job.mem_per_node_at(k));
     debug_assert!(cluster.can_allocate(&assignment).is_ok());
-    Some(PlannedAllocation {
-        assignment,
-        dilation: 1.0,
-    })
+    Some(assignment)
 }
 
-/// Place `k` nodes each borrowing `remote` MiB from its rack's domain.
-/// `best_fit` selects tightest-sufficient pools first; otherwise racks come
-/// in index order.
-fn place_with_pool(
-    job: &Job,
-    cluster: &Cluster,
-    model: &SlowdownModel,
-    k: u32,
-    local: MiB,
-    remote: MiB,
-    best_fit: bool,
-) -> Option<PlannedAllocation> {
+/// Place `demand`: its nodes each fill their DRAM and borrow
+/// `remote_per_node` MiB from their rack's domain. `best_fit` selects
+/// tightest-sufficient pools first; otherwise racks come in index order.
+fn place_with_pool(cluster: &Cluster, demand: Demand, best_fit: bool) -> Option<MemoryAssignment> {
     use dmhpc_platform::PoolTopology;
+    let Demand {
+        nodes: k,
+        remote_per_node: remote,
+    } = demand;
     let spec = cluster.spec();
     let racks = spec.racks;
     let global = matches!(spec.pool, PoolTopology::Global { .. });
@@ -524,31 +422,31 @@ fn place_with_pool(
     if remaining > 0 {
         return None;
     }
-    let assignment = MemoryAssignment::hybrid(chosen, local, remote);
+    let assignment = MemoryAssignment::hybrid(chosen, spec.node.local_mem, remote);
     debug_assert!(cluster.can_allocate(&assignment).is_ok());
-    let far = assignment.far_fraction();
-    let dilation = model.dilation(DilationInputs {
-        far_fraction: far,
-        intensity: job.intensity,
-        pool_pressure: current_pressure(cluster),
-    });
-    Some(PlannedAllocation {
-        assignment,
-        dilation,
-    })
+    Some(assignment)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, Reference};
     use super::*;
-    use dmhpc_platform::{ClusterSpec, NodeSpec, PoolTopology};
-    use dmhpc_workload::JobBuilder;
+    use crate::release::ReleaseView;
+    use dmhpc_des::rng::Pcg64;
+    use dmhpc_des::time::SimTime;
+    use dmhpc_platform::{ClusterSpec, NodeSpec, PoolId, PoolTopology};
+    use dmhpc_workload::{JobBuilder, Slo};
 
     const GIB: u64 = 1024;
 
     /// 2 racks × 4 nodes, 256 GiB DRAM, per-rack 512 GiB pools.
     fn cluster(pool: PoolTopology) -> Cluster {
         Cluster::new(ClusterSpec::new(2, 4, NodeSpec::new(64, 256 * GIB), pool))
+    }
+
+    /// A pass at time zero with no releases and no run-wide SLO.
+    fn ctx<'a>(c: &'a Cluster, model: &'a SlowdownModel) -> SchedContext<'a> {
+        SchedContext::new(SimTime::ZERO, c, model, ReleaseView::empty(), None)
     }
 
     fn per_rack() -> PoolTopology {
@@ -580,7 +478,7 @@ mod tests {
     fn local_only_natural_size() {
         let c = cluster(PoolTopology::None);
         let plan = MemoryPolicy::LocalOnly
-            .plan(&light_job(3), &c, &LINEAR)
+            .plan(&light_job(3), &ctx(&c, &LINEAR))
             .unwrap();
         assert_eq!(plan.assignment.node_count(), 3);
         assert_eq!(plan.assignment.remote_per_node, 0);
@@ -592,7 +490,7 @@ mod tests {
         let c = cluster(PoolTopology::None);
         // 2 × 384 GiB = 768 GiB total → ceil(768/256) = 3 nodes.
         let plan = MemoryPolicy::LocalOnly
-            .plan(&heavy_job(), &c, &LINEAR)
+            .plan(&heavy_job(), &ctx(&c, &LINEAR))
             .unwrap();
         assert_eq!(plan.assignment.node_count(), 3);
         assert!(plan.assignment.local_per_node <= 256 * GIB);
@@ -605,7 +503,7 @@ mod tests {
     fn pool_ff_borrows_instead_of_inflating() {
         let c = cluster(per_rack());
         let plan = MemoryPolicy::PoolFirstFit
-            .plan(&heavy_job(), &c, &LINEAR)
+            .plan(&heavy_job(), &ctx(&c, &LINEAR))
             .unwrap();
         assert_eq!(plan.assignment.node_count(), 2, "natural size");
         assert_eq!(plan.assignment.local_per_node, 256 * GIB);
@@ -621,7 +519,7 @@ mod tests {
             mib_per_rack: 64 * GIB, // too small for 128 GiB/node borrowing
         });
         let plan = MemoryPolicy::PoolFirstFit
-            .plan(&heavy_job(), &c, &LINEAR)
+            .plan(&heavy_job(), &ctx(&c, &LINEAR))
             .unwrap();
         assert_eq!(plan.assignment.node_count(), 3, "inflation fallback");
         assert_eq!(plan.assignment.remote_per_node, 0);
@@ -640,7 +538,9 @@ mod tests {
         // Job borrowing 128 GiB/node on 1 node: best-fit should choose rack
         // 0 (200 GiB free < rack 1's 512 GiB) — tightest sufficient.
         let job = JobBuilder::new(3).nodes(1).mem_per_node(384 * GIB).build();
-        let plan = MemoryPolicy::PoolBestFit.plan(&job, &c, &LINEAR).unwrap();
+        let plan = MemoryPolicy::PoolBestFit
+            .plan(&job, &ctx(&c, &LINEAR))
+            .unwrap();
         assert!(plan.assignment.nodes[0].0 < 4, "rack 0 expected");
         // First-fit would also pick rack 0 here; make them differ: drain
         // rack 0 below sufficiency.
@@ -650,7 +550,9 @@ mod tests {
         )
         .unwrap();
         // rack0 pool free = 512-312-150 = 50 GiB < 128 GiB.
-        let plan = MemoryPolicy::PoolBestFit.plan(&job, &c, &LINEAR).unwrap();
+        let plan = MemoryPolicy::PoolBestFit
+            .plan(&job, &ctx(&c, &LINEAR))
+            .unwrap();
         assert!(
             plan.assignment.nodes[0].0 >= 4,
             "rack 1 after rack 0 drained"
@@ -663,7 +565,7 @@ mod tests {
         let policy = MemoryPolicy::SlowdownAware { max_dilation: 1.5 };
         // heavy job: natural 2 nodes, far=1/3, intensity .8:
         // dilation = 1 + .5·(1/3)·.8 ≈ 1.133; cost 2×1.133 = 2.27 < 3 (inflated).
-        let plan = policy.plan(&heavy_job(), &c, &LINEAR).unwrap();
+        let plan = policy.plan(&heavy_job(), &ctx(&c, &LINEAR)).unwrap();
         assert_eq!(plan.assignment.node_count(), 2);
         assert!(plan.assignment.uses_pool());
     }
@@ -675,7 +577,7 @@ mod tests {
         let model = SlowdownModel::Linear { penalty: 4.0 };
         let policy = MemoryPolicy::SlowdownAware { max_dilation: 4.0 };
         // heavy: borrow cost 2 × (1+3·(1/3)·0.8) = 2×1.8 = 3.6 > inflate 3.
-        let plan = policy.plan(&heavy_job(), &c, &model).unwrap();
+        let plan = policy.plan(&heavy_job(), &ctx(&c, &model)).unwrap();
         assert_eq!(plan.assignment.node_count(), 3, "inflation is cheaper");
         assert!(!plan.assignment.uses_pool());
     }
@@ -685,15 +587,16 @@ mod tests {
         let c = cluster(per_rack());
         let policy = MemoryPolicy::SlowdownAware { max_dilation: 1.05 };
         // Borrowing would dilate ≈1.13 > budget 1.05 → must inflate.
-        let plan = policy.plan(&heavy_job(), &c, &LINEAR).unwrap();
+        let plan = policy.plan(&heavy_job(), &ctx(&c, &LINEAR)).unwrap();
         assert!(!plan.assignment.uses_pool());
     }
 
     #[test]
     fn nominal_shapes_match_plan_semantics() {
         let c = cluster(per_rack());
+        let ctx = ctx(&c, &LINEAR);
         let (d, dil) = MemoryPolicy::LocalOnly
-            .nominal_shape(&heavy_job(), &c, &LINEAR)
+            .nominal_shape(&heavy_job(), &ctx)
             .unwrap();
         assert_eq!(
             d,
@@ -705,7 +608,7 @@ mod tests {
         assert_eq!(dil, 1.0);
 
         let (d, dil) = MemoryPolicy::PoolFirstFit
-            .nominal_shape(&heavy_job(), &c, &LINEAR)
+            .nominal_shape(&heavy_job(), &ctx)
             .unwrap();
         assert_eq!(
             d,
@@ -717,7 +620,7 @@ mod tests {
         assert!(dil > 1.0);
 
         let (d, _) = MemoryPolicy::SlowdownAware { max_dilation: 1.5 }
-            .nominal_shape(&heavy_job(), &c, &LINEAR)
+            .nominal_shape(&heavy_job(), &ctx)
             .unwrap();
         assert_eq!(d.nodes, 2);
     }
@@ -728,7 +631,7 @@ mod tests {
         // 8-node machine; job wants 6 nodes × 2 TiB → inflated 48 nodes.
         let monster = JobBuilder::new(9).nodes(6).mem_per_node(2048 * GIB).build();
         assert!(MemoryPolicy::LocalOnly
-            .nominal_shape(&monster, &c, &LINEAR)
+            .nominal_shape(&monster, &ctx(&c, &LINEAR))
             .is_none());
     }
 
@@ -738,7 +641,7 @@ mod tests {
         let all: Vec<NodeId> = (0..8).map(NodeId).collect();
         c.allocate(1, MemoryAssignment::local(all, 1)).unwrap();
         assert!(MemoryPolicy::LocalOnly
-            .plan(&light_job(1), &c, &LINEAR)
+            .plan(&light_job(1), &ctx(&c, &LINEAR))
             .is_none());
     }
 
@@ -754,7 +657,7 @@ mod tests {
         for policy in policies {
             let mut c = cluster(per_rack());
             for (i, job) in [light_job(2), heavy_job()].iter().enumerate() {
-                if let Some(plan) = policy.plan(job, &c, &LINEAR) {
+                if let Some(plan) = policy.plan(job, &ctx(&c, &LINEAR)) {
                     c.allocate(i as u64, plan.assignment).unwrap();
                     c.verify_invariants().unwrap();
                 }
@@ -766,7 +669,7 @@ mod tests {
     fn global_pool_placement() {
         let c = cluster(PoolTopology::Global { mib: 512 * GIB });
         let plan = MemoryPolicy::PoolFirstFit
-            .plan(&heavy_job(), &c, &LINEAR)
+            .plan(&heavy_job(), &ctx(&c, &LINEAR))
             .unwrap();
         assert_eq!(plan.assignment.node_count(), 2);
         assert_eq!(plan.assignment.remote_per_node, 128 * GIB);
@@ -787,33 +690,20 @@ mod tests {
 
     #[test]
     fn laxity_aware_without_deadline_matches_slowdown_aware() {
-        use crate::release::ReleaseView;
-        use crate::traits::{Placement, SchedContext};
-        use dmhpc_des::time::SimTime;
         let c = cluster(per_rack());
-        let ctx = SchedContext::new(SimTime::ZERO, &c, &LINEAR, ReleaseView::empty(), None);
+        let ctx = ctx(&c, &LINEAR);
         let sa = MemoryPolicy::SlowdownAware { max_dilation: 1.5 };
         let la = MemoryPolicy::LaxityAware { max_dilation: 1.5 };
         for job in [light_job(2), heavy_job()] {
-            assert_eq!(
-                Placement::nominal_shape(&sa, &job, &ctx),
-                Placement::nominal_shape(&la, &job, &ctx),
-            );
-            assert_eq!(
-                Placement::plan(&sa, &job, &ctx),
-                Placement::plan(&la, &job, &ctx),
-            );
+            assert_eq!(sa.nominal_shape(&job, &ctx), la.nominal_shape(&job, &ctx));
+            assert_eq!(sa.plan(&job, &ctx), la.plan(&job, &ctx));
         }
     }
 
     #[test]
     fn laxity_aware_trades_cost_for_feasibility() {
-        use crate::release::ReleaseView;
-        use crate::traits::{Placement, SchedContext};
-        use dmhpc_des::time::SimTime;
-        use dmhpc_workload::Slo;
         let c = cluster(per_rack());
-        let ctx = SchedContext::new(SimTime::ZERO, &c, &LINEAR, ReleaseView::empty(), None);
+        let ctx = ctx(&c, &LINEAR);
         // Heavy job with 1000 s walltime and only 50 s of laxity: the
         // cost-optimal borrowing shape (2 nodes, dilation ≈ 1.13) would
         // finish ≈133 s past the deadline; the inflation shape (3 nodes,
@@ -827,27 +717,22 @@ mod tests {
             .build();
         let sa = MemoryPolicy::SlowdownAware { max_dilation: 1.5 };
         let la = MemoryPolicy::LaxityAware { max_dilation: 1.5 };
-        let sa_plan = Placement::plan(&sa, &job, &ctx).unwrap();
+        let sa_plan = sa.plan(&job, &ctx).unwrap();
         assert_eq!(sa_plan.assignment.node_count(), 2, "cost-optimal borrows");
-        let la_plan = Placement::plan(&la, &job, &ctx).unwrap();
+        let la_plan = la.plan(&job, &ctx).unwrap();
         assert_eq!(la_plan.assignment.node_count(), 3, "feasible shape wins");
         assert_eq!(la_plan.dilation, 1.0);
-        let (demand, dil) = Placement::nominal_shape(&la, &job, &ctx).unwrap();
+        let (demand, dil) = la.nominal_shape(&job, &ctx).unwrap();
         assert_eq!((demand.nodes, dil), (3, 1.0));
         // The minimum achievable dilation both policies can price
         // feasibility with is the fully-local shape's.
-        assert_eq!(Placement::best_dilation(&la, &job, &ctx), Some(1.0));
+        assert_eq!(la.best_dilation(&job, &ctx), Some(1.0));
     }
 
     #[test]
     fn laxity_aware_lost_deadline_finishes_earliest() {
-        use crate::release::ReleaseView;
-        use crate::traits::{Placement, SchedContext};
-        use dmhpc_des::time::SimTime;
-        use dmhpc_workload::Slo;
-        // Pool too small for the whole rack: only borrowing shapes exist
-        // up to k=2... actually make the deadline already lost so *no*
-        // shape is feasible — the lowest-dilation shape must win.
+        // The deadline is already lost, so *no* shape is feasible: the
+        // lowest-dilation shape must win.
         let c = cluster(per_rack());
         let ctx = SchedContext::new(
             SimTime::from_secs(2000),
@@ -864,103 +749,191 @@ mod tests {
             .slo(Slo::Deadline { deadline_s: 100.0 })
             .build();
         let la = MemoryPolicy::LaxityAware { max_dilation: 1.5 };
-        let plan = Placement::plan(&la, &job, &ctx).unwrap();
+        let plan = la.plan(&job, &ctx).unwrap();
         assert_eq!(plan.dilation, 1.0, "finish-earliest shape");
         assert_eq!(plan.assignment.node_count(), 3);
     }
 
-    /// The invariant behind `plan()`'s count-only probe: every shape any
-    /// policy plans or reserves uses at least `job.nodes` nodes. Random
-    /// clusters (all three pool topologies, partly occupied, some nodes
-    /// down), random jobs and all five policies; for jobs without a
-    /// deadline the probed trait `plan()` must also equal the unprobed
-    /// inherent one.
-    #[test]
-    fn every_shape_uses_at_least_the_requested_nodes() {
-        use crate::release::ReleaseView;
-        use crate::traits::{Placement, SchedContext};
-        use dmhpc_des::rng::Pcg64;
-        use dmhpc_des::time::SimTime;
-        use dmhpc_workload::Slo;
-        for case in 0..300u64 {
-            let mut rng = Pcg64::new_stream(0x9B0E, case);
-            let racks = 1 + rng.index(3) as u32;
-            let per_rack = 1 + rng.index(6) as u32;
-            let pool = match rng.index(3) {
-                0 => PoolTopology::None,
-                1 => PoolTopology::PerRack {
-                    mib_per_rack: rng.range_u64(1, 1024) * GIB,
-                },
-                _ => PoolTopology::Global {
-                    mib: rng.range_u64(1, 2048) * GIB,
-                },
-            };
-            let mut c = Cluster::new(ClusterSpec::new(
-                racks,
-                per_rack,
-                NodeSpec::new(64, 256 * GIB),
-                pool,
-            ));
-            let total = c.total_nodes();
-            for node in 0..total {
-                if rng.chance(0.1) {
-                    c.fail_node(NodeId(node)).unwrap();
-                }
+    /// One random placement walk: a small machine (any pool topology,
+    /// some nodes down, perhaps degraded pools), a slowdown model, all
+    /// five policies, and the jobs the walk offers them.
+    struct Walk {
+        cluster: Cluster,
+        model: SlowdownModel,
+        policies: [MemoryPolicy; 5],
+        /// A run-wide SLO wait target, which gives unstamped jobs a
+        /// deadline too.
+        slo_wait_s: Option<f64>,
+    }
+
+    fn random_walk(rng: &mut Pcg64) -> Walk {
+        let racks = 1 + rng.index(3) as u32;
+        let per_rack = 1 + rng.index(6) as u32;
+        let pool = match rng.index(3) {
+            0 => PoolTopology::None,
+            1 => PoolTopology::PerRack {
+                mib_per_rack: rng.range_u64(1, 1024) * GIB,
+            },
+            _ => PoolTopology::Global {
+                mib: rng.range_u64(1, 2048) * GIB,
+            },
+        };
+        let mut cluster = Cluster::new(ClusterSpec::new(
+            racks,
+            per_rack,
+            NodeSpec::new(64, 256 * GIB),
+            pool,
+        ));
+        for node in 0..cluster.total_nodes() {
+            if rng.chance(0.1) {
+                cluster.fail_node(NodeId(node)).unwrap();
             }
-            let model = if rng.chance(0.5) {
-                LINEAR
-            } else {
-                SlowdownModel::Contention {
-                    penalty: 1.5,
-                    gamma: 1.0,
-                }
-            };
-            let policies = [
-                MemoryPolicy::LocalOnly,
-                MemoryPolicy::PoolFirstFit,
-                MemoryPolicy::PoolBestFit,
-                MemoryPolicy::SlowdownAware {
-                    max_dilation: rng.range_f64(1.0, 2.0),
-                },
-                MemoryPolicy::LaxityAware {
-                    max_dilation: rng.range_f64(1.0, 2.0),
-                },
-            ];
+        }
+        for pool in 0..cluster.pools().len() as u32 {
+            if rng.chance(0.2) {
+                let health = rng.range_f64(0.3, 1.0);
+                cluster.set_pool_health(PoolId(pool), health).unwrap();
+            }
+        }
+        let model = if rng.chance(0.5) {
+            LINEAR
+        } else {
+            SlowdownModel::Contention {
+                penalty: 1.5,
+                gamma: 1.0,
+            }
+        };
+        let policies = [
+            MemoryPolicy::LocalOnly,
+            MemoryPolicy::PoolFirstFit,
+            MemoryPolicy::PoolBestFit,
+            MemoryPolicy::SlowdownAware {
+                max_dilation: rng.range_f64(1.0, 2.0),
+            },
+            MemoryPolicy::LaxityAware {
+                max_dilation: rng.range_f64(1.0, 2.0),
+            },
+        ];
+        let slo_wait_s = rng.chance(0.2).then(|| rng.range_f64(0.0, 2000.0));
+        Walk {
+            cluster,
+            model,
+            policies,
+            slo_wait_s,
+        }
+    }
+
+    /// A random job, deadline-stamped 30% of the time, and the instant of
+    /// the pass that meets it.
+    fn random_job(rng: &mut Pcg64, id: u64, total_nodes: u32) -> (Job, SimTime) {
+        let mut job = JobBuilder::new(id)
+            .nodes(1 + rng.index(total_nodes as usize + 2) as u32)
+            .mem_per_node(rng.range_u64(1, 1024) * GIB)
+            .intensity(rng.next_f64())
+            .runtime_secs(100, 200 + rng.bounded_u64(2000))
+            .build();
+        if rng.chance(0.3) {
+            job.slo = Some(Slo::Deadline {
+                deadline_s: rng.range_f64(0.0, 3000.0),
+            });
+        }
+        (job, SimTime::from_secs(rng.bounded_u64(1000)))
+    }
+
+    /// Walk `cases` random machines, offering each twelve jobs and
+    /// occupying it with what the policies place (and sometimes freeing a
+    /// lease), so later jobs meet partly used racks and pools. Calls
+    /// `check` with every (policy, job, context).
+    fn walk_cases(
+        cases: u64,
+        seed: u64,
+        mut check: impl FnMut(&MemoryPolicy, &Job, &SchedContext<'_>, &str),
+    ) {
+        for case in 0..cases {
+            let mut rng = Pcg64::new_stream(seed, case);
+            let mut walk = random_walk(&mut rng);
             for i in 0..12u64 {
-                let mut job = JobBuilder::new(i)
-                    .nodes(1 + rng.index(total as usize + 2) as u32)
-                    .mem_per_node(rng.range_u64(1, 1024) * GIB)
-                    .intensity(rng.next_f64())
-                    .runtime_secs(100, 200 + rng.bounded_u64(2000))
-                    .build();
-                if rng.chance(0.3) {
-                    job.slo = Some(Slo::Deadline {
-                        deadline_s: rng.range_f64(0.0, 3000.0),
-                    });
-                }
-                let now = SimTime::from_secs(rng.bounded_u64(1000));
-                let ctx = SchedContext::new(now, &c, &model, ReleaseView::empty(), None);
+                let (job, now) = random_job(&mut rng, i, walk.cluster.total_nodes());
+                let c = &walk.cluster;
+                let ctx =
+                    SchedContext::new(now, c, &walk.model, ReleaseView::empty(), walk.slo_wait_s);
                 let mut placed = None;
-                for policy in &policies {
-                    let what = format!("case {case} job {i} {policy:?}");
-                    if let Some((demand, _)) = Placement::nominal_shape(policy, &job, &ctx) {
-                        assert!(demand.nodes >= job.nodes, "{what}: nominal {demand:?}");
-                    }
-                    let plan = Placement::plan(policy, &job, &ctx);
-                    if let Some(p) = &plan {
-                        assert!(p.assignment.node_count() >= job.nodes as usize, "{what}");
-                    }
-                    if job.slo.is_none() || !matches!(policy, MemoryPolicy::LaxityAware { .. }) {
-                        assert_eq!(plan, policy.plan(&job, &c, &model), "{what}: probe");
-                    }
-                    placed = placed.or(plan);
+                for policy in &walk.policies {
+                    check(
+                        policy,
+                        &job,
+                        &ctx,
+                        &format!("case {case} job {i} {policy:?}"),
+                    );
+                    placed = placed.or_else(|| policy.plan(&job, &ctx));
                 }
-                // Occupy the machine as the run goes, so later jobs meet
-                // partly used racks and pools.
                 if let Some(p) = placed {
-                    c.allocate(100 + i, p.assignment).unwrap();
+                    walk.cluster.allocate(100 + i, p.assignment).unwrap();
+                }
+                if rng.chance(0.2) && walk.cluster.lease_count() > 0 {
+                    let leases: Vec<u64> = walk.cluster.active_leases().map(|(l, _)| l).collect();
+                    let lease = leases[rng.index(leases.len())];
+                    walk.cluster.release(lease).unwrap();
                 }
             }
         }
+    }
+
+    /// The invariant behind `plan()`'s count-only probe: every shape any
+    /// policy plans or reserves uses at least `job.nodes` nodes.
+    #[test]
+    fn every_shape_uses_at_least_the_requested_nodes() {
+        walk_cases(300, 0x9B0E, |policy, job, ctx, what| {
+            if let Some((demand, _)) = policy.nominal_shape(job, ctx) {
+                assert!(demand.nodes >= job.nodes, "{what}: nominal {demand:?}");
+            }
+            if let Some(p) = policy.plan(job, ctx) {
+                assert!(p.assignment.node_count() >= job.nodes as usize, "{what}");
+            }
+        });
+    }
+
+    /// The shape-list hooks against the five-policy reference: equal
+    /// `nominal_shape`, `plan` and `best_dilation` for every policy, and,
+    /// where no laxity reorders the shapes, a probed `plan` equal to the
+    /// unprobed one.
+    fn assert_placement_matches_reference(cases: u64) {
+        let (mut borrowed, mut differ_from_nominal) = (0u64, 0u64);
+        walk_cases(cases, 0x5A9E, |policy, job, ctx, what| {
+            let old = Reference(*policy);
+            let nominal = policy.nominal_shape(job, ctx);
+            assert_eq!(nominal, old.nominal_shape(job, ctx), "{what}: nominal");
+            let plan = policy.plan(job, ctx);
+            assert_eq!(plan, old.plan(job, ctx), "{what}: plan");
+            let best = policy.best_dilation(job, ctx);
+            assert_eq!(best, old.best_dilation(job, ctx), "{what}: best");
+            let laxity =
+                matches!(policy, MemoryPolicy::LaxityAware { .. }) && ctx.laxity_s(job).is_some();
+            if !laxity {
+                let unprobed = reference::plan(policy, job, ctx.cluster, ctx.model);
+                assert_eq!(plan, unprobed, "{what}: probe");
+            }
+            borrowed += plan.is_some_and(|p| p.assignment.uses_pool()) as u64;
+            differ_from_nominal += (best != nominal.map(|(_, d)| d)) as u64;
+        });
+        // Cases that tell the mutations apart: placements that borrow, and
+        // a best dilation below the nominal shape's.
+        assert!(borrowed * 400 >= 600 * cases, "borrowed {borrowed}");
+        assert!(
+            differ_from_nominal * 400 >= 3000 * cases,
+            "best < nominal {differ_from_nominal}"
+        );
+    }
+
+    #[test]
+    fn placement_matches_reference() {
+        assert_placement_matches_reference(400);
+    }
+
+    /// The same over many more cases; run in release mode with `--ignored`.
+    #[test]
+    #[ignore]
+    fn placement_matches_reference_at_scale() {
+        assert_placement_matches_reference(20_000);
     }
 }
