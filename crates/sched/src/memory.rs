@@ -42,20 +42,35 @@
 //!
 //! * [`Placement::nominal_shape`] is the first idle shape, unless it needs
 //!   more nodes than the machine has.
-//! * [`Placement::plan`] places the first shape that fits right now, racks
-//!   in index order for pool first-fit and best-fit order otherwise. A
-//!   count-only probe comes first: every shape uses at least `job.nodes`
-//!   nodes, so with fewer free nothing is listed or allocated.
+//! * [`Placement::plan`] and [`Placement::plan_split`] place the first
+//!   shape that fits right now (see "Counts first"). A count-only probe
+//!   comes first: every shape uses at least `job.nodes` nodes, so with
+//!   fewer free nothing is listed or allocated.
 //! * [`Placement::best_dilation`] is exactly 1 for the enumerating
 //!   policies: every dilation is at least 1
 //!   ([`SlowdownModel::validate`]), and the enumeration always ends at the
 //!   fully local shape, whose dilation is 1. The other policies price
 //!   feasibility with their nominal shape's dilation.
+//!
+//! ## Counts first
+//!
+//! Placing a shape now is a walk over racks that decides how many nodes
+//! each gives: as many as it has free (and, for a borrowing shape with
+//! per-rack pools, as its pool can lend to) until the shape's node count
+//! is found. Racks come in index order for a local shape and for pool
+//! first-fit; a borrowing best-fit shape takes the tightest pool first
+//! with per-rack pools and the rack with the fewest free nodes first with
+//! a global pool. The walk writes only that per-rack split, so
+//! [`Placement::plan_split`] answers without collecting a node id or
+//! allocating, and a shape that cannot be placed fails before anything is
+//! built. [`Placement::plan`] runs the same query and then takes each
+//! rack's lowest free node ids, visiting racks in the same order.
 
 use crate::profile::Demand;
 use crate::traits::{Placement, SchedContext};
 use dmhpc_platform::{
-    Cluster, DilationInputs, MemoryAssignment, MiB, NodeId, RackId, SlowdownModel,
+    Cluster, DilationInputs, MemoryAssignment, MiB, NodeId, PoolId, PoolTopology, RackId,
+    SlowdownModel,
 };
 use dmhpc_workload::Job;
 
@@ -181,6 +196,35 @@ impl MemoryPolicy {
             Some((taken, dilation))
         })
     }
+
+    /// The first shape [`Placement::plan`] can place now, with its split
+    /// per rack written to `split` and its dilation at the current pool
+    /// pressure: the count-first query behind both `plan` and
+    /// [`Placement::plan_split`].
+    fn shape_now(
+        &self,
+        job: &Job,
+        ctx: &SchedContext<'_>,
+        split: &mut [u32],
+    ) -> Option<(Demand, f64)> {
+        // Count-only probe: every shape of every policy places at least
+        // `job.nodes` free nodes, so with fewer free no shape can be
+        // placed. Exact, and it spares failing candidates the shape walk.
+        let cluster = ctx.cluster;
+        if cluster.free_nodes() < job.nodes as usize {
+            return None;
+        }
+        let best_fit = self.best_fit();
+        self.first_shape(job, ctx, false, |demand| {
+            place_split(cluster, demand, best_fit, split).then_some(demand)
+        })
+    }
+
+    /// Borrowing shapes take racks in best-fit order, except under pool
+    /// first-fit.
+    fn best_fit(&self) -> bool {
+        !matches!(self, MemoryPolicy::PoolFirstFit)
+    }
 }
 
 /// Sort shapes for the laxity-aware policy: deadline-feasible shapes first
@@ -223,26 +267,29 @@ impl Placement for MemoryPolicy {
     }
 
     fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation> {
-        // Count-only probe: every shape of every policy places at least
-        // `job.nodes` free nodes, so with fewer free no shape can be
-        // placed. Exact, and it spares failing candidates every allocation.
         let cluster = ctx.cluster;
-        if cluster.free_nodes() < job.nodes as usize {
-            return None;
-        }
-        let best_fit = !matches!(self, MemoryPolicy::PoolFirstFit);
-        let place = |demand: Demand| {
-            if demand.remote_per_node == 0 {
-                place_local(job, cluster, demand.nodes)
-            } else {
-                place_with_pool(cluster, demand, best_fit)
-            }
+        let mut split = vec![0; cluster.spec().racks as usize];
+        let (demand, dilation) = self.shape_now(job, ctx, &mut split)?;
+        let nodes = split_nodes(cluster, demand, self.best_fit(), &split);
+        let assignment = match demand.remote_per_node {
+            0 => MemoryAssignment::local(nodes, job.mem_per_node_at(demand.nodes)),
+            remote => MemoryAssignment::hybrid(nodes, cluster.spec().node.local_mem, remote),
         };
-        let (assignment, dilation) = self.first_shape(job, ctx, false, place)?;
+        debug_assert!(cluster.can_allocate(&assignment).is_ok());
         Some(PlannedAllocation {
             assignment,
             dilation,
         })
+    }
+
+    fn plan_split(
+        &self,
+        job: &Job,
+        ctx: &SchedContext<'_>,
+        split: &mut [u32],
+    ) -> Option<(MiB, f64)> {
+        let (demand, dilation) = self.shape_now(job, ctx, split)?;
+        Some((demand.remote_per_node, dilation))
     }
 
     fn best_dilation(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<f64> {
@@ -265,7 +312,6 @@ fn current_pressure(cluster: &Cluster) -> f64 {
 
 /// Could any pool configuration ever serve `nodes × remote` (idle machine)?
 fn pool_can_ever_serve(cluster: &Cluster, nodes: u32, remote_per_node: MiB) -> bool {
-    use dmhpc_platform::PoolTopology;
     let spec = cluster.spec();
     match spec.pool {
         PoolTopology::None => false,
@@ -340,91 +386,76 @@ fn enumerate_shapes(
     shapes
 }
 
-/// Place `k` nodes fully locally (first-fit).
-fn place_local(job: &Job, cluster: &Cluster, k: u32) -> Option<MemoryAssignment> {
-    if k > cluster.total_nodes() {
-        return None;
+/// Call `visit` on the racks a placement of `demand` takes nodes from, in
+/// the order it takes them, until `visit` returns `false`: index order for
+/// a local shape and for pool first-fit; for a borrowing best-fit shape,
+/// tightest pool first with per-rack pools (the cluster's `(free, id)`
+/// pool order, no sort) and fewest free nodes first with a global pool.
+fn visit_racks(
+    cluster: &Cluster,
+    demand: Demand,
+    best_fit: bool,
+    mut visit: impl FnMut(u32) -> bool,
+) {
+    let racks = cluster.spec().racks;
+    if demand.remote_per_node == 0 || !best_fit {
+        (0..racks).all(visit);
+    } else if matches!(cluster.spec().pool, PoolTopology::Global { .. }) {
+        let mut order: Vec<u32> = (0..racks).collect();
+        order.sort_by_key(|&r| (cluster.free_nodes_in_rack(RackId(r)), r));
+        order.into_iter().all(visit);
+    } else {
+        cluster.pools_by_free().all(|pool| visit(pool.0));
     }
-    let nodes = cluster.first_fit_nodes(k as usize)?;
-    let assignment = MemoryAssignment::local(nodes, job.mem_per_node_at(k));
-    debug_assert!(cluster.can_allocate(&assignment).is_ok());
-    Some(assignment)
 }
 
-/// Place `demand`: its nodes each fill their DRAM and borrow
-/// `remote_per_node` MiB from their rack's domain. `best_fit` selects
-/// tightest-sufficient pools first; otherwise racks come in index order.
-fn place_with_pool(cluster: &Cluster, demand: Demand, best_fit: bool) -> Option<MemoryAssignment> {
-    use dmhpc_platform::PoolTopology;
+/// Write to `split` how many nodes per rack a placement of `demand` takes
+/// now: in [`visit_racks`] order, each rack gives as many as it has free
+/// (and, with per-rack pools, as its pool can lend `remote_per_node` to)
+/// until `demand.nodes` are found. `false` when they cannot be, and then
+/// `split` holds no placement.
+fn place_split(cluster: &Cluster, demand: Demand, best_fit: bool, split: &mut [u32]) -> bool {
     let Demand {
         nodes: k,
         remote_per_node: remote,
     } = demand;
-    let spec = cluster.spec();
-    let racks = spec.racks;
-    let global = matches!(spec.pool, PoolTopology::Global { .. });
-    if matches!(spec.pool, PoolTopology::None) {
-        return None;
-    }
-    if global && (k as u64) * remote > cluster.pool_free(dmhpc_platform::PoolId(0)) {
-        return None;
-    }
-
-    // Per-rack capacity for this job.
-    let usable = |rack: u32| -> u32 {
-        let free_n = cluster.free_nodes_in_rack(RackId(rack));
-        if global {
-            free_n
-        } else {
-            let pool_free = cluster.pool_free(dmhpc_platform::PoolId(rack));
-            free_n.min((pool_free / remote) as u32)
+    let per_rack_pool = match cluster.spec().pool {
+        _ if remote == 0 => false,
+        PoolTopology::None => return false,
+        PoolTopology::Global { .. } if k as u64 * remote > cluster.pool_free(PoolId(0)) => {
+            return false
         }
+        PoolTopology::Global { .. } => false,
+        PoolTopology::PerRack { .. } => true,
     };
-    let rack_order: Vec<u32> = if !best_fit {
-        // First fit: racks in index order.
-        (0..racks).collect()
-    } else if global {
-        // Pack racks with the fewest free nodes first.
-        let mut order: Vec<u32> = (0..racks).collect();
-        order.sort_by_key(|&r| (cluster.free_nodes_in_rack(RackId(r)), r));
-        order
-    } else {
-        // Tightest sufficient pool first: with per-rack pools, pool id r
-        // is rack r, and the cluster's free-space ordering is already
-        // ascending `(free, id)` — exactly best-fit order, no sort.
-        cluster.pools_by_free().map(|p| p.0).collect()
-    };
-
-    let mut chosen: Vec<NodeId> = Vec::with_capacity(k as usize);
+    split.fill(0);
     let mut remaining = k;
-    for &rack in &rack_order {
-        if remaining == 0 {
-            break;
+    visit_racks(cluster, demand, best_fit, |rack| {
+        let mut usable = cluster.free_nodes_in_rack(RackId(rack));
+        if per_rack_pool {
+            usable = usable.min((cluster.pool_free(PoolId(rack)) / remote) as u32);
         }
-        let take = usable(rack).min(remaining);
-        if take == 0 {
-            continue;
-        }
-        // Range query on the free-node index: O(take), not O(rack size).
-        let before = chosen.len();
-        chosen.extend(
-            cluster
-                .free_nodes_in_rack_iter(RackId(rack))
-                .take(take as usize),
-        );
-        debug_assert_eq!(
-            chosen.len() - before,
-            take as usize,
-            "free_nodes_in_rack out of sync"
-        );
+        let take = usable.min(remaining);
+        split[rack as usize] = take;
         remaining -= take;
-    }
-    if remaining > 0 {
-        return None;
-    }
-    let assignment = MemoryAssignment::hybrid(chosen, spec.node.local_mem, remote);
-    debug_assert!(cluster.can_allocate(&assignment).is_ok());
-    Some(assignment)
+        remaining > 0
+    });
+    remaining == 0
+}
+
+/// The node ids of a split [`place_split`] wrote for `demand`: each rack's
+/// lowest free ones, racks in the order the split was filled.
+fn split_nodes(cluster: &Cluster, demand: Demand, best_fit: bool, split: &[u32]) -> Vec<NodeId> {
+    let k = demand.nodes as usize;
+    let mut nodes = Vec::with_capacity(k);
+    visit_racks(cluster, demand, best_fit, |rack| {
+        // Range query on the free-node index: O(take), not O(rack size).
+        let take = split[rack as usize] as usize;
+        nodes.extend(cluster.free_nodes_in_rack_iter(RackId(rack)).take(take));
+        nodes.len() < k
+    });
+    debug_assert_eq!(nodes.len(), k, "free_nodes_in_rack out of sync");
+    nodes
 }
 
 #[cfg(test)]
@@ -432,6 +463,7 @@ mod tests {
     use super::reference::{self, Reference};
     use super::*;
     use crate::release::ReleaseView;
+    use crate::traits::count_per_rack;
     use dmhpc_des::rng::Pcg64;
     use dmhpc_des::time::SimTime;
     use dmhpc_platform::{ClusterSpec, NodeSpec, PoolId, PoolTopology};
@@ -935,5 +967,46 @@ mod tests {
     #[ignore]
     fn placement_matches_reference_at_scale() {
         assert_placement_matches_reference(20_000);
+    }
+
+    /// The count-first query against the plan it stands for, for every
+    /// policy: `plan_split` is `Some` exactly when `plan` is, its split is
+    /// the plan's node count per rack, and its remote MiB per node and
+    /// dilation are the plan's, bit for bit.
+    fn assert_plan_split_matches_plan(cases: u64) {
+        let mut borrowed = 0u64;
+        walk_cases(cases, 0x5A9E, |policy, job, ctx, what| {
+            // Stale counts from an earlier query must not leak through.
+            let mut split = vec![u32::MAX; ctx.cluster.spec().racks as usize];
+            let query = policy.plan_split(job, ctx, &mut split);
+            let plan = policy.plan(job, ctx);
+            assert_eq!(query.is_some(), plan.is_some(), "{what}: some");
+            let (Some((remote, dilation)), Some(plan)) = (query, plan) else {
+                return;
+            };
+            let mut planned = vec![0; split.len()];
+            count_per_rack(ctx.cluster, &plan.assignment, &mut planned);
+            assert_eq!(split, planned, "{what}: split");
+            assert_eq!(remote, plan.assignment.remote_per_node, "{what}: remote");
+            assert_eq!(
+                dilation.to_bits(),
+                plan.dilation.to_bits(),
+                "{what}: dilation"
+            );
+            borrowed += (remote > 0) as u64;
+        });
+        assert!(borrowed * 400 >= 600 * cases, "borrowed {borrowed}");
+    }
+
+    #[test]
+    fn plan_split_matches_plan() {
+        assert_plan_split_matches_plan(400);
+    }
+
+    /// The same over many more cases; run in release mode with `--ignored`.
+    #[test]
+    #[ignore]
+    fn plan_split_matches_plan_at_scale() {
+        assert_plan_split_matches_plan(20_000);
     }
 }

@@ -1,15 +1,19 @@
 //! The five memory policies as they were decided before the shape list:
 //! inherent `nominal_shape` and `plan` taking a cluster and a model, and a
 //! [`Placement`] impl that overrides both for laxity-aware placement and
-//! enumerates shapes again for `best_dilation`. Test-only; the shape-list
-//! hooks are held to it by a differential test.
+//! enumerates shapes again for `best_dilation`, and placement that collects
+//! node ids rack by rack as it walks. Test-only; the shape-list hooks and
+//! the count-first split walk are held to it by a differential test.
 
 use super::{
     current_pressure, enumerate_shapes, pool_can_ever_serve, sort_shapes_for_laxity, Demand,
     MemoryPolicy, PlannedAllocation,
 };
 use crate::traits::{Placement, SchedContext};
-use dmhpc_platform::{Cluster, DilationInputs, MiB, SlowdownModel};
+use dmhpc_platform::{
+    Cluster, DilationInputs, MemoryAssignment, MiB, NodeId, PoolId, PoolTopology, RackId,
+    SlowdownModel,
+};
 use dmhpc_workload::Job;
 
 /// The shape `policy` would give the job on an otherwise idle machine,
@@ -226,10 +230,14 @@ fn best_shape(
         })
 }
 
-/// Place `k` nodes fully locally, at dilation 1.
+/// Place `k` nodes fully locally (first-fit), at dilation 1.
 fn place_local(job: &Job, cluster: &Cluster, k: u32) -> Option<PlannedAllocation> {
-    super::place_local(job, cluster, k).map(|assignment| PlannedAllocation {
-        assignment,
+    if k > cluster.total_nodes() {
+        return None;
+    }
+    let nodes = cluster.first_fit_nodes(k as usize)?;
+    Some(PlannedAllocation {
+        assignment: MemoryAssignment::local(nodes, job.mem_per_node_at(k)),
         dilation: 1.0,
     })
 }
@@ -244,11 +252,7 @@ fn place_with_pool(
     remote: MiB,
     best_fit: bool,
 ) -> Option<PlannedAllocation> {
-    let demand = Demand {
-        nodes: k,
-        remote_per_node: remote,
-    };
-    let assignment = super::place_with_pool(cluster, demand, best_fit)?;
+    let assignment = assign_with_pool(cluster, k, remote, best_fit)?;
     let dilation = model.dilation(DilationInputs {
         far_fraction: assignment.far_fraction(),
         intensity: job.intensity,
@@ -258,4 +262,64 @@ fn place_with_pool(
         assignment,
         dilation,
     })
+}
+
+/// Place `k` nodes each borrowing `remote` MiB from their rack's domain,
+/// building the rack order and the node list as it goes. `best_fit`
+/// selects tightest-sufficient pools first; otherwise racks come in index
+/// order.
+fn assign_with_pool(
+    cluster: &Cluster,
+    k: u32,
+    remote: MiB,
+    best_fit: bool,
+) -> Option<MemoryAssignment> {
+    let spec = cluster.spec();
+    let racks = spec.racks;
+    let global = matches!(spec.pool, PoolTopology::Global { .. });
+    if matches!(spec.pool, PoolTopology::None) {
+        return None;
+    }
+    if global && (k as u64) * remote > cluster.pool_free(PoolId(0)) {
+        return None;
+    }
+    let usable = |rack: u32| -> u32 {
+        let free_n = cluster.free_nodes_in_rack(RackId(rack));
+        if global {
+            free_n
+        } else {
+            free_n.min((cluster.pool_free(PoolId(rack)) / remote) as u32)
+        }
+    };
+    let rack_order: Vec<u32> = if !best_fit {
+        (0..racks).collect()
+    } else if global {
+        let mut order: Vec<u32> = (0..racks).collect();
+        order.sort_by_key(|&r| (cluster.free_nodes_in_rack(RackId(r)), r));
+        order
+    } else {
+        cluster.pools_by_free().map(|p| p.0).collect()
+    };
+    let mut chosen: Vec<NodeId> = Vec::with_capacity(k as usize);
+    let mut remaining = k;
+    for &rack in &rack_order {
+        if remaining == 0 {
+            break;
+        }
+        let take = usable(rack).min(remaining);
+        chosen.extend(
+            cluster
+                .free_nodes_in_rack_iter(RackId(rack))
+                .take(take as usize),
+        );
+        remaining -= take;
+    }
+    if remaining > 0 {
+        return None;
+    }
+    Some(MemoryAssignment::hybrid(
+        chosen,
+        spec.node.local_mem,
+        remote,
+    ))
 }

@@ -13,6 +13,10 @@
 //!      whole (possibly dilation-inflated) walltime. A backfill can
 //!      therefore never delay the head — including by stealing pool memory
 //!      the head needs, which single-resource backfilling misses.
+//!      Candidates are tested on their placement's split per rack
+//!      ([`Placement::plan_split`]); only the one that starts is placed
+//!      down to node ids. Once no node is free the scan stops: every plan
+//!      holds a free node ([`Placement::plan`]).
 //!    * **Conservative** — walk the queue in order, give every job a
 //!      reservation at its earliest fit given all earlier reservations (on
 //!      a whole [`AvailabilityProfile`]), and start exactly those whose
@@ -87,10 +91,10 @@
 use crate::admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
 use crate::memory::MemoryPolicy;
 use crate::order::OrderPolicy;
-use crate::profile::{AvailabilityProfile, EasyRows};
+use crate::profile::{AvailabilityProfile, Demand, EasyRows};
 use crate::queue::WaitQueue;
 use crate::release::{ReleaseView, RunningRelease};
-use crate::traits::{Ordering, PassDirective, Placement, SchedContext};
+use crate::traits::{count_per_rack, Ordering, PassDirective, Placement, SchedContext};
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, MemoryAssignment, PlatformError, SlowdownModel};
 use dmhpc_workload::{Job, JobId};
@@ -437,11 +441,12 @@ impl Scheduler {
             result.hold_until = Some(until);
             return result;
         }
-        self.start_heads(now, queue, cluster, running, &mut result);
-        if !queue.is_empty() {
+        if let Some(head_shape) = self.start_heads(now, queue, cluster, running, &mut result) {
             match self.cfg.backfill {
                 BackfillPolicy::None => {}
-                BackfillPolicy::Easy => self.easy_pass(now, queue, cluster, running, &mut result),
+                BackfillPolicy::Easy => {
+                    self.easy_pass(now, queue, cluster, running, head_shape, &mut result)
+                }
                 BackfillPolicy::Conservative => {
                     let mut profile = self.backfill_profile(now, cluster, running, &result.started);
                     self.conservative_pass(
@@ -481,7 +486,8 @@ impl Scheduler {
         }
     }
 
-    /// Phase 1: greedy head starts, until the head blocks.
+    /// Phase 1: greedy head starts, until the head blocks. Returns the
+    /// blocked head's nominal shape, or `None` when the queue ran empty.
     fn start_heads(
         &self,
         now: SimTime,
@@ -489,21 +495,21 @@ impl Scheduler {
         cluster: &mut Cluster,
         running: ReleaseView<'_>,
         result: &mut PassResult,
-    ) {
+    ) -> Option<(Demand, f64)> {
         while let Some(head) = queue.front() {
             let job = &head.job;
             let ctx = self.ctx(now, cluster, running);
             // Jobs impossible even on an idle machine are rejected here so
             // they cannot block the queue forever.
-            if self.placement.nominal_shape(job, &ctx).is_none() {
+            let Some(shape) = self.placement.nominal_shape(job, &ctx) else {
                 let entry = queue.pop_front();
                 result
                     .rejected
                     .push((entry.job, RejectReason::CapacityExceeded));
                 continue;
-            }
+            };
             let Some(plan) = self.placement.plan(job, &ctx) else {
-                break; // head blocked
+                return Some(shape); // head blocked
             };
             let entry = queue.pop_front();
             let planned_walltime = self.planned_walltime(&entry.job, plan.dilation);
@@ -518,6 +524,7 @@ impl Scheduler {
                 planned_walltime,
             });
         }
+        None
     }
 
     /// The profile a conservative pass starts from: the cluster now, the
@@ -594,23 +601,22 @@ impl Scheduler {
         }
     }
 
-    /// EASY: reserve the head, then start any later job that fits
-    /// alongside — over two rows of the profile (see module docs).
+    /// EASY: reserve the head — blocked in phase 1 with nominal shape
+    /// `head_shape` — then start any later job that fits alongside, over
+    /// two rows of the profile (see module docs). Candidates are tested on
+    /// their split per rack ([`Placement::plan_split`]); only the one that
+    /// starts is planned down to node ids.
     fn easy_pass(
         &self,
         now: SimTime,
         queue: &mut WaitQueue,
         cluster: &mut Cluster,
         running: ReleaseView<'_>,
+        (head_demand, head_dilation): (Demand, f64),
         result: &mut PassResult,
     ) {
         // lint: allow(panic) — the caller enters the easy pass only with a non-empty queue
         let head = &queue.front().expect("easy pass needs a head").job;
-        let (head_demand, head_dilation) = self
-            .placement
-            .nominal_shape(head, &self.ctx(now, cluster, running))
-            // lint: allow(panic) — phase 1 rejected jobs that can never fit, so the head has a shape
-            .expect("head rejected in phase 1 if impossible");
         let head_wall = self.planned_walltime(head, head_dilation);
         let mut started: Vec<RunningRelease> = result
             .started
@@ -641,22 +647,31 @@ impl Scheduler {
             return;
         };
 
-        // Scan the rest of the queue in order.
+        // Scan the rest of the queue in order, while a node is free: every
+        // plan holds one (see `Placement::plan`).
+        let mut split = vec![0; cluster.spec().racks as usize];
         let mut idx = 1;
-        while idx < queue.len() {
+        while idx < queue.len() && cluster.free_nodes() > 0 {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
             let job = &queue.get(idx).expect("idx < len").job;
-            let Some(plan) = self.placement.plan(job, &self.ctx(now, cluster, running)) else {
+            let ctx = self.ctx(now, cluster, running);
+            let Some((remote, dilation)) = self.placement.plan_split(job, &ctx, &mut split) else {
                 idx += 1;
                 continue;
             };
-            let wall = self.planned_walltime(job, plan.dilation);
-            let split = split_of(cluster, &plan.assignment);
-            let remote = plan.assignment.remote_per_node;
+            let wall = self.planned_walltime(job, dilation);
             if !rows.fits(wall, &split, remote) {
                 idx += 1;
                 continue;
             }
+            let plan = self
+                .placement
+                .plan(job, &ctx)
+                // lint: allow(panic) — placements are deterministic, and plan_split just found this plan
+                .expect("plan() disagrees with plan_split()");
+            debug_assert_eq!(split_of(cluster, &plan.assignment), split);
+            debug_assert_eq!(plan.assignment.remote_per_node, remote);
+            debug_assert_eq!(plan.dilation.to_bits(), dilation.to_bits());
             let entry = queue.remove(idx);
             cluster
                 .allocate(entry.job.id.as_u64(), plan.assignment.clone())
@@ -833,11 +848,8 @@ fn merge_by_end<'a>(
 
 /// Count an assignment's nodes per rack.
 fn split_of(cluster: &Cluster, assignment: &MemoryAssignment) -> Vec<u32> {
-    let racks = cluster.spec().racks as usize;
-    let mut split = vec![0u32; racks];
-    for &node in &assignment.nodes {
-        split[cluster.rack_of(node).0 as usize] += 1;
-    }
+    let mut split = vec![0; cluster.spec().racks as usize];
+    count_per_rack(cluster, assignment, &mut split);
     split
 }
 
@@ -2167,34 +2179,48 @@ mod tests {
     }
 
     /// A head that never fits is rejected on a healthy machine, and kept
-    /// queued (with nothing backfilled) on a degraded one.
+    /// queued (with nothing backfilled) on a degraded one. The machine is
+    /// full, so the scan for backfills is skipped, but only after the
+    /// head's reservation is tried: also for a custom placement, which
+    /// answers `plan_split` through its `plan`.
     #[test]
     fn easy_head_that_never_fits() {
-        for degrade in [false, true] {
-            // Nodes 0–2 run until t=1000; node 3 is lost for good: failed
-            // (degraded), or held by a lease the pass knows no end for.
-            let mut cluster = small_cluster();
-            let mut running = ReleaseIndex::new();
-            park(&mut cluster, &mut running, 100, &[0, 1, 2], 0, 1000);
-            let node3 = dmhpc_platform::NodeId(3);
-            if degrade {
-                cluster.fail_node(node3).unwrap();
-            } else {
-                let a = MemoryAssignment::local(vec![node3], 32 * GIB);
-                cluster.allocate(101, a).unwrap();
-            }
-            assert_eq!(cluster.is_degraded(), degrade);
-            let jobs = vec![job(1, 4, 50, 100), job(2, 1, 50, 100)];
-            let case = case_of(SimTime::ZERO, cluster, running, jobs);
-            let ctx = if degrade { "degraded" } else { "healthy" };
-            let (started, rejected, queued) = easy_outcome(&exact_easy(), &case, ctx);
-            assert!(started.is_empty(), "{ctx}");
-            if degrade {
-                assert!(rejected.is_empty());
-                assert_eq!(queued, vec![1, 2]);
-            } else {
-                assert_eq!(rejected, vec![(1, RejectReason::ProfileInfeasible)]);
-                assert_eq!(queued, vec![2]);
+        let cfg = *exact_easy().config();
+        let custom = Scheduler::with_policies(cfg, Box::new(cfg.order), Box::new(RefusesJobOne));
+        for (sched, placement) in [(exact_easy(), "pool-ff"), (custom.unwrap(), "custom")] {
+            for degrade in [false, true] {
+                // Nodes 0–2 run until t=1000; node 3 is lost for good:
+                // failed (degraded), or held by a lease the pass knows no
+                // end for.
+                let mut cluster = small_cluster();
+                let mut running = ReleaseIndex::new();
+                park(&mut cluster, &mut running, 100, &[0, 1, 2], 0, 1000);
+                let node3 = dmhpc_platform::NodeId(3);
+                if degrade {
+                    cluster.fail_node(node3).unwrap();
+                } else {
+                    let a = MemoryAssignment::local(vec![node3], 32 * GIB);
+                    cluster.allocate(101, a).unwrap();
+                }
+                assert_eq!(cluster.is_degraded(), degrade);
+                assert_eq!(cluster.free_nodes(), 0);
+                let jobs = vec![job(1, 4, 50, 100), job(2, 1, 50, 100)];
+                let case = case_of(SimTime::ZERO, cluster, running, jobs);
+                let health = if degrade { "degraded" } else { "healthy" };
+                let ctx = format!("{placement}, {health}");
+                let (started, rejected, queued) = easy_outcome(&sched, &case, &ctx);
+                assert!(started.is_empty(), "{ctx}");
+                if degrade {
+                    assert!(rejected.is_empty(), "{ctx}");
+                    assert_eq!(queued, vec![1, 2], "{ctx}");
+                } else {
+                    assert_eq!(
+                        rejected,
+                        vec![(1, RejectReason::ProfileInfeasible)],
+                        "{ctx}"
+                    );
+                    assert_eq!(queued, vec![2], "{ctx}");
+                }
             }
         }
     }

@@ -37,7 +37,7 @@ use crate::profile::Demand;
 use crate::queue::QueuedJob;
 use crate::release::ReleaseView;
 use dmhpc_des::time::{SimDuration, SimTime};
-use dmhpc_platform::{Cluster, SlowdownModel};
+use dmhpc_platform::{Cluster, MemoryAssignment, MiB, SlowdownModel};
 use dmhpc_workload::Job;
 
 /// Read-only context for one scheduling pass: everything a policy may
@@ -146,9 +146,10 @@ pub trait Ordering: std::fmt::Debug + Send + Sync {
 ///
 /// The scheduler calls [`Placement::nominal_shape`] to build backfill
 /// reservations (idle-machine shape) and [`Placement::plan`] to commit a
-/// concrete allocation right now. The two must agree: a job whose nominal
-/// shape exists must eventually be placeable on an emptied machine, or the
-/// queue wedges.
+/// concrete allocation right now; [`Placement::plan_split`] answers what
+/// `plan` would place, per rack, without committing to node ids. The
+/// first two must agree: a job whose nominal shape exists must eventually
+/// be placeable on an emptied machine, or the queue wedges.
 pub trait Placement: std::fmt::Debug + Send + Sync {
     /// Stable name used in report labels.
     fn name(&self) -> &str;
@@ -160,7 +161,30 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
 
     /// Try to place `job` on the cluster **right now**. `None` when no
     /// placement exists under this policy at this instant.
+    ///
+    /// A returned assignment must be one the cluster can grant now
+    /// ([`Cluster::can_allocate`]), which rejects an empty node list; so a
+    /// plan holds at least one free node, and on a machine with no free
+    /// node the scheduler asks for none.
     fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation>;
+
+    /// What [`Placement::plan`] would place right now, without the node
+    /// ids: fill `split` (one slot per rack) with the plan's node count
+    /// per rack and return its `remote_per_node` and dilation, or `None`
+    /// exactly when `plan` is `None`. Backfilling tests candidates on this
+    /// and asks `plan` only for the one that starts. The default counts
+    /// `plan`'s nodes; a policy may override it with a query that
+    /// collects none.
+    fn plan_split(
+        &self,
+        job: &Job,
+        ctx: &SchedContext<'_>,
+        split: &mut [u32],
+    ) -> Option<(MiB, f64)> {
+        let plan = self.plan(job, ctx)?;
+        count_per_rack(ctx.cluster, &plan.assignment, split);
+        Some((plan.assignment.remote_per_node, plan.dilation))
+    }
 
     /// The smallest dilation any shape this policy would consider can
     /// achieve for `job` on an idle machine — what admission control and
@@ -171,6 +195,14 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     /// with the true minimum.
     fn best_dilation(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<f64> {
         self.nominal_shape(job, ctx).map(|(_, dilation)| dilation)
+    }
+}
+
+/// Overwrite `split` with `assignment`'s node count per rack.
+pub(crate) fn count_per_rack(cluster: &Cluster, assignment: &MemoryAssignment, split: &mut [u32]) {
+    split.fill(0);
+    for &node in &assignment.nodes {
+        split[cluster.rack_of(node).0 as usize] += 1;
     }
 }
 
