@@ -13,8 +13,7 @@
 //!   trait. Equal-time events dequeue in insertion order in both.
 //! * [`rng`] — a deterministic PCG64 generator seeded via SplitMix64, plus
 //!   the statistical distributions workload synthesis needs (exponential,
-//!   lognormal, gamma, Weibull, Pareto, Zipf, hyper-Gamma, alias-method
-//!   discrete, empirical).
+//!   normal, lognormal, gamma, hyper-Gamma, Zipf).
 //! * [`stats`] — online statistics: Welford moments, P² streaming quantiles,
 //!   time-weighted step functions, CDF collection.
 //!

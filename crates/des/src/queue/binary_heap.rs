@@ -63,11 +63,6 @@ impl<T> BinaryHeapQueue<T> {
             next_seq: 0,
         }
     }
-
-    /// Total number of events ever scheduled (monotone; used by tests).
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 impl<T> Default for BinaryHeapQueue<T> {
@@ -133,14 +128,13 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_counters() {
+    fn with_capacity_tracks_len() {
         let mut q = BinaryHeapQueue::with_capacity(16);
-        assert_eq!(q.scheduled_count(), 0);
+        assert_eq!(q.len(), 0);
         q.schedule(SimTime::ZERO, ());
         q.schedule(SimTime::ZERO, ());
-        assert_eq!(q.scheduled_count(), 2);
         assert_eq!(q.len(), 2);
         q.pop();
-        assert_eq!(q.scheduled_count(), 2, "pop must not affect the counter");
+        assert_eq!(q.len(), 1);
     }
 }

@@ -6,9 +6,9 @@
 //! so an invalid parameter is a programming error, not a runtime condition.
 //!
 //! The set here is exactly what the workload models need: exponential
-//! inter-arrivals, lognormal/Pareto memory footprints, the two-stage
-//! hyper-Gamma runtime model of Lublin & Feitelson, Zipf user popularity,
-//! Walker-alias categorical mixes, and empirical resampling of trace columns.
+//! inter-arrivals, normal and lognormal memory footprints, the two-stage
+//! hyper-Gamma runtime model of Lublin & Feitelson, and Zipf user
+//! popularity.
 
 use super::Pcg64;
 
@@ -20,51 +20,6 @@ pub trait Distribution {
     /// Draw `n` samples into a fresh vector.
     fn sample_n(&self, rng: &mut Pcg64, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
-    }
-}
-
-/// Degenerate distribution: always `value`. Useful for ablations that pin a
-/// parameter the full model samples.
-#[derive(Debug, Clone, Copy)]
-pub struct Constant {
-    value: f64,
-}
-
-impl Constant {
-    /// A distribution that always returns `value`.
-    pub fn new(value: f64) -> Self {
-        assert!(value.is_finite(), "Constant requires a finite value");
-        Constant { value }
-    }
-}
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut Pcg64) -> f64 {
-        self.value
-    }
-}
-
-/// Uniform on `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Uniform on `[lo, hi)`; requires `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "Uniform requires finite lo < hi (got {lo}, {hi})"
-        );
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut Pcg64) -> f64 {
-        rng.range_f64(self.lo, self.hi)
     }
 }
 
@@ -217,57 +172,6 @@ impl Distribution for Gamma {
     }
 }
 
-/// Weibull with shape `k` and scale `lambda`. Models job runtimes with
-/// either infant-mortality (`k < 1`) or wear-out (`k > 1`) shapes; also the
-/// standard hardware-failure inter-arrival model.
-#[derive(Debug, Clone, Copy)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Weibull with `shape > 0` and `scale > 0`.
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(
-            shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0,
-            "Weibull requires shape > 0 and scale > 0 (got {shape}, {scale})"
-        );
-        Weibull { shape, scale }
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut Pcg64) -> f64 {
-        self.scale * (-rng.next_f64_open().ln()).powf(1.0 / self.shape)
-    }
-}
-
-/// Pareto (type I) with minimum `xm` and tail index `alpha`. Heavy-tailed
-/// memory and runtime extremes.
-#[derive(Debug, Clone, Copy)]
-pub struct Pareto {
-    xm: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Pareto with scale `xm > 0` and shape `alpha > 0`.
-    pub fn new(xm: f64, alpha: f64) -> Self {
-        assert!(
-            xm.is_finite() && xm > 0.0 && alpha.is_finite() && alpha > 0.0,
-            "Pareto requires xm > 0 and alpha > 0 (got {xm}, {alpha})"
-        );
-        Pareto { xm, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut Pcg64) -> f64 {
-        self.xm / rng.next_f64_open().powf(1.0 / self.alpha)
-    }
-}
-
 /// Two-stage hyper-Gamma: with probability `p` draw from the first Gamma,
 /// otherwise from the second. This is the runtime model of Lublin &
 /// Feitelson's workload generator — the mixture captures the short-job mass
@@ -332,122 +236,6 @@ impl Zipf {
     }
 }
 
-/// Walker–Vose alias method: O(1) sampling from an arbitrary categorical
-/// distribution after O(n) setup. Used for job-class mixes.
-#[derive(Debug, Clone)]
-pub struct DiscreteAlias {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl DiscreteAlias {
-    /// Build from non-negative weights (not necessarily normalized). At
-    /// least one weight must be positive.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "DiscreteAlias requires weights");
-        assert!(
-            weights.iter().all(|&w| w.is_finite() && w >= 0.0),
-            "DiscreteAlias requires finite non-negative weights"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0,
-            "DiscreteAlias requires a positive total weight"
-        );
-        let n = weights.len();
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
-        let mut prob = vec![0.0; n];
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::with_capacity(n);
-        let mut large: Vec<usize> = Vec::with_capacity(n);
-        for (i, &p) in scaled.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(&l), Some(&g)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            prob[l] = scaled[l];
-            alias[l] = g;
-            scaled[g] = (scaled[g] + scaled[l]) - 1.0;
-            if scaled[g] < 1.0 {
-                small.push(g);
-            } else {
-                large.push(g);
-            }
-        }
-        for &g in large.iter().chain(small.iter()) {
-            prob[g] = 1.0;
-        }
-        DiscreteAlias { prob, alias }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True if there are no categories (cannot occur post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draw a category index.
-    pub fn sample_index(&self, rng: &mut Pcg64) -> usize {
-        let i = rng.index(self.prob.len());
-        if rng.next_f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
-/// Empirical distribution: inverse-CDF resampling with linear interpolation
-/// between order statistics. This is how replayed trace columns (e.g. a real
-/// machine's memory-per-node histogram) drive the synthetic generator.
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    sorted: Vec<f64>,
-}
-
-impl Empirical {
-    /// Build from observed samples (at least one, all finite).
-    pub fn new(mut samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "Empirical requires samples");
-        assert!(
-            samples.iter().all(|x| x.is_finite()),
-            "Empirical requires finite samples"
-        );
-        // lint: allow(panic) — the samplers never produce NaN; a non-finite sample is a distribution bug
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        Empirical { sorted: samples }
-    }
-
-    /// The `q`-quantile (`0 <= q <= 1`) with linear interpolation.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut Pcg64) -> f64 {
-        self.quantile(rng.next_f64())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,22 +251,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         (mean, sq / n as f64 - mean * mean)
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let d = Constant::new(3.25);
-        let mut rng = Pcg64::new(0);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 3.25);
-        }
-    }
-
-    #[test]
-    fn uniform_moments() {
-        let (mean, var) = moments(&Uniform::new(2.0, 6.0), 1, 200_000);
-        assert!((mean - 4.0).abs() < 0.02, "mean {mean}");
-        assert!((var - 16.0 / 12.0).abs() < 0.03, "var {var}");
     }
 
     #[test]
@@ -527,25 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_mean() {
-        // k=2, lambda=1: mean = Γ(1.5) = sqrt(pi)/2 ≈ 0.8862
-        let (mean, _) = moments(&Weibull::new(2.0, 1.0), 8, 200_000);
-        assert!((mean - 0.8862).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_bounds_and_mean() {
-        let d = Pareto::new(1.0, 3.0);
-        let mut rng = Pcg64::new(9);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 1.0);
-        }
-        // mean = alpha*xm/(alpha-1) = 1.5
-        let (mean, _) = moments(&d, 10, 400_000);
-        assert!((mean - 1.5).abs() < 0.03, "mean {mean}");
-    }
-
-    #[test]
     fn hypergamma_mixture_mean() {
         let d = HyperGamma::new(
             0.7,
@@ -586,48 +339,6 @@ mod tests {
             let dev = (c as f64 - 10_000.0).abs() / 10_000.0;
             assert!(dev < 0.05);
         }
-    }
-
-    #[test]
-    fn alias_matches_weights() {
-        let d = DiscreteAlias::new(&[1.0, 0.0, 3.0, 6.0]);
-        assert_eq!(d.len(), 4);
-        let mut rng = Pcg64::new(14);
-        let mut counts = [0u32; 4];
-        let n = 200_000;
-        for _ in 0..n {
-            counts[d.sample_index(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0, "zero-weight category must never fire");
-        let fracs: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
-        assert!((fracs[0] - 0.1).abs() < 0.01);
-        assert!((fracs[2] - 0.3).abs() < 0.01);
-        assert!((fracs[3] - 0.6).abs() < 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive total weight")]
-    fn alias_rejects_all_zero() {
-        DiscreteAlias::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn empirical_resamples_range() {
-        let d = Empirical::new(vec![5.0, 1.0, 3.0]);
-        assert_eq!(d.quantile(0.0), 1.0);
-        assert_eq!(d.quantile(1.0), 5.0);
-        assert_eq!(d.quantile(0.5), 3.0);
-        let mut rng = Pcg64::new(15);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=5.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn empirical_single_sample() {
-        let d = Empirical::new(vec![2.5]);
-        assert_eq!(d.quantile(0.3), 2.5);
     }
 
     /// Kolmogorov–Smirnov sanity check of the exponential sampler against

@@ -77,12 +77,6 @@ impl Pcg64 {
         xored.rotate_right(rot)
     }
 
-    /// The next 32 pseudo-random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with full 53-bit mantissa resolution.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -134,23 +128,6 @@ impl Pcg64 {
     /// `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
-    /// A uniformly chosen element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.index(slice.len())])
-        }
     }
 }
 
@@ -248,27 +225,6 @@ mod tests {
     #[should_panic(expected = "bound > 0")]
     fn bounded_zero_panics() {
         Pcg64::new(1).bounded_u64(0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Pcg64::new(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        // And it actually moved something (probability of identity ~ 1/50!).
-        assert_ne!(v, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_and_nonempty() {
-        let mut rng = Pcg64::new(4);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let one = [42u8];
-        assert_eq!(rng.choose(&one), Some(&42));
     }
 
     #[test]

@@ -67,16 +67,6 @@ impl CdfCollector {
         self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac
     }
 
-    /// Empirical CDF value `P(X <= x)`.
-    pub fn cdf_at(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let k = self.samples.partition_point(|&s| s <= x);
-        k as f64 / self.samples.len() as f64
-    }
-
     /// Mean of the samples; 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -106,33 +96,6 @@ impl CdfCollector {
         }
         out
     }
-
-    /// Two-sample Kolmogorov–Smirnov distance: the maximum vertical gap
-    /// between the two empirical CDFs. Used by tests to compare distributions
-    /// and by the workload module to validate generator calibration.
-    pub fn ks_distance(&mut self, other: &mut CdfCollector) -> f64 {
-        if self.samples.is_empty() || other.samples.is_empty() {
-            return 1.0;
-        }
-        self.ensure_sorted();
-        other.ensure_sorted();
-        let (a, b) = (&self.samples, &other.samples);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut d: f64 = 0.0;
-        while i < a.len() && j < b.len() {
-            let x = a[i].min(b[j]);
-            while i < a.len() && a[i] <= x {
-                i += 1;
-            }
-            while j < b.len() && b[j] <= x {
-                j += 1;
-            }
-            let fa = i as f64 / a.len() as f64;
-            let fb = j as f64 / b.len() as f64;
-            d = d.max((fa - fb).abs());
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -153,24 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn cdf_at_values() {
-        let mut c = CdfCollector::new();
-        for x in [1.0, 2.0, 2.0, 4.0] {
-            c.push(x);
-        }
-        assert_eq!(c.cdf_at(0.5), 0.0);
-        assert_eq!(c.cdf_at(1.0), 0.25);
-        assert_eq!(c.cdf_at(2.0), 0.75);
-        assert_eq!(c.cdf_at(3.9), 0.75);
-        assert_eq!(c.cdf_at(4.0), 1.0);
-    }
-
-    #[test]
     fn empty_collector() {
         let mut c = CdfCollector::new();
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), 0.0);
-        assert_eq!(c.cdf_at(1.0), 0.0);
         assert_eq!(c.mean(), 0.0);
         assert!(c.points(2).is_empty());
     }
@@ -202,40 +151,6 @@ mod tests {
             assert!(w[1].0 >= w[0].0);
             assert!(w[1].1 >= w[0].1);
         }
-    }
-
-    #[test]
-    fn ks_identical_is_zero() {
-        let mut a = CdfCollector::new();
-        let mut b = CdfCollector::new();
-        for i in 0..1000 {
-            a.push(i as f64);
-            b.push(i as f64);
-        }
-        assert!(a.ks_distance(&mut b) < 1e-12);
-    }
-
-    #[test]
-    fn ks_disjoint_is_one() {
-        let mut a = CdfCollector::new();
-        let mut b = CdfCollector::new();
-        for i in 0..100 {
-            a.push(i as f64);
-            b.push(1000.0 + i as f64);
-        }
-        assert!((a.ks_distance(&mut b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ks_shifted_uniform() {
-        let mut a = CdfCollector::new();
-        let mut b = CdfCollector::new();
-        for i in 0..1000 {
-            a.push(i as f64 / 1000.0);
-            b.push(i as f64 / 1000.0 + 0.25);
-        }
-        let d = a.ks_distance(&mut b);
-        assert!((d - 0.25).abs() < 0.01, "expected ~0.25, got {d}");
     }
 
     #[test]

@@ -58,15 +58,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample (Bessel-corrected) variance; 0 with fewer than two observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -85,15 +76,6 @@ impl OnlineStats {
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
-    }
-
-    /// Coefficient of variation (std/mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean() == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean().abs()
-        }
     }
 
     /// Exact combination of two accumulators (Chan's parallel formula).
@@ -151,7 +133,6 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.mean(), 3.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]
@@ -193,14 +174,6 @@ mod tests {
         empty.merge(&before);
         assert_eq!(empty.count(), 2);
         assert!((empty.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cv_zero_mean() {
-        let mut s = OnlineStats::new();
-        s.push(-1.0);
-        s.push(1.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! CSV and JSON export of reports and series.
+//! CSV and JSON export of reports and per-job records.
 //!
 //! CSV output is deliberately hand-rolled (the format here is numeric and
 //! label-safe, no quoting edge cases); JSON goes through the in-tree
@@ -10,7 +10,6 @@ use crate::json::{Json, JsonError};
 use crate::summary::SimReport;
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_workload::{Job, JobId, Slo};
-use std::fmt::Write as _;
 
 /// Column headers matching [`report_csv_row`].
 pub const REPORT_CSV_HEADER: &str = "label,completed,killed,rejected,failed,interruptions,\
@@ -53,18 +52,6 @@ pub fn report_csv_row(r: &SimReport) -> String {
         r.inflation_overhead_node_h,
         r.user_fairness,
     )
-}
-
-/// Full CSV document for a set of reports.
-pub fn reports_to_csv(reports: &[SimReport]) -> String {
-    let mut out = String::with_capacity(256 * (reports.len() + 1));
-    out.push_str(REPORT_CSV_HEADER);
-    out.push('\n');
-    for r in reports {
-        out.push_str(&report_csv_row(r));
-        out.push('\n');
-    }
-    out
 }
 
 /// The JSON document model for one report.
@@ -209,11 +196,6 @@ pub fn report_from_value(v: &Json) -> Result<SimReport, JsonError> {
     })
 }
 
-/// Parse a report previously written by [`report_to_json`].
-pub fn report_from_json(text: &str) -> Result<SimReport, JsonError> {
-    report_from_value(&crate::json::parse(text)?)
-}
-
 /// The JSON document model for one per-job record. Times are encoded as
 /// exact integer microseconds and floats via the shortest round-trip
 /// writer, so [`record_from_value`] rebuilds the record bit-exactly —
@@ -314,44 +296,6 @@ fn outcome_name(o: JobOutcome) -> &'static str {
     }
 }
 
-/// CSV for an `(x, y)` series with custom column names.
-pub fn series_to_csv(x_name: &str, y_name: &str, points: &[(f64, f64)]) -> String {
-    let mut out = String::with_capacity(16 * (points.len() + 1));
-    let _ = writeln!(out, "{},{}", sanitize(x_name), sanitize(y_name));
-    for &(x, y) in points {
-        let _ = writeln!(out, "{x:.6},{y:.6}");
-    }
-    out
-}
-
-/// CSV for multiple named `y` series sharing `x` values (figure output: one
-/// column per policy). Series must be equal-length.
-pub fn multi_series_to_csv(x_name: &str, xs: &[f64], series: &[(&str, Vec<f64>)]) -> String {
-    for (name, ys) in series {
-        assert_eq!(
-            ys.len(),
-            xs.len(),
-            "series {name} length {} != x length {}",
-            ys.len(),
-            xs.len()
-        );
-    }
-    let mut out = String::new();
-    let _ = write!(out, "{}", sanitize(x_name));
-    for (name, _) in series {
-        let _ = write!(out, ",{}", sanitize(name));
-    }
-    out.push('\n');
-    for (i, &x) in xs.iter().enumerate() {
-        let _ = write!(out, "{x:.6}");
-        for (_, ys) in series {
-            let _ = write!(out, ",{:.6}", ys[i]);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Strip CSV-hostile characters from labels. Public so other table
 /// writers (e.g. experiment-result export) keep row arity intact for
 /// arbitrary user-supplied labels.
@@ -387,9 +331,8 @@ mod tests {
 
     #[test]
     fn csv_shape() {
-        let csv = reports_to_csv(&[report("a"), report("b")]);
-        let lines: Vec<&str> = csv.trim_end().lines().collect();
-        assert_eq!(lines.len(), 3);
+        let (a, b) = (report_csv_row(&report("a")), report_csv_row(&report("b")));
+        let lines = [REPORT_CSV_HEADER, a.as_str(), b.as_str()];
         let ncols = lines[0].split(',').count();
         for l in &lines[1..] {
             assert_eq!(l.split(',').count(), ncols, "row arity matches header");
@@ -408,7 +351,7 @@ mod tests {
     fn json_roundtrip() {
         let r = report("x");
         let json = report_to_json(&r);
-        let back = report_from_json(&json).unwrap();
+        let back = report_from_value(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back.label, "x");
         assert_eq!(back.node_util, 0.5);
         assert_eq!(back.classes.rows.len(), r.classes.rows.len());
@@ -474,36 +417,10 @@ mod tests {
             let end = doc[start..].find('\n').unwrap() + start + 1;
             doc.replace_range(start..end, "");
         }
-        let back = report_from_json(&doc).unwrap();
+        let back = report_from_value(&crate::json::parse(&doc).unwrap()).unwrap();
         assert_eq!(back.failed, 0);
         assert_eq!(back.interruptions, 0);
         assert_eq!(back.rework_s, 0.0);
         assert_eq!(back.avail_util, back.node_util, "bit-equal default");
-    }
-
-    #[test]
-    fn series_csv() {
-        let csv = series_to_csv("pool_gib", "wait_s", &[(0.0, 100.0), (512.0, 40.0)]);
-        let lines: Vec<&str> = csv.trim_end().lines().collect();
-        assert_eq!(lines[0], "pool_gib,wait_s");
-        assert!(lines[1].starts_with("0.000000,100.000000"));
-    }
-
-    #[test]
-    fn multi_series_csv() {
-        let csv = multi_series_to_csv(
-            "load",
-            &[0.5, 0.9],
-            &[("fcfs", vec![1.0, 5.0]), ("easy", vec![0.5, 2.0])],
-        );
-        let lines: Vec<&str> = csv.trim_end().lines().collect();
-        assert_eq!(lines[0], "load,fcfs,easy");
-        assert_eq!(lines.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "length")]
-    fn multi_series_arity_checked() {
-        multi_series_to_csv("x", &[1.0], &[("bad", vec![1.0, 2.0])]);
     }
 }

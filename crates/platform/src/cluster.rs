@@ -95,11 +95,6 @@ impl ClusterSpec {
         self.racks * self.nodes_per_rack
     }
 
-    /// Total CPU cores.
-    pub fn total_cores(&self) -> u64 {
-        self.total_nodes() as u64 * self.node.cores as u64
-    }
-
     /// Total node-local DRAM, MiB.
     pub fn total_local_mem(&self) -> MiB {
         self.total_nodes() as u64 * self.node.local_mem
@@ -429,11 +424,6 @@ impl Cluster {
         self.leases.len()
     }
 
-    /// The assignment held by `lease`, if active.
-    pub fn lease_assignment(&self, lease: u64) -> Option<&MemoryAssignment> {
-        self.leases.get(&lease)
-    }
-
     /// Iterator over `(lease, assignment)` in lease-id order.
     pub fn active_leases(&self) -> impl Iterator<Item = (u64, &MemoryAssignment)> {
         self.leases.iter().map(|(&l, a)| (l, a))
@@ -698,7 +688,6 @@ mod tests {
             },
         );
         assert_eq!(s.total_nodes(), 64);
-        assert_eq!(s.total_cores(), 4096);
         assert_eq!(s.total_local_mem(), 64 * gib(256));
         assert_eq!(s.total_pool_mem(), gib(2048));
         assert_eq!(s.total_mem(), 64 * gib(256) + gib(2048));

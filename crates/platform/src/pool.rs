@@ -25,7 +25,6 @@ pub struct MemoryPool {
     id: PoolId,
     capacity: MiB,
     used: MiB,
-    peak: MiB,
     /// Availability factor in `(0, 1]`; 1 = fully healthy.
     health: f64,
     /// Lease → MiB held. BTreeMap for deterministic iteration order.
@@ -40,7 +39,6 @@ impl MemoryPool {
             id,
             capacity,
             used: 0,
-            peak: 0,
             health: 1.0,
             ledger: BTreeMap::new(),
         }
@@ -90,11 +88,6 @@ impl MemoryPool {
         self.effective_capacity().saturating_sub(self.used)
     }
 
-    /// High-water mark of `used` over the pool's lifetime.
-    pub fn peak(&self) -> MiB {
-        self.peak
-    }
-
     /// Fraction of the **effective** capacity in use (0 for a
     /// zero-capacity pool). Degrading a pool therefore raises the pressure
     /// its borrowers feed into the contention slowdown model — the
@@ -140,7 +133,6 @@ impl MemoryPool {
             });
         }
         self.used += amount;
-        self.peak = self.peak.max(self.used);
         *self.ledger.entry(lease).or_insert(0) += amount;
         Ok(())
     }
@@ -214,16 +206,6 @@ mod tests {
         p.grab(7, 20).unwrap();
         assert_eq!(p.held_by(7), 30);
         assert_eq!(p.release(7), 30);
-    }
-
-    #[test]
-    fn peak_tracks_high_water() {
-        let mut p = pool(100);
-        p.grab(1, 80).unwrap();
-        p.release(1);
-        p.grab(2, 30).unwrap();
-        assert_eq!(p.peak(), 80);
-        assert_eq!(p.used(), 30);
     }
 
     #[test]

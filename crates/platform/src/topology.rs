@@ -34,24 +34,6 @@ impl PoolTopology {
             PoolTopology::Global { mib } => mib,
         }
     }
-
-    /// Number of distinct pools for a given rack count.
-    pub fn pool_count(&self, racks: u32) -> u32 {
-        match *self {
-            PoolTopology::None => 0,
-            PoolTopology::PerRack { .. } => racks,
-            PoolTopology::Global { .. } => 1,
-        }
-    }
-
-    /// True if any pool capacity exists.
-    pub fn has_pools(&self) -> bool {
-        match *self {
-            PoolTopology::None => false,
-            PoolTopology::PerRack { mib_per_rack } => mib_per_rack > 0,
-            PoolTopology::Global { mib } => mib > 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -73,20 +55,5 @@ mod tests {
             PoolTopology::Global { mib: gib(1024) }.total_capacity(4),
             gib(1024)
         );
-    }
-
-    #[test]
-    fn pool_counts() {
-        assert_eq!(PoolTopology::None.pool_count(8), 0);
-        assert_eq!(PoolTopology::PerRack { mib_per_rack: 1 }.pool_count(8), 8);
-        assert_eq!(PoolTopology::Global { mib: 1 }.pool_count(8), 1);
-    }
-
-    #[test]
-    fn has_pools_zero_capacity() {
-        assert!(!PoolTopology::None.has_pools());
-        assert!(!PoolTopology::PerRack { mib_per_rack: 0 }.has_pools());
-        assert!(!PoolTopology::Global { mib: 0 }.has_pools());
-        assert!(PoolTopology::Global { mib: 1 }.has_pools());
     }
 }

@@ -5,20 +5,15 @@
 //! running set on every pass costs O(running × nodes-per-job) — the
 //! dominant fixed cost of a pass on a busy machine. [`ReleaseIndex`] keeps
 //! the records **incrementally**: the engine inserts a job's release when
-//! it starts, removes it when it finishes, and (should a planned end ever
-//! move) reschedules it in O(log running). Entries stay sorted by
+//! it starts and removes it when it finishes. Entries stay sorted by
 //! `(planned end, lease)`, so handing the scheduler a time-ordered view is
-//! free.
+//! free. Planned ends are walltime-based kill limits, fixed at start, so
+//! re-dilation under the contention model never moves an entry.
 //!
 //! [`ReleaseView`] is the read-only borrow a pass receives: iteration in
 //! ascending planned-end order with deterministic `(time, lease)`
 //! tie-breaking — the order the availability profile's stable sort used to
 //! produce from scratch, now a property of the container.
-//!
-//! Re-dilation under the contention model does **not** move planned ends:
-//! the scheduler plans against walltime-based kill limits, which are fixed
-//! at start. [`ReleaseIndex::reschedule`] exists for engines whose planned
-//! ends do drift (e.g. checkpoint/restart extensions).
 
 use dmhpc_des::time::SimTime;
 use dmhpc_platform::{Cluster, MemoryAssignment, MiB};
@@ -108,31 +103,6 @@ impl ReleaseIndex {
         Some(release)
     }
 
-    /// The release record tracked for `lease`, if any.
-    pub fn get(&self, lease: u64) -> Option<&RunningRelease> {
-        let end = self.ends.get(&lease)?;
-        self.by_end.get(&(*end, lease))
-    }
-
-    /// Move `lease`'s planned end to `new_end`, keeping the order sorted.
-    /// Returns false (and changes nothing) when `lease` is not tracked.
-    pub fn reschedule(&mut self, lease: u64, new_end: SimTime) -> bool {
-        let Some(end) = self.ends.get_mut(&lease) else {
-            return false;
-        };
-        if *end != new_end {
-            let mut release = self
-                .by_end
-                .remove(&(*end, lease))
-                // lint: allow(panic) — ends and by_end are updated together; disagreement is a bookkeeping bug
-                .expect("ends and by_end agree");
-            release.planned_end = new_end;
-            *end = new_end;
-            self.by_end.insert((new_end, lease), release);
-        }
-        true
-    }
-
     /// A read-only, time-ordered view for a scheduling pass.
     pub fn view(&self) -> ReleaseView<'_> {
         ReleaseView { index: self }
@@ -211,20 +181,7 @@ mod tests {
         assert_eq!(gone.nodes_per_rack, vec![4]);
         assert!(idx.remove(7).is_none(), "double remove is None");
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.get(8).unwrap().planned_end.as_secs(), 20);
-        assert!(idx.get(7).is_none());
-    }
-
-    #[test]
-    fn reschedule_moves_order() {
-        let mut idx = ReleaseIndex::new();
-        idx.insert(1, rel(100, 1));
-        idx.insert(2, rel(200, 2));
-        assert!(idx.reschedule(2, SimTime::from_secs(50)));
-        assert_eq!(ends(idx.view()), vec![50, 100]);
-        assert!(idx.reschedule(2, SimTime::from_secs(50)), "no-op move ok");
-        assert!(!idx.reschedule(9, SimTime::ZERO), "unknown lease");
-        assert_eq!(idx.get(2).unwrap().planned_end.as_secs(), 50);
+        assert_eq!(ends(idx.view()), vec![20], "only lease 8 is left");
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl SeriesBundle {
         }
         self.dram_used.resample_over(end, points, self.total_dram)
     }
-
-    /// Queue depth as a resampled series (raw counts, x in hours).
-    pub fn queue_depth_series(&self, end: SimTime, points: usize) -> Vec<(f64, f64)> {
-        self.queue_depth.resample_over(end, points, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +207,7 @@ mod tests {
         let end = SimTime::from_secs(3600);
         let nodes = s.node_util_series(end, 3);
         let dram = s.dram_util_series(end, 3);
-        let queue = s.queue_depth_series(end, 3);
+        let queue = s.queue_depth.resample_over(end, 3, 1.0);
         assert!((nodes[0].1 - 0.5).abs() < 1e-9, "2 of 4 nodes");
         assert!((dram[0].1 - 0.5).abs() < 1e-9, "2000 of 4000 MiB");
         assert_eq!(queue[0].1, 3.0, "queue depth is raw counts");

@@ -425,16 +425,6 @@ impl Simulation {
         &self.cfg
     }
 
-    /// The attached fault scenario ([`FaultSpec::none`] by default).
-    pub fn fault_spec(&self) -> &FaultSpec {
-        &self.faults
-    }
-
-    /// The attached service scenario ([`ServiceSpec::none`] by default).
-    pub fn service_spec(&self) -> &ServiceSpec {
-        &self.service
-    }
-
     /// The label reports carry: the active policy triple (reflects custom
     /// policies when present).
     pub fn label(&self) -> String {

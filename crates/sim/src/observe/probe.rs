@@ -149,7 +149,6 @@ impl Observer for SampledSeriesProbe {
 pub struct ProgressObserver {
     every: u64,
     seen: u64,
-    lines: u64,
     label: String,
     out: Box<dyn Write + Send>,
 }
@@ -174,29 +173,21 @@ impl ProgressObserver {
         ProgressObserver {
             every: every.max(1),
             seen: 0,
-            lines: 0,
             label: String::new(),
             out,
         }
-    }
-
-    /// Heartbeat lines emitted so far.
-    pub fn lines_emitted(&self) -> u64 {
-        self.lines
     }
 }
 
 impl Observer for ProgressObserver {
     fn on_run_start(&mut self, ctx: &RunContext) {
         self.seen = 0;
-        self.lines = 0;
         self.label = ctx.label.clone();
     }
 
     fn on_event(&mut self, ev: &SimEvent) {
         self.seen += 1;
         if self.seen.is_multiple_of(self.every) {
-            self.lines += 1;
             let _ = writeln!(
                 self.out,
                 "[{}] {} events, t={:.1}h",
@@ -307,12 +298,35 @@ mod tests {
         assert_eq!(c.total(), 2);
     }
 
+    /// A writer the test can read back after handing a clone to an observer.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn progress_emits_on_schedule() {
-        let mut p = ProgressObserver::to_writer(2, Box::new(std::io::sink()));
+        let buf = SharedBuf::default();
+        let mut p = ProgressObserver::to_writer(2, Box::new(buf.clone()));
         for i in 0..5 {
             p.on_event(&submit(i));
         }
-        assert_eq!(p.lines_emitted(), 2);
+        let lines = buf
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        assert_eq!(lines, 2);
     }
 }

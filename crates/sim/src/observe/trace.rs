@@ -62,11 +62,6 @@ impl TraceSink {
         &self.path
     }
 
-    /// Events written so far (header/footer lines not counted).
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
     /// Flush and close, returning the event count — or the first deferred
     /// I/O error.
     pub fn finish(mut self) -> Result<u64, SimError> {
@@ -418,8 +413,7 @@ mod tests {
             rejected: 0,
             queued: 0,
         });
-        assert_eq!(sink.events_written(), 2);
-        sink.finish().unwrap();
+        assert_eq!(sink.finish().unwrap(), 2);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -68,12 +68,6 @@ impl Job {
         self.total_mem().div_ceil(k as u64)
     }
 
-    /// Node-seconds of the request (nodes × walltime) — what the scheduler
-    /// reserves.
-    pub fn requested_node_seconds(&self) -> f64 {
-        self.nodes as f64 * self.walltime.as_secs_f64()
-    }
-
     /// Node-seconds actually consumed at base runtime.
     pub fn node_seconds(&self) -> f64 {
         self.nodes as f64 * self.runtime.as_secs_f64()
@@ -236,7 +230,6 @@ mod tests {
     fn node_seconds() {
         let j = JobBuilder::new(3).nodes(10).runtime_secs(600, 3600).build();
         assert!((j.node_seconds() - 6000.0).abs() < 1e-9);
-        assert!((j.requested_node_seconds() - 36000.0).abs() < 1e-9);
         assert!((j.estimate_accuracy() - 600.0 / 3600.0).abs() < 1e-12);
     }
 

@@ -7,8 +7,8 @@
 //! another, and a `(spec, seed)` pair is a complete experiment description.
 //!
 //! [`SystemPreset`] packages three calibrations used throughout the
-//! reproduction (see `DESIGN.md` §5 for why synthetic stands in for
-//! production traces).
+//! reproduction. Synthetic workloads stand in for production traces
+//! because no archive trace ships in-tree (`ROADMAP.md`, *Parked*).
 
 mod arrivals;
 mod memory;

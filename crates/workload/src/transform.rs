@@ -1,4 +1,4 @@
-//! Trace surgery: load rescaling, truncation, filtering, origin shifts.
+//! Trace surgery: load rescaling, truncation, node capping, origin shifts.
 //!
 //! All transforms are pure `Workload → Workload` functions so sweeps can
 //! compose them (`rescale_load(truncate(w, n), nodes, ρ)`), and all preserve
@@ -6,7 +6,7 @@
 
 use crate::job::Job;
 use crate::workload_set::Workload;
-use dmhpc_des::time::{SimDuration, SimTime};
+use dmhpc_des::time::SimTime;
 
 /// Shift arrivals so the first job arrives at t=0 (relative times are
 /// preserved exactly).
@@ -27,11 +27,6 @@ pub fn shift_to_origin(w: &Workload) -> Workload {
 /// Keep only the first `n` jobs by arrival order.
 pub fn truncate(w: &Workload, n: usize) -> Workload {
     Workload::from_jobs(w.iter().take(n).cloned().collect())
-}
-
-/// Keep only jobs satisfying `pred`.
-pub fn filter<F: Fn(&Job) -> bool>(w: &Workload, pred: F) -> Workload {
-    Workload::from_jobs(w.iter().filter(|j| pred(j)).cloned().collect())
 }
 
 /// Compress or stretch inter-arrival gaps by `factor` (< 1 ⇒ arrivals come
@@ -97,12 +92,6 @@ pub fn cap_nodes(w: &Workload, max_nodes: u32) -> Workload {
     Workload::from_jobs(jobs)
 }
 
-/// Drop jobs longer than `max_runtime` (some archive traces contain
-/// never-ending daemons that distort load calculations).
-pub fn drop_longer_than(w: &Workload, max_runtime: SimDuration) -> Workload {
-    filter(w, |j| j.runtime <= max_runtime)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,12 +133,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert_eq!(w.jobs()[1].id.0, 2);
         assert_eq!(truncate(&base(), 100).len(), 3);
-    }
-
-    #[test]
-    fn filter_by_predicate() {
-        let w = filter(&base(), |j| j.nodes > 5);
-        assert_eq!(w.len(), 2);
     }
 
     #[test]
@@ -196,12 +179,6 @@ mod tests {
         assert_eq!(j.nodes, 4);
         assert_eq!(j.mem_per_node, 400);
         assert_eq!(j.total_mem(), 1600);
-    }
-
-    #[test]
-    fn drop_longer_than_filters() {
-        let w = drop_longer_than(&base(), SimDuration::from_secs(100));
-        assert_eq!(w.len(), 2);
     }
 
     #[test]

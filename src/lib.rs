@@ -72,8 +72,8 @@
 //! For one-off runs without a grid, [`sim::Simulation`] is still the
 //! entry point: `Simulation::new(SimConfig::new(cluster, scheduler))?`.
 //!
-//! See `README.md` for the architecture overview and `DESIGN.md` for the
-//! system inventory and experiment index.
+//! `ROADMAP.md` describes how the kernel schedules and what is open;
+//! `repro --list` prints the experiment index.
 
 #![forbid(unsafe_code)]
 

@@ -1,4 +1,4 @@
-//! Randomized invariant tests (DESIGN.md §7), driven by the workspace's own
+//! Randomized invariant tests, driven by the workspace's own
 //! deterministic PCG64 streams instead of an external property-testing
 //! framework: each test fuzzes a fixed number of seeded cases, so failures
 //! reproduce exactly by seed.
@@ -460,5 +460,107 @@ fn cap_nodes_preserves_footprint() {
             assert!(b.total_mem() >= a.total_mem());
             assert!(b.total_mem() < a.total_mem() + b.nodes as u64);
         }
+    }
+}
+
+// ------------------------------------------------------------ user inputs
+
+/// Apply 1–4 random edits to `text`: a bit flip inside an ASCII byte, a
+/// truncation, a short deletion, or an inserted JSON punctuation mark or
+/// digit.
+fn mutate(rng: &mut Pcg64, text: &str) -> String {
+    const INSERTS: &[u8] = b"{}[]:,\"-.eE0123456789";
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..1 + rng.index(4) {
+        let at = rng.index(bytes.len() + 1);
+        match rng.index(4) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.index(7),
+            1 => bytes.truncate(at),
+            2 => {
+                let end = (at + 1 + rng.index(8)).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            _ => bytes.insert(at, INSERTS[rng.index(INSERTS.len())]),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Run `parse` on `cases` mutations of each seed text; every outcome must
+/// be `Ok` or a typed error, never a panic. Returns how many still parsed.
+fn assert_no_panics<T, E>(
+    what: &str,
+    seeds: &[String],
+    stream: u64,
+    cases: u64,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> usize {
+    let mut parsed = 0;
+    for case in 0..cases {
+        let mut rng = Pcg64::new_stream(stream, case);
+        let input = mutate(&mut rng, &seeds[case as usize % seeds.len()]);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parse(&input).is_ok())) {
+            Ok(ok) => parsed += ok as usize,
+            Err(_) => panic!("{what} parser panicked on case {case}: {input:?}"),
+        }
+    }
+    parsed
+}
+
+/// Corrupted spec JSON and trace lines come back as typed errors: 1,000
+/// seeded mutations of each input, 2,000 cases in all.
+#[test]
+fn mutated_user_inputs_are_typed_errors_not_panics() {
+    let faults = ExperimentSpec::builder("fuzz-faults")
+        .preset(SystemPreset::HighThroughput, 40)
+        .pool(PoolTopology::PerRack {
+            mib_per_rack: 384 * 1024,
+        })
+        .loads([0.7, 0.9])
+        .policy_suite(SlowdownModel::Linear { penalty: 1.5 })
+        .faults([
+            FaultSpec::none(),
+            FaultSpec::none().with_generator(FaultGenerator {
+                node_mtbf_s: 20_000,
+                pool_degrade_interval_s: 40_000,
+                ..FaultGenerator::quiet(3, 86_400)
+            }),
+        ])
+        .build()
+        .unwrap();
+    let service = ExperimentSpec::builder("fuzz-service")
+        .preset(SystemPreset::HighThroughput, 40)
+        .pool(PoolTopology::Global { mib: 1024 * 1024 })
+        .policy_suite(SlowdownModel::None)
+        .service(
+            ServiceSpec::open(SystemPreset::HighThroughput)
+                .with_utilization(0.8)
+                .with_horizon_jobs(200)
+                .with_slo_budget_factor(1.5, 3.0),
+        )
+        .build()
+        .unwrap();
+    let specs = [faults.to_json().unwrap(), service.to_json().unwrap()];
+    for spec in &specs {
+        ExperimentSpec::from_json(spec).unwrap();
+    }
+    let spec_parsed = assert_no_panics("spec JSON", &specs, 0xF022, 1_000, |text| {
+        ExperimentSpec::from_json(text)
+    });
+
+    let lines =
+        [r#"{"t_us":25000000,"kind":"start","job":5,"nodes":4,"dilation":1.25}"#.to_string()];
+    dmhpc::sim::observe::parse_trace_line(&lines[0]).unwrap();
+    let line_parsed = assert_no_panics("trace line", &lines, 0x11E, 1_000, |line| {
+        dmhpc::sim::observe::parse_trace_line(line)
+    });
+
+    // Some mutations keep the input valid (a flipped digit, say); most
+    // must not, or the mutator is not reaching the parsers' error paths.
+    for (what, parsed) in [("spec", spec_parsed), ("trace line", line_parsed)] {
+        assert!(
+            parsed < 900,
+            "{what}: {parsed} of 1000 mutations still parsed"
+        );
     }
 }
