@@ -16,7 +16,9 @@
 //!      Candidates are tested on their placement's split per rack
 //!      ([`Placement::plan_split`]); only the one that starts is placed
 //!      down to node ids. Once no node is free the scan stops: every plan
-//!      holds a free node ([`Placement::plan`]).
+//!      holds a free node ([`Placement::plan`]). Two O(1) tests come
+//!      first (see below): a full machine decides the head on its
+//!      capacity alone, and a candidate is screened on the rows' totals.
 //!    * **Conservative** — walk the queue in order, give every job a
 //!      reservation at its earliest fit given all earlier reservations (on
 //!      a whole [`AvailabilityProfile`]), and start exactly those whose
@@ -56,6 +58,31 @@
 //! the one the profile-based pass makes (pinned by a differential test
 //! against that pass).
 //!
+//! ## EASY tests totals before walking or placing
+//!
+//! Two facts known in O(1) settle much of an EASY pass exactly.
+//!
+//! * *A full machine.* After phase 1, suppose no node is free, no node is
+//!   down and no pool is degraded, and every lease has a release (the
+//!   machine's leases number the running releases plus phase 1's starts).
+//!   Then nothing can start: every plan holds a free node. The walk's
+//!   rows only grow, and its last row folds in every release, which is
+//!   every node and every pool at capacity: the idle machine. The head
+//!   fits some row exactly when it fits that one. So the pass tests the
+//!   head against the idle machine, read from the spec, and rejects it as
+//!   [`RejectReason::ProfileInfeasible`] exactly when it does not fit;
+//!   otherwise it leaves the head queued and ends. A lease without a
+//!   release, or a degraded machine, takes the walk.
+//! * *The totals screen.* [`EasyRows`] keeps the origin row's free nodes
+//!   and the sum over racks of the smaller of each rack's origin and
+//!   shadow columns. A candidate's split holds at least `job.nodes` nodes
+//!   ([`Placement`]), its planned walltime is at least `job.walltime`
+//!   (dilation only inflates it), and the rows' test caps each rack by
+//!   its column. So a candidate needing more nodes than the origin total,
+//!   or, when `job.walltime` outlives the shadow time, than the sum of
+//!   minima, can fit no split: the pass moves on without asking the
+//!   placement for one.
+//!
 //! ## Conservative backfilling stops reserving once nothing can start
 //!
 //! A pass throws its reservations away when it ends; they matter only to
@@ -91,7 +118,7 @@
 use crate::admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
 use crate::memory::MemoryPolicy;
 use crate::order::OrderPolicy;
-use crate::profile::{AvailabilityProfile, Demand, EasyRows};
+use crate::profile::{fits_idle_machine, AvailabilityProfile, Demand, EasyRows};
 use crate::queue::WaitQueue;
 use crate::release::{ReleaseView, RunningRelease};
 use crate::traits::{count_per_rack, Ordering, PassDirective, Placement, SchedContext};
@@ -618,17 +645,37 @@ impl Scheduler {
         // lint: allow(panic) — the caller enters the easy pass only with a non-empty queue
         let head = &queue.front().expect("easy pass needs a head").job;
         let head_wall = self.planned_walltime(head, head_dilation);
-        let mut started: Vec<RunningRelease> = result
-            .started
-            .iter()
-            .map(|s| RunningRelease::of(cluster, &s.assignment, now + s.planned_walltime))
-            .collect();
-        started.sort_by_key(|r| r.planned_end);
-        let releases = merge_by_end(running.iter(), started.iter())
-            .map(|r| (r.planned_end, &r.nodes_per_rack[..], &r.pool_per_domain[..]));
-        let Some(mut rows) =
+        let reserve_head = || {
+            let mut started: Vec<RunningRelease> = result
+                .started
+                .iter()
+                .map(|s| RunningRelease::of(cluster, &s.assignment, now + s.planned_walltime))
+                .collect();
+            started.sort_by_key(|r| r.planned_end);
+            let releases = merge_by_end(running.iter(), started.iter())
+                .map(|r| (r.planned_end, &r.nodes_per_rack[..], &r.pool_per_domain[..]));
             EasyRows::reserve_head(now, cluster, releases, head_wall, &head_demand)
-        else {
+        };
+        // A full, healthy machine whose every lease has a release: nothing
+        // can start, and the walk's last row is the idle machine (see
+        // module docs), so only whether the head ever fits is left.
+        let full = cluster.free_nodes() == 0
+            && !cluster.is_degraded()
+            && cluster.lease_count() == running.len() + result.started.len();
+        if full {
+            let fits = fits_idle_machine(cluster, &head_demand);
+            debug_assert_eq!(fits, reserve_head().is_some(), "full-machine head test");
+            #[cfg(test)]
+            probe::FULL_MACHINE.with(|n| n.set(n.get() + 1));
+            if !fits {
+                let entry = queue.pop_front();
+                result
+                    .rejected
+                    .push((entry.job, RejectReason::ProfileInfeasible));
+            }
+            return;
+        }
+        let Some(mut rows) = reserve_head() else {
             // The rows see only current free capacity plus releases; they
             // know nothing of scheduled repairs or drain ends. On a
             // degraded machine "never fits" may be transient: keep the
@@ -654,11 +701,23 @@ impl Scheduler {
         while idx < queue.len() && cluster.free_nodes() > 0 {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
             let job = &queue.get(idx).expect("idx < len").job;
+            // Every shape holds `job.nodes` nodes or more for `job.walltime`
+            // or longer, so the rows' totals may rule the job out unplaced.
+            if !rows.may_fit(job.walltime, job.nodes) {
+                #[cfg(test)]
+                probe::SCREENED.with(|n| n.set(n.get() + 1));
+                idx += 1;
+                continue;
+            }
             let ctx = self.ctx(now, cluster, running);
             let Some((remote, dilation)) = self.placement.plan_split(job, &ctx, &mut split) else {
                 idx += 1;
                 continue;
             };
+            debug_assert!(
+                split.iter().map(|&k| u64::from(k)).sum::<u64>() >= u64::from(job.nodes),
+                "a shape holds at least job.nodes nodes"
+            );
             let wall = self.planned_walltime(job, dilation);
             if !rows.fits(wall, &split, remote) {
                 idx += 1;
@@ -851,6 +910,20 @@ fn split_of(cluster: &Cluster, assignment: &MemoryAssignment) -> Vec<u32> {
     let mut split = vec![0; cluster.spec().racks as usize];
     count_per_rack(cluster, assignment, &mut split);
     split
+}
+
+/// How often the EASY pass took its shortcuts on this thread, so a test
+/// can show its inputs reach them.
+#[cfg(test)]
+mod probe {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Passes that decided the head on the full-machine test.
+        pub(super) static FULL_MACHINE: Cell<usize> = const { Cell::new(0) };
+        /// Candidates the row totals ruled out before placing them.
+        pub(super) static SCREENED: Cell<usize> = const { Cell::new(0) };
+    }
 }
 
 #[cfg(test)]
@@ -1917,6 +1990,7 @@ mod tests {
         let (mut degraded, mut overdue, mut open_release) = (0, 0, 0);
         let (mut backfilled, mut infeasible, mut deferred) = (0, 0, 0);
         let mut open_ended = 0;
+        let shortcuts = probes();
         for case in 0..cases {
             let mut rng = Pcg64::new_stream(0xEA5E, case);
             let sched = random_scheduler(&mut rng, BackfillPolicy::Easy);
@@ -1938,10 +2012,15 @@ mod tests {
                     .any(|(_, why)| *why == RejectReason::ProfileInfeasible),
             );
         }
+        let (full_machine, screened) = {
+            let now = probes();
+            (now.0 - shortcuts.0, now.1 - shortcuts.1)
+        };
         let seen = format!(
             "degraded {degraded}, overdue {overdue}, open-ended releases {open_release}, \
              open-ended jobs {open_ended}, backfilled {backfilled}, \
-             infeasible {infeasible}, deferred {deferred}"
+             infeasible {infeasible}, deferred {deferred}, \
+             full-machine heads {full_machine}, screened candidates {screened}"
         );
         let share = |n: usize, per_400: u64| n as u64 * 400 >= per_400 * cases;
         assert!(
@@ -1955,6 +2034,16 @@ mod tests {
                 && share(deferred, 50),
             "{seen}"
         );
+        assert!(share(full_machine, 35) && share(screened, 500), "{seen}");
+    }
+
+    /// How often this thread's EASY passes took the full-machine head test,
+    /// and how many candidates the row totals screened out.
+    fn probes() -> (usize, usize) {
+        (
+            probe::FULL_MACHINE.with(|n| n.get()),
+            probe::SCREENED.with(|n| n.get()),
+        )
     }
 
     #[test]
@@ -2176,6 +2265,67 @@ mod tests {
         assert_eq!(started, vec![3]);
         assert!(rejected.is_empty());
         assert_eq!(queued, vec![1, 2, 4]);
+    }
+
+    /// A placement whose nominal shape is the same for every job, fitting
+    /// the machine or not; it places jobs now as pool first-fit does.
+    #[derive(Debug)]
+    struct FixedNominal(crate::Demand);
+
+    impl Placement for FixedNominal {
+        fn name(&self) -> &str {
+            "fixed-nominal"
+        }
+
+        fn nominal_shape(&self, _: &Job, _: &SchedContext<'_>) -> Option<(crate::Demand, f64)> {
+            Some((self.0, 1.0))
+        }
+
+        fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<crate::PlannedAllocation> {
+            Placement::plan(&MemoryPolicy::PoolFirstFit, job, ctx)
+        }
+    }
+
+    /// On a full, healthy machine whose every lease has a release, the pass
+    /// decides the head on the idle machine alone. A custom nominal shape
+    /// that exceeds it (more nodes than the machine has, or more pool than
+    /// the rack's) is rejected there exactly as the walk over the releases
+    /// rejects it, and one that fits stays queued.
+    #[test]
+    fn easy_full_machine_head_test_matches_the_walk() {
+        let cfg = *exact_easy().config();
+        for (nodes, remote_per_node, fits) in [
+            (5, 0, false),
+            (1, 101 * GIB, false),
+            (4, 25 * GIB, true),
+            (1, 0, true),
+        ] {
+            let demand = crate::Demand {
+                nodes,
+                remote_per_node,
+            };
+            let placement = Box::new(FixedNominal(demand));
+            let sched = Scheduler::with_policies(cfg, Box::new(cfg.order), placement).unwrap();
+            let mut cluster = small_cluster();
+            let mut running = ReleaseIndex::new();
+            park(&mut cluster, &mut running, 100, &[0, 1], 0, 500);
+            park(&mut cluster, &mut running, 101, &[2, 3], 10 * GIB, 1000);
+            let jobs = vec![job(1, 2, 50, 100), job(2, 1, 50, 100)];
+            let case = case_of(SimTime::ZERO, cluster, running, jobs);
+            let ctx = format!("nominal {demand:?}");
+            let before = probes().0;
+            let (started, rejected, queued) = easy_outcome(&sched, &case, &ctx);
+            assert!(probes().0 > before, "{ctx}: the full-machine test decided");
+            assert!(started.is_empty(), "{ctx}");
+            if fits {
+                assert!(rejected.is_empty(), "{ctx}");
+                assert_eq!(queued, vec![1, 2], "{ctx}");
+            } else {
+                let infeasible = vec![(1, RejectReason::ProfileInfeasible)];
+                assert_eq!(rejected, infeasible, "{ctx}");
+                assert_eq!(queued, vec![2], "{ctx}");
+            }
+        }
     }
 
     /// A head that never fits is rejected on a healthy machine, and kept

@@ -95,6 +95,23 @@ pub struct Release {
     pub pool_per_domain: Vec<MiB>,
 }
 
+/// True iff `demand` fits `cluster` idle and healthy: every node free and
+/// every pool empty at its nominal capacity. Read from the spec and the
+/// pool capacities, so it allocates nothing.
+pub(crate) fn fits_idle_machine(cluster: &Cluster, demand: &Demand) -> bool {
+    let layout = Layout::of(cluster);
+    let (per_rack, pools) = (cluster.spec().nodes_per_rack, cluster.pools());
+    let capacity = |col| {
+        layout.column(
+            |_| per_rack,
+            |domain| pools[domain].capacity(),
+            col,
+            demand.remote_per_node,
+        )
+    };
+    layout.fill_end(demand, capacity).is_some()
+}
+
 /// Pool-domain structure, mirrored from [`PoolTopology`] without capacities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DomainKind {
@@ -136,19 +153,26 @@ impl Layout {
         pool.extend(cluster.pools().iter().map(|p| p.free()));
     }
 
-    /// Column `col` of the row whose free nodes start `nodes` and whose
-    /// free pool starts `pool`, for nodes borrowing `remote` MiB each: for
-    /// a rack, its free nodes, capped for a per-rack pool by the nodes that
-    /// pool can serve; past the last rack, the nodes a global pool can
-    /// serve. The minimum of a column over a window is what that rack (or
-    /// pool) can give for the whole window — see module docs.
-    fn column(&self, nodes: &[u32], pool: &[MiB], col: usize, remote: MiB) -> u32 {
+    /// Column `col` of the row with `nodes(rack)` free nodes per rack and
+    /// `pool(domain)` free MiB per domain, for nodes borrowing `remote`
+    /// MiB each: for a rack, its free nodes, capped for a per-rack pool by
+    /// the nodes that pool can serve; past the last rack, the nodes a
+    /// global pool can serve. The minimum of a column over a window is
+    /// what that rack (or pool) can give for the whole window — see
+    /// module docs.
+    fn column(
+        &self,
+        nodes: impl Fn(usize) -> u32,
+        pool: impl Fn(usize) -> MiB,
+        col: usize,
+        remote: MiB,
+    ) -> u32 {
         if col == self.racks {
-            return nodes_served(pool[0], remote);
+            return nodes_served(pool(0), remote);
         }
         match self.kind {
-            DomainKind::PerRack if remote > 0 => nodes[col].min(nodes_served(pool[col], remote)),
-            _ => nodes[col],
+            DomainKind::PerRack if remote > 0 => nodes(col).min(nodes_served(pool(col), remote)),
+            _ => nodes(col),
         }
     }
 
@@ -456,8 +480,8 @@ impl AvailabilityProfile {
     fn column_value(&self, row: usize, col: usize, remote: MiB) -> u32 {
         let Layout { racks, domains, .. } = self.layout;
         self.layout.column(
-            &self.free_nodes[row * racks..],
-            &self.free_pool[row * domains..],
+            |rack| self.free_nodes[row * racks + rack],
+            |domain| self.free_pool[row * domains + domain],
             col,
             remote,
         )

@@ -5,6 +5,13 @@
 //! time). [`EasyRows`] keeps just those two, each [`Layout`] wide, and
 //! answers the pass's questions exactly as the full profile does. Why two
 //! rows are enough is argued in the `policy` module docs.
+//!
+//! The rows also keep two node totals, refreshed whenever they change:
+//! the origin row's free nodes, and the sum over racks of the smaller of
+//! a rack's origin and shadow columns. No split of more nodes than the
+//! total that applies can fit, since [`EasyRows::fits`] caps every rack
+//! by its column, so the pass screens candidates on them
+//! ([`EasyRows::may_fit`]) before it places any.
 
 use super::{add_to_rows, greedy_fill, Demand, DomainKind, Layout};
 use dmhpc_des::time::{SimDuration, SimTime};
@@ -24,6 +31,11 @@ pub(crate) struct EasyRows {
     nodes: Vec<u32>,
     /// Free pool MiB per domain: the origin row, then the shadow row.
     pool: Vec<MiB>,
+    /// The origin row's free nodes.
+    origin_nodes: u64,
+    /// The sum over racks of the smaller of the origin and shadow columns;
+    /// the origin's total when there is no shadow row.
+    both_nodes: u64,
 }
 
 impl EasyRows {
@@ -54,6 +66,8 @@ impl EasyRows {
             shadow: None,
             nodes,
             pool,
+            origin_nodes: 0,
+            both_nodes: 0,
         };
         let mut releases = releases.into_iter().peekable();
         let mut at = now;
@@ -65,12 +79,13 @@ impl EasyRows {
                 add_to_rows(&mut rows.pool[row * layout.domains..], layout.domains, p);
             }
             let (n, p) = rows.row(row);
-            let min = |col| layout.column(n, p, col, demand.remote_per_node);
+            let min = |col| layout.column(|r| n[r], |d| p[d], col, demand.remote_per_node);
             if let Some(last) = layout.fill_end(demand, min) {
                 let split = greedy_fill(layout.racks, demand.nodes, last, min);
                 if at.saturating_add(wall) > at {
                     rows.subtract(row, &split, demand.remote_per_node);
                 }
+                rows.refresh_totals();
                 return Some(rows);
             }
             let &(next, ..) = releases.peek()?;
@@ -81,6 +96,21 @@ impl EasyRows {
             rows.shadow = Some(next);
             at = next;
         }
+    }
+
+    /// False when no split of `nodes` nodes or more can fit for `wall` or
+    /// longer: `nodes` exceeds the origin row's total, or, when `wall`
+    /// outlives the shadow time, the total of the per-rack minima of the
+    /// two rows. O(1), and exact as a screen before [`fits`](Self::fits):
+    /// `fits` caps each rack by its column over the rows a job's window
+    /// holds, and a longer window holds no fewer rows.
+    pub(crate) fn may_fit(&self, wall: SimDuration, nodes: u32) -> bool {
+        let total = if self.reaches_shadow(wall) {
+            self.both_nodes
+        } else {
+            self.origin_nodes
+        };
+        u64::from(nodes) <= total
     }
 
     /// True iff a job that starts now and runs `wall` fits with `split`,
@@ -107,6 +137,20 @@ impl EasyRows {
         if self.reaches_shadow(wall) {
             self.subtract(1, split, remote_per_node);
         }
+        self.refresh_totals();
+    }
+
+    /// Recompute the two node totals from the rows.
+    fn refresh_totals(&mut self) {
+        let racks = self.layout.racks;
+        let nodes = &self.nodes;
+        let total = |both| {
+            (0..racks)
+                .map(|rack| u64::from(column_min(nodes, racks, rack, both)))
+                .sum()
+        };
+        self.origin_nodes = total(false);
+        self.both_nodes = total(self.shadow.is_some());
     }
 
     /// True when a job that starts now and runs `wall` still holds its

@@ -150,6 +150,22 @@ pub trait Ordering: std::fmt::Debug + Send + Sync {
 /// `plan` would place, per rack, without committing to node ids. The
 /// first two must agree: a job whose nominal shape exists must eventually
 /// be placeable on an emptied machine, or the queue wedges.
+///
+/// The scheduler relies on two more facts about the shapes a policy
+/// returns:
+///
+/// * a `Some` nominal shape fits the idle, healthy machine: its nodes
+///   fill the racks with every node free, each borrowing its
+///   `remote_per_node` from a pool at nominal capacity. Admission admits
+///   a deadline-feasible job on a machine with every node up without
+///   reading its shape. The backfilling passes do not rely on it: they
+///   reject a head whose nominal shape never fits as
+///   [`RejectReason::ProfileInfeasible`](crate::RejectReason).
+/// * every shape [`Placement::plan`] and [`Placement::plan_split`] return
+///   uses at least `job.nodes` nodes. EASY backfilling rules a candidate
+///   out on the two rows' free-node totals before it asks for a split.
+///
+/// Debug builds assert each where it is relied on.
 pub trait Placement: std::fmt::Debug + Send + Sync {
     /// Stable name used in report labels.
     fn name(&self) -> &str;

@@ -4,7 +4,7 @@ use super::SwfConfig;
 use crate::job::{Job, JobId};
 use crate::workload_set::Workload;
 use dmhpc_des::rng::SplitMix64;
-use dmhpc_des::time::{SimDuration, SimTime};
+use dmhpc_des::time::{SimDuration, SimTime, MICROS_PER_SEC};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
@@ -40,7 +40,9 @@ fn parse_lines<I>(lines: I, cfg: &SwfConfig) -> Result<SwfTrace, String>
 where
     I: Iterator<Item = Result<String, String>>,
 {
-    assert!(cfg.cores_per_node >= 1, "cores_per_node must be >= 1");
+    if cfg.cores_per_node == 0 {
+        return Err("SWF config: cores_per_node must be >= 1".to_owned());
+    }
     let mut header = BTreeMap::new();
     let mut jobs = Vec::new();
     let mut skipped = 0usize;
@@ -108,7 +110,8 @@ fn parse_data_line(line: &str, cfg: &SwfConfig) -> Result<Option<Job>, String> {
     let Some(procs) = procs else {
         return Ok(None);
     };
-    let nodes = (procs as u64).div_ceil(cfg.cores_per_node as u64).max(1) as u32;
+    let nodes = u32::try_from((procs as u64).div_ceil(cfg.cores_per_node as u64))
+        .map_err(|_| format!("{procs} processors is more nodes than a job can hold"))?;
 
     // Walltime: requested time, floored at the actual runtime (SWF traces
     // occasionally contain runtime > request after clock skew corrections).
@@ -124,7 +127,9 @@ fn parse_data_line(line: &str, cfg: &SwfConfig) -> Result<Option<Job>, String> {
         .or_else(|| field(&fields, 9).filter(|&m| m > 0));
     let mem_per_node = match mem_kib_per_proc {
         Some(kib) => {
-            let per_node_kib = kib as u64 * cfg.cores_per_node as u64;
+            let per_node_kib = (kib as u64)
+                .checked_mul(cfg.cores_per_node as u64)
+                .ok_or_else(|| format!("{kib} KiB per processor overflows a node's memory"))?;
             (per_node_kib / 1024).max(1)
         }
         None => cfg.default_mem_per_node,
@@ -142,16 +147,24 @@ fn parse_data_line(line: &str, cfg: &SwfConfig) -> Result<Option<Job>, String> {
     let job = Job {
         id: JobId(job_number as u64),
         user,
-        arrival: SimTime::from_secs(submit as u64),
+        arrival: SimTime::from_micros(micros(submit, "submit time")?),
         nodes,
-        walltime: SimDuration::from_secs(walltime_s as u64),
-        runtime: SimDuration::from_secs(runtime_s as u64),
+        walltime: SimDuration::from_micros(micros(walltime_s, "requested time")?),
+        runtime: SimDuration::from_micros(micros(runtime_s, "run time")?),
         mem_per_node,
         intensity,
         slo: None,
     };
     job.validate().map_err(|e| format!("invalid job: {e}"))?;
     Ok(Some(job))
+}
+
+/// `secs` (never negative here) in microseconds, or an error naming the
+/// field when the clock cannot hold it.
+fn micros(secs: i64, what: &str) -> Result<u64, String> {
+    (secs as u64)
+        .checked_mul(MICROS_PER_SEC)
+        .ok_or_else(|| format!("{what} {secs} s overflows the simulation clock"))
 }
 
 #[cfg(test)]
@@ -225,6 +238,51 @@ mod tests {
         };
         let t = parse_str("1 0 -1 100 1 -1 -1 1 200 -1 1 2 -1 -1 -1 -1 -1 -1\n", &cfg).unwrap();
         assert_eq!(t.workload.jobs()[0].mem_per_node, 4096);
+    }
+
+    /// Times past the clock's range (~1.84e13 s in microseconds) are line
+    /// errors, not an overflow: that panics in a debug build and wraps in
+    /// a release one, where a submit of 2e13 s reads as 1.55e12 s.
+    #[test]
+    fn times_past_the_clock_are_errors() {
+        for (line, field) in [
+            (
+                "1 20000000000000 -1 100 4 -1 -1 4 200 -1 1 2 -1 -1 -1 -1 -1 -1",
+                "submit time",
+            ),
+            (
+                "1 0 -1 18500000000000 4 -1 -1 4 -1 -1 1 2 -1 -1 -1 -1 -1 -1",
+                "requested time",
+            ),
+        ] {
+            let err = parse_str(line, &SwfConfig::default()).unwrap_err();
+            assert!(err.starts_with("SWF line 1: "), "{err}");
+            assert!(err.contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn huge_processor_and_memory_counts_are_errors() {
+        let procs = "1 0 -1 100 -1 -1 -1 4294967296 200 -1 1 2 -1 -1 -1 -1 -1 -1";
+        let err = parse_str(procs, &SwfConfig::default()).unwrap_err();
+        assert!(err.contains("more nodes"), "{err}");
+        let mem = "1 0 -1 100 1 -1 9223372036854775807 1 200 -1 1 2 -1 -1 -1 -1 -1 -1";
+        let cfg = SwfConfig {
+            cores_per_node: 4,
+            ..SwfConfig::default()
+        };
+        let err = parse_str(mem, &cfg).unwrap_err();
+        assert!(err.contains("KiB per processor"), "{err}");
+    }
+
+    #[test]
+    fn zero_cores_per_node_is_an_error() {
+        let cfg = SwfConfig {
+            cores_per_node: 0,
+            ..SwfConfig::default()
+        };
+        let err = parse_str("", &cfg).unwrap_err();
+        assert!(err.contains("cores_per_node"), "{err}");
     }
 
     #[test]

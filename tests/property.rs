@@ -564,3 +564,28 @@ fn mutated_user_inputs_are_typed_errors_not_panics() {
         );
     }
 }
+
+/// Corrupted SWF traces come back as typed line errors: 1,000 seeded
+/// mutations of a small trace and of a line whose submit time sits one
+/// digit short of the clock's range, so inserted digits overflow it.
+#[test]
+fn mutated_swf_traces_are_typed_errors_not_panics() {
+    let cfg = dmhpc::workload::swf::SwfConfig {
+        cores_per_node: 4,
+        ..Default::default()
+    };
+    let parse = |text: &str| dmhpc::workload::swf::parse_str(text, &cfg);
+    let traces = [
+        "; Version: 2.2\n; MaxNodes: 64\n\
+         1 0 10 3600 128 -1 2097152 128 7200 -1 1 3 1 1 1 1 -1 -1\n\
+         2 60 -1 1800 64 -1 -1 64 3600 1048576 1 4 1 1 1 1 -1 -1\n"
+            .to_string(),
+        "7 9999999999999 -1 999999999999 8 -1 65536 8 9999999999999 -1 1 2 -1 -1 -1 -1 -1 -1\n"
+            .to_string(),
+    ];
+    for trace in &traces {
+        parse(trace).unwrap();
+    }
+    let parsed = assert_no_panics("SWF", &traces, 0x5EF, 1_000, parse);
+    assert!(parsed < 900, "{parsed} of 1000 mutations still parsed");
+}
