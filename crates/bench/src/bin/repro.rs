@@ -40,19 +40,12 @@ const BUILTIN_GRIDS: &str =
 
 fn usage() {
     eprintln!("usage: repro [--list] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR] <id>... | all");
-    eprintln!("       repro grid  <spec.json|{BUILTIN_GRIDS}> [--shard i/n] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR] [--faults|--service|--fleet]");
-    eprintln!("       repro merge <spec.json|{BUILTIN_GRIDS}> --cache-dir DIR [--faults]");
-    eprintln!("       --faults crosses the spec's grid with the built-in fault axis");
-    eprintln!("       (fault-free baseline + node failures/drains/pool degradations)");
-    eprintln!("       --service crosses the spec's grid with the built-in open-system");
-    eprintln!("       service axis (closed-batch baseline + a streaming-arrival cell");
-    eprintln!("       with O(1)-memory sketch metrics); grid mode only — use the");
-    eprintln!("       smoke-service built-in for merges");
-    eprintln!("       --fleet crosses the spec's grid with the built-in federation");
-    eprintln!("       axis (no-fleet baseline + a 4-site epoch-synchronized fleet");
-    eprintln!("       behind a least-queue-depth meta-scheduler); grid mode only —");
-    eprintln!("       use the smoke-fleet built-in for merges. Federated cells run");
-    eprintln!("       observation-free, so --fleet does not combine with --trace-out");
+    eprintln!("       repro grid  <spec.json|{BUILTIN_GRIDS}> [--shard i/n] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR]");
+    eprintln!("       repro merge <spec.json|{BUILTIN_GRIDS}> --cache-dir DIR");
+    eprintln!("       a spec's \"scenarios\" list adds fault, open-service and fleet cells");
+    eprintln!("       beside its plain ones (smoke-faults, smoke-service and smoke-fleet");
+    eprintln!("       are built-in examples); federated cells run observation-free and");
+    eprintln!("       write no --trace-out trace");
     eprintln!("       --trace-out DIR streams one <spec>.<cell>.jsonl event trace per");
     eprintln!("       simulated cell into DIR (constant memory per cell; hash-neutral,");
     eprintln!("       so result caches stay warm — cache-hit cells emit no trace)");
@@ -72,13 +65,6 @@ struct Cli {
     queue: Option<EventQueueKind>,
     /// Stream per-cell event traces into this directory.
     trace_out: Option<PathBuf>,
-    /// Cross the grid with the built-in fault axis (grid/merge modes).
-    faults: bool,
-    /// Cross the grid with the built-in open-system service axis (grid
-    /// mode only).
-    service: bool,
-    /// Cross the grid with the built-in federation axis (grid mode only).
-    fleet: bool,
     args: Vec<String>,
 }
 
@@ -120,22 +106,17 @@ enum RunMode {
     ListGrid {
         spec_arg: String,
         shard: Option<Shard>,
-        faults: bool,
     },
     /// `repro grid <spec>`: run a grid, optionally one shard of it.
     Grid {
         spec_arg: String,
         shard: Option<Shard>,
-        faults: bool,
-        service: bool,
-        fleet: bool,
         exec: ExecKnobs,
     },
     /// `repro merge <spec>`: recombine a fully cached grid.
     Merge {
         spec_arg: String,
         cache_dir: PathBuf,
-        faults: bool,
     },
 }
 
@@ -165,74 +146,16 @@ impl RunMode {
                 let Some(spec_arg) = cli.args.first().cloned() else {
                     return Err("grid mode needs a spec (a JSON file or `smoke`)".into());
                 };
-                if cli.faults && cli.service {
-                    return Err(
-                        "--faults does not combine with --service (fault scenarios and \
-                         open-system service runs are separate experiments)"
-                            .into(),
-                    );
-                }
-                if cli.fleet && cli.faults {
-                    return Err(
-                        "--fleet does not combine with --faults (federated fleet scenarios \
-                         and fault scenarios are separate experiments)"
-                            .into(),
-                    );
-                }
-                if cli.fleet && cli.service {
-                    return Err(
-                        "--fleet does not combine with --service (federated fleet scenarios \
-                         and open-system service runs are separate experiments)"
-                            .into(),
-                    );
-                }
-                if cli.fleet && cli.trace_out.is_some() {
-                    // Federated cells run observation-free (no per-event
-                    // probes cross site engines), so a trace-out run over
-                    // a fleet cross would promise traces it cannot write.
-                    return Err(
-                        "--trace-out does not combine with --fleet (federated cells run \
-                         observation-free and emit no traces; trace the fleet-free grid \
-                         instead)"
-                            .into(),
-                    );
-                }
                 if cli.list {
-                    if cli.fleet {
-                        return Err(
-                            "--fleet does not apply to --list (list a spec with a fleet \
-                             axis — e.g. the smoke-fleet built-in — instead)"
-                                .into(),
-                        );
-                    }
-                    // The listing must show exactly the cells a spec
-                    // compiles to; a flag that rewrites the grid under
-                    // --list invites listing one grid and running
-                    // another. Specs with a service axis (or the
-                    // smoke-service / smoke-deadline built-ins) list
-                    // their service cells natively. (--faults is the
-                    // historical exception: the listing applies the same
-                    // cross the run would.)
-                    if cli.service {
-                        return Err(
-                            "--service does not apply to --list (list a spec with a service \
-                             axis — e.g. the smoke-service built-in — instead)"
-                                .into(),
-                        );
-                    }
                     reject_exec_knobs_under_list(&cli)?;
                     return Ok(RunMode::ListGrid {
                         spec_arg,
                         shard: cli.shard,
-                        faults: cli.faults,
                     });
                 }
                 Ok(RunMode::Grid {
                     spec_arg,
                     shard: cli.shard,
-                    faults: cli.faults,
-                    service: cli.service,
-                    fleet: cli.fleet,
                     exec: ExecKnobs {
                         cache_dir: cli.cache_dir,
                         threads: cli.threads.unwrap_or(0),
@@ -248,22 +171,6 @@ impl RunMode {
                 if cli.cache_dir.is_none() {
                     return Err(
                         "merge mode needs --cache-dir (where the shards stored cells)".to_string(),
-                    );
-                }
-                if cli.service {
-                    return Err(
-                        "--service only applies to grid mode (merge a spec that declares a \
-                         service axis — e.g. the smoke-service built-in — so it reconstructs \
-                         the exact grid the shards ran)"
-                            .into(),
-                    );
-                }
-                if cli.fleet {
-                    return Err(
-                        "--fleet only applies to grid mode (merge a spec that declares a \
-                         fleet axis — e.g. the smoke-fleet built-in — so it reconstructs \
-                         the exact grid the shards ran)"
-                            .into(),
                     );
                 }
                 if cli.shard.is_some() {
@@ -299,23 +206,9 @@ impl RunMode {
                 Ok(RunMode::Merge {
                     spec_arg,
                     cache_dir: cli.cache_dir.expect("checked above"),
-                    faults: cli.faults,
                 })
             }
             Mode::Tables => {
-                if cli.faults {
-                    return Err(
-                        "--faults only applies to grid/merge modes (tables run fixed grids)".into(),
-                    );
-                }
-                if cli.service {
-                    return Err(
-                        "--service only applies to grid mode (tables run fixed grids)".into(),
-                    );
-                }
-                if cli.fleet {
-                    return Err("--fleet only applies to grid mode (tables run fixed grids)".into());
-                }
                 if cli.shard.is_some() {
                     // Silently running the *full* suite under a flag
                     // that promises a slice would double work in fan-out
@@ -351,9 +244,6 @@ fn parse_cli(raw: Vec<String>) -> Result<Cli, Box<dyn std::error::Error>> {
         threads: None,
         queue: None,
         trace_out: None,
-        faults: false,
-        service: false,
-        fleet: false,
         args: Vec::new(),
     };
     let mut it = raw.into_iter().peekable();
@@ -379,9 +269,6 @@ fn parse_cli(raw: Vec<String>) -> Result<Cli, Box<dyn std::error::Error>> {
         };
         match arg.as_str() {
             "--list" => cli.list = true,
-            "--faults" => cli.faults = true,
-            "--service" => cli.service = true,
-            "--fleet" => cli.fleet = true,
             "--cache-dir" => cli.cache_dir = Some(PathBuf::from(value(&mut it, "--cache-dir")?)),
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value(&mut it, "--trace-out")?)),
             "--shard" => cli.shard = Some(Shard::parse(&value(&mut it, "--shard")?)?),
@@ -445,15 +332,8 @@ fn export(results: &ExperimentResults, stem: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-fn list_grid(
-    spec_arg: &str,
-    shard: Option<Shard>,
-    faults: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut spec = load_spec(spec_arg)?;
-    if faults {
-        spec = experiments::with_default_faults(spec)?;
-    }
+fn list_grid(spec_arg: &str, shard: Option<Shard>) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = load_spec(spec_arg)?;
     // Listing compiles the grid, so an ill-formed spec fails loudly here
     // instead of being discovered mid-CI. With --shard, list exactly the
     // cells that shard would run.
@@ -468,21 +348,9 @@ fn list_grid(
 fn run_grid(
     spec_arg: &str,
     shard: Option<Shard>,
-    faults: bool,
-    service: bool,
-    fleet: bool,
     exec: &ExecKnobs,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let mut spec = load_spec(spec_arg)?;
-    if faults {
-        spec = experiments::with_default_faults(spec)?;
-    }
-    if service {
-        spec = experiments::with_default_service(spec)?;
-    }
-    if fleet {
-        spec = experiments::with_default_fleet(spec)?;
-    }
+    let spec = load_spec(spec_arg)?;
     let mut runner = ExperimentRunner::with_threads(exec.threads);
     if let Some(dir) = &exec.cache_dir {
         runner = runner.cache_dir(dir)?;
@@ -578,16 +446,8 @@ fn verify_traces(
     Ok(())
 }
 
-fn run_merge(
-    spec_arg: &str,
-    cache_dir: &PathBuf,
-    faults: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut spec = load_spec(spec_arg)?;
-    if faults {
-        // Merge must reconstruct exactly the grid the shards ran.
-        spec = experiments::with_default_faults(spec)?;
-    }
+fn run_merge(spec_arg: &str, cache_dir: &PathBuf) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = load_spec(spec_arg)?;
     let runner = ExperimentRunner::with_threads(1).cache_dir(cache_dir)?;
     let start = Instant::now();
     let results = runner.run(&spec)?;
@@ -690,24 +550,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     match mode {
         RunMode::ListTables => list_tables(),
         RunMode::Tables { ids, options } => run_tables(&ids, &options),
-        RunMode::ListGrid {
-            spec_arg,
-            shard,
-            faults,
-        } => list_grid(&spec_arg, shard, faults),
+        RunMode::ListGrid { spec_arg, shard } => list_grid(&spec_arg, shard),
         RunMode::Grid {
             spec_arg,
             shard,
-            faults,
-            service,
-            fleet,
             exec,
-        } => run_grid(&spec_arg, shard, faults, service, fleet, &exec),
+        } => run_grid(&spec_arg, shard, &exec),
         RunMode::Merge {
             spec_arg,
             cache_dir,
-            faults,
-        } => run_merge(&spec_arg, &cache_dir, faults),
+        } => run_merge(&spec_arg, &cache_dir),
     }
 }
 
@@ -733,30 +585,6 @@ mod tests {
             // grid mode
             (&["grid"], "grid mode needs a spec"),
             (
-                &["grid", "smoke", "--faults", "--service"],
-                "--faults does not combine with --service",
-            ),
-            (
-                &["grid", "smoke", "--list", "--service"],
-                "--service does not apply to --list",
-            ),
-            (
-                &["grid", "smoke", "--fleet", "--faults"],
-                "--fleet does not combine with --faults",
-            ),
-            (
-                &["grid", "smoke", "--fleet", "--service"],
-                "--fleet does not combine with --service",
-            ),
-            (
-                &["grid", "smoke", "--fleet", "--trace-out", "/tmp/t"],
-                "--trace-out does not combine with --fleet",
-            ),
-            (
-                &["grid", "smoke", "--list", "--fleet"],
-                "--fleet does not apply to --list",
-            ),
-            (
                 &["grid", "smoke", "--list", "--threads", "2"],
                 "--threads does not apply to --list (listing never simulates)",
             ),
@@ -771,14 +599,6 @@ mod tests {
             // merge mode
             (&["merge"], "merge mode needs a spec"),
             (&["merge", "smoke"], "merge mode needs --cache-dir"),
-            (
-                &["merge", "smoke", "--cache-dir", "/tmp/x", "--service"],
-                "--service only applies to grid mode",
-            ),
-            (
-                &["merge", "smoke", "--cache-dir", "/tmp/x", "--fleet"],
-                "--fleet only applies to grid mode",
-            ),
             (
                 &["merge", "smoke", "--cache-dir", "/tmp/x", "--shard", "0/2"],
                 "--shard does not apply to merge mode",
@@ -803,12 +623,6 @@ mod tests {
                 "--trace-out does not apply to merge mode",
             ),
             // tables mode
-            (
-                &["t1", "--faults"],
-                "--faults only applies to grid/merge modes",
-            ),
-            (&["t1", "--service"], "--service only applies to grid mode"),
-            (&["t1", "--fleet"], "--fleet only applies to grid mode"),
             (
                 &["t1", "--shard", "0/2"],
                 "--shard only applies to grid mode",
@@ -843,9 +657,9 @@ mod tests {
             &["--list", "--cache-dir", "/tmp/x"],
             &["grid", "smoke"],
             &["grid", "smoke-deadline", "--shard", "1/2", "--threads", "4"],
-            &["grid", "smoke", "--faults", "--trace-out", "/tmp/t"],
-            &["grid", "smoke", "--service", "--queue", "calendar"],
-            &["grid", "smoke", "--fleet"],
+            &["grid", "smoke-faults", "--trace-out", "/tmp/t"],
+            &["grid", "smoke-service", "--queue", "calendar"],
+            &["grid", "smoke-fleet", "--trace-out", "/tmp/t"],
             &[
                 "grid",
                 "smoke-fleet",
@@ -856,9 +670,9 @@ mod tests {
             ],
             &["merge", "smoke-fleet", "--cache-dir", "/tmp/x"],
             &["grid", "smoke", "--list"],
-            &["grid", "smoke", "--list", "--shard", "0/2", "--faults"],
+            &["grid", "smoke-faults", "--list", "--shard", "0/2"],
             &["merge", "smoke", "--cache-dir", "/tmp/x"],
-            &["merge", "smoke", "--cache-dir", "/tmp/x", "--faults"],
+            &["merge", "smoke-faults", "--cache-dir", "/tmp/x"],
         ];
         for args in accepted {
             resolve(args).unwrap_or_else(|e| panic!("{args:?} should resolve: {e}"));
@@ -884,12 +698,13 @@ mod tests {
             RunMode::Grid { exec, .. } => assert_eq!(exec.threads, 0, "omitted flag means auto"),
             other => panic!("expected Grid, got {other:?}"),
         }
-        match resolve(&["merge", "smoke", "--cache-dir", "/tmp/x", "--faults"]).unwrap() {
+        match resolve(&["merge", "smoke-faults", "--cache-dir", "/tmp/x"]).unwrap() {
             RunMode::Merge {
-                cache_dir, faults, ..
+                spec_arg,
+                cache_dir,
             } => {
+                assert_eq!(spec_arg, "smoke-faults");
                 assert_eq!(cache_dir, PathBuf::from("/tmp/x"));
-                assert!(faults);
             }
             other => panic!("expected Merge, got {other:?}"),
         }
@@ -935,22 +750,14 @@ mod tests {
     }
 
     #[test]
-    fn faults_flag_parses_and_crossing_twice_is_refused() {
-        assert!(parse(&["grid", "smoke", "--faults"]).unwrap().faults);
-        assert!(!parse(&["grid", "smoke"]).unwrap().faults);
-        assert!(
-            parse(&["merge", "smoke", "--cache-dir", "/tmp/x", "--faults"])
-                .unwrap()
-                .faults
-        );
-        // Crossing a spec that already has a fault axis is refused.
-        let err = experiments::with_default_faults(experiments::smoke_faults_spec().unwrap())
-            .unwrap_err();
-        assert!(err.to_string().contains("already declares"), "{err}");
-        // Same for the service cross.
-        let err = experiments::with_default_service(experiments::smoke_service_spec().unwrap())
-            .unwrap_err();
-        assert!(err.to_string().contains("already declares"), "{err}");
+    fn scenario_flags_are_gone() {
+        // Scenarios live in the spec: a grid's scenario axis lists them,
+        // and the smoke-faults/-service/-fleet built-ins carry the canned
+        // ones.
+        for flag in ["--faults", "--service", "--fleet"] {
+            let err = parse(&["grid", "smoke", flag]).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -987,10 +794,6 @@ mod tests {
         );
         let baseline = cells.iter().filter(|c| c.key.fleet.is_none()).count();
         assert_eq!(baseline * 2, cells.len(), "half the cells are fleet-free");
-        // Crossing a spec that already has a fleet axis is refused.
-        let err =
-            experiments::with_default_fleet(experiments::smoke_fleet_spec().unwrap()).unwrap_err();
-        assert!(err.to_string().contains("already declares"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,10 @@ use dmhpc_sched::{
     AdmissionPolicy, BackfillPolicy, MemoryPolicy, OrderPolicy, SchedulerBuilder, SchedulerConfig,
 };
 use dmhpc_sim::scenarios::default_slowdown;
-use dmhpc_sim::{ExperimentBuilder, ExperimentResults, ExperimentRunner, ExperimentSpec, SimError};
+use dmhpc_sim::{
+    ExperimentBuilder, ExperimentResults, ExperimentRunner, ExperimentSpec, FaultSpec, FleetSpec,
+    Scenario, ServiceSpec, SimError,
+};
 use dmhpc_workload::{stats as wstats, SystemPreset};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -145,12 +148,11 @@ pub fn smoke_contention_spec() -> Result<ExperimentSpec, SimError> {
         .build()
 }
 
-/// The canned fault scenario `repro grid --faults` attaches and
-/// [`smoke_faults_spec`] builds in: a storm of node failures, periodic
-/// maintenance drains, and pool degradations, with checkpoint/restart
-/// handling. Aggressive timescales so even second-long smoke runs see
-/// interruptions.
-pub fn default_fault_scenario() -> dmhpc_sim::FaultSpec {
+/// The canned fault scenario [`smoke_faults_spec`] builds in: a storm of
+/// node failures, periodic maintenance drains, and pool degradations, with
+/// checkpoint/restart handling. Aggressive timescales so even second-long
+/// smoke runs see interruptions.
+pub fn default_fault_scenario() -> FaultSpec {
     let mut gen = dmhpc_sim::FaultGenerator::quiet(21, 40_000);
     gen.node_mtbf_s = 900;
     gen.node_repair_s = 1_800;
@@ -159,123 +161,88 @@ pub fn default_fault_scenario() -> dmhpc_sim::FaultSpec {
     gen.pool_degrade_interval_s = 5_000;
     gen.pool_degrade_duration_s = 2_500;
     gen.pool_degrade_factor = 0.4;
-    dmhpc_sim::FaultSpec::none()
+    FaultSpec::none()
         .with_generator(gen)
         .with_interrupt(dmhpc_sim::InterruptPolicy::Checkpoint { overhead_s: 120 })
         .with_max_resubmits(2)
 }
 
-/// Cross a spec's grid with the default fault axis (a fault-free baseline
-/// plus [`default_fault_scenario`]) — what `repro grid <spec> --faults`
-/// applies. The baseline cells hash identically to the original grid's,
-/// so a shared cache serves both.
-pub fn with_default_faults(spec: ExperimentSpec) -> Result<ExperimentSpec, SimError> {
-    if !spec.faults.is_empty() {
-        return Err(SimError::spec(
-            "--faults conflicts with a spec that already declares a fault axis",
-        ));
+/// `base` renamed to `name`, with a scenario axis of the plain cell (as
+/// `scenario`'s kind spells it) and `scenario`. The plain cells hash
+/// identically to `base`'s, so a shared cache serves both grids.
+fn plain_and(
+    base: ExperimentSpec,
+    name: &str,
+    scenario: Scenario,
+) -> Result<ExperimentSpec, SimError> {
+    let b = ExperimentBuilder::from_spec(base).name(name);
+    match scenario {
+        Scenario::Faults(f) => b.fault(FaultSpec::none()).fault(f),
+        Scenario::Service(s) => b.service(ServiceSpec::none()).service(s),
+        Scenario::Fleet(f) => b.fleet(FleetSpec::none()).fleet(f),
     }
-    ExperimentBuilder::from_spec(spec)
-        .fault(dmhpc_sim::FaultSpec::none())
-        .fault(default_fault_scenario())
-        .build()
+    .build()
 }
 
-/// The availability smoke grid: [`smoke_contention_spec`]'s shape crossed
-/// with the default fault axis (fault-free baseline + the canned storm),
-/// so node failures, drains, pool-degradation eviction, *and* dynamic
+/// The availability smoke grid: [`smoke_contention_spec`]'s shape with a
+/// fault-free baseline and [`default_fault_scenario`]'s storm, so node
+/// failures, drains, pool-degradation eviction, *and* dynamic
 /// re-dilation under faults run — sharded — on every PR.
 pub fn smoke_faults_spec() -> Result<ExperimentSpec, SimError> {
-    let base = smoke_contention_spec()?;
-    with_default_faults(
-        ExperimentBuilder::from_spec(base)
-            .name("smoke-faults")
-            .build()?,
+    plain_and(
+        smoke_contention_spec()?,
+        "smoke-faults",
+        Scenario::Faults(default_fault_scenario()),
     )
 }
 
-/// The canned open-system scenario `repro grid --service` attaches and
-/// [`smoke_service_spec`] builds in: a Poisson stream of the
-/// high-throughput job mix at 0.85 target utilization, a 2,000-job
-/// horizon, a one-hour warmup cutoff, and a one-hour wait SLO — small
+/// The canned open-system scenario [`smoke_service_spec`] builds in: a
+/// Poisson stream of the high-throughput job mix at 0.85 target
+/// utilization, a 2,000-job horizon, a one-hour warmup cutoff, and a one-hour wait SLO — small
 /// enough for second-long smoke runs, loaded enough that queues form.
 /// The stream seed is left unset so each grid cell's workload seed
 /// resolves it (distinct seeds stream distinct arrivals).
-pub fn default_service_scenario() -> dmhpc_sim::ServiceSpec {
-    dmhpc_sim::ServiceSpec::open(SystemPreset::HighThroughput)
+pub fn default_service_scenario() -> ServiceSpec {
+    ServiceSpec::open(SystemPreset::HighThroughput)
         .with_utilization(0.85)
         .with_horizon_jobs(2_000)
         .with_warmup_secs(3_600)
         .with_slo_wait_secs(3_600.0)
 }
 
-/// Cross a spec's grid with the default service axis (a closed-batch
-/// baseline plus [`default_service_scenario`]) — what
-/// `repro grid <spec> --service` applies. The baseline cells hash
-/// identically to the original grid's, so a shared cache serves both.
-pub fn with_default_service(spec: ExperimentSpec) -> Result<ExperimentSpec, SimError> {
-    if !spec.services.is_empty() {
-        return Err(SimError::spec(
-            "--service conflicts with a spec that already declares a service axis",
-        ));
-    }
-    ExperimentBuilder::from_spec(spec)
-        .service(dmhpc_sim::ServiceSpec::none())
-        .service(default_service_scenario())
-        .build()
-}
-
-/// The open-system smoke grid: [`smoke_spec`]'s shape crossed with the
-/// default service axis, so streaming admission, load control, warmup
-/// cutoffs, and the O(1)-memory sketch observer run — sharded — on every
-/// PR, with the closed-baseline half proving service-axis cache keys
+/// The open-system smoke grid: [`smoke_spec`]'s shape with a closed
+/// baseline and [`default_service_scenario`]'s stream, so streaming
+/// admission, load control, warmup cutoffs, and the O(1)-memory sketch
+/// observer run — sharded — on every PR, with the closed-baseline half proving service-axis cache keys
 /// stay disjoint from open cells.
 pub fn smoke_service_spec() -> Result<ExperimentSpec, SimError> {
-    let base = smoke_spec()?;
-    with_default_service(
-        ExperimentBuilder::from_spec(base)
-            .name("smoke-service")
-            .build()?,
+    plain_and(
+        smoke_spec()?,
+        "smoke-service",
+        Scenario::Service(default_service_scenario()),
     )
 }
 
-/// The canned federation scenario `repro grid --fleet` attaches and
-/// [`smoke_fleet_spec`] builds in: a four-site symmetric fleet (every
-/// site inherits the cell's cluster and scheduler) behind a
+/// The canned federation scenario [`smoke_fleet_spec`] builds in: a
+/// four-site symmetric fleet (every site inherits the cell's cluster and
+/// scheduler) behind a
 /// least-queue-depth meta-scheduler routing on 300 s epochs — small
 /// enough for second-long smoke runs, federated enough that the
 /// epoch-synchronized lockstep and snapshot routing are exercised end
 /// to end.
-pub fn default_fleet_scenario() -> dmhpc_sim::FleetSpec {
-    dmhpc_sim::FleetSpec::symmetric(4, 300.0, dmhpc_sched::MetaPolicyKind::LeastQueueDepth)
+pub fn default_fleet_scenario() -> FleetSpec {
+    FleetSpec::symmetric(4, 300.0, dmhpc_sched::MetaPolicyKind::LeastQueueDepth)
 }
 
-/// Cross a spec's grid with the default fleet axis (a no-federation
-/// baseline plus [`default_fleet_scenario`]) — what
-/// `repro grid <spec> --fleet` applies. The baseline cells hash
-/// identically to the original grid's, so a shared cache serves both.
-pub fn with_default_fleet(spec: ExperimentSpec) -> Result<ExperimentSpec, SimError> {
-    if !spec.fleets.is_empty() {
-        return Err(SimError::spec(
-            "--fleet conflicts with a spec that already declares a fleet axis",
-        ));
-    }
-    ExperimentBuilder::from_spec(spec)
-        .fleet(dmhpc_sim::FleetSpec::none())
-        .fleet(default_fleet_scenario())
-        .build()
-}
-
-/// The federation smoke grid: [`smoke_spec`]'s shape crossed with the
-/// default fleet axis, so epoch-synchronized multi-site routing runs —
-/// sharded — on every PR, with the no-fleet half proving fleet-axis
+/// The federation smoke grid: [`smoke_spec`]'s shape with a
+/// single-cluster baseline and [`default_fleet_scenario`]'s fleet, so
+/// epoch-synchronized multi-site routing runs — sharded — on every PR, with the no-fleet half proving fleet-axis
 /// cache keys stay disjoint from federated cells.
 pub fn smoke_fleet_spec() -> Result<ExperimentSpec, SimError> {
-    let base = smoke_spec()?;
-    with_default_fleet(
-        ExperimentBuilder::from_spec(base)
-            .name("smoke-fleet")
-            .build()?,
+    plain_and(
+        smoke_spec()?,
+        "smoke-fleet",
+        Scenario::Fleet(default_fleet_scenario()),
     )
 }
 
@@ -285,7 +252,7 @@ pub fn smoke_fleet_spec() -> Result<ExperimentSpec, SimError> {
 /// [1.5, 4)). Budget factors — not a uniform wait target — so deadline
 /// order genuinely differs from arrival order and EDF/least-laxity have
 /// something to exploit.
-pub fn default_deadline_scenario() -> dmhpc_sim::ServiceSpec {
+pub fn default_deadline_scenario() -> ServiceSpec {
     default_service_scenario().with_slo_budget_factor(1.5, 4.0)
 }
 
@@ -1068,6 +1035,42 @@ mod tests {
             }
         }
         assert_eq!(baseline * 2, spec.cell_count(), "half the cells are closed");
+    }
+
+    /// FNV-1a over the text `repro grid <spec> --list` prints: every
+    /// cell's hash and label, in grid order.
+    fn listing_digest(spec: &ExperimentSpec) -> u64 {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for (key, hash) in spec.cell_hashes().unwrap() {
+            for b in format!("{hash:016x}  {}\n", key.label()).bytes() {
+                digest ^= b as u64;
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        digest
+    }
+
+    #[test]
+    fn builtin_grids_compile_to_their_pinned_cells() {
+        // Captured from the listings of the tree whose grids crossed
+        // separate fault, service and fleet axes: one scenario axis must
+        // give every built-in grid the same cells, labels and hashes in
+        // the same order.
+        type Builder = fn() -> Result<ExperimentSpec, SimError>;
+        let pinned: [(Builder, usize, u64); 7] = [
+            (smoke_spec, 8, 0x8079_0b51_4c56_f4f1),
+            (smoke_contention_spec, 8, 0x1891_6e7a_6d50_8cd9),
+            (smoke_faults_spec, 16, 0x2358_d8da_2c6f_16ed),
+            (smoke_service_spec, 16, 0xead9_8f7f_9eb2_afef),
+            (smoke_deadline_spec, 8, 0xfb33_96d3_4fbb_239a),
+            (smoke_admission_spec, 8, 0xcbbc_3b29_ce55_1d7d),
+            (smoke_fleet_spec, 16, 0xd2ff_d797_f273_f527),
+        ];
+        for (build, cells, digest) in pinned {
+            let spec = build().unwrap();
+            assert_eq!(spec.cell_count(), cells, "{}", spec.name);
+            assert_eq!(listing_digest(&spec), digest, "{}", spec.name);
+        }
     }
 
     #[test]

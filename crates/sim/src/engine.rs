@@ -75,8 +75,8 @@ use crate::config::{EventQueueKind, SimConfig};
 use crate::error::SimError;
 use crate::faults::{FaultAction, FaultSpec, InterruptPolicy};
 use crate::observe::{
-    FaultObserver, JobStatsObserver, Observer, ObserverFactory, ProgressObserver, RunContext,
-    RunEnd, RunLabel, SeriesObserver, SimEvent, SketchStatsObserver,
+    FaultObserver, JobStatsObserver, Observer, ObserverFactory, RunContext, RunEnd, RunLabel,
+    SeriesObserver, SimEvent, SketchStatsObserver,
 };
 use crate::service::ServiceSpec;
 use dmhpc_des::queue::{BinaryHeapQueue, CalendarQueue, EventQueue};
@@ -245,8 +245,8 @@ pub struct SimOutput {
 }
 
 /// Everything one run should watch, gathered into a single value for
-/// [`Simulation::run_with`]: caller-owned observers, per-run factories,
-/// and a progress heartbeat. Observation is always hash-neutral:
+/// [`Simulation::run_with`]: caller-owned observers and per-run
+/// factories. Observation is always hash-neutral:
 /// attaching any combination below leaves the run's trace hash and output
 /// bit-identical.
 ///
@@ -254,7 +254,7 @@ pub struct SimOutput {
 /// use dmhpc_sim::ObserverSet;
 /// # use dmhpc_sim::observe::EventCounter;
 /// let mut counter = EventCounter::new();
-/// let set = ObserverSet::new().watch(&mut counter).progress_every(10_000);
+/// let set = ObserverSet::new().watch(&mut counter);
 /// // sim.run_with(&workload, set); counter is inspectable afterwards.
 /// ```
 #[derive(Default)]
@@ -266,8 +266,6 @@ pub struct ObserverSet<'a> {
     /// or deferred sink failures panic (the observer dies with the run,
     /// so there is nowhere else to report them).
     factories: Vec<Arc<dyn ObserverFactory>>,
-    /// Emit a progress heartbeat to stderr every N observed events.
-    progress_every: Option<u64>,
 }
 
 impl<'a> ObserverSet<'a> {
@@ -301,15 +299,9 @@ impl<'a> ObserverSet<'a> {
         self
     }
 
-    /// Emit a progress heartbeat to stderr every `every` observed events.
-    pub fn progress_every(mut self, every: u64) -> Self {
-        self.progress_every = Some(every);
-        self
-    }
-
-    /// Number of attachments (borrowed + factories + heartbeat).
+    /// Number of attachments (borrowed + factories).
     pub fn len(&self) -> usize {
-        self.borrowed.len() + self.factories.len() + usize::from(self.progress_every.is_some())
+        self.borrowed.len() + self.factories.len()
     }
 
     /// Whether nothing beyond the built-ins is attached.
@@ -323,7 +315,6 @@ impl std::fmt::Debug for ObserverSet<'_> {
         f.debug_struct("ObserverSet")
             .field("borrowed", &self.borrowed.len())
             .field("factories", &self.factories.len())
-            .field("progress_every", &self.progress_every)
             .finish()
     }
 }
@@ -441,8 +432,8 @@ impl Simulation {
     /// top of the built-in metric observers that assemble [`SimOutput`].
     ///
     /// This is the single observed-run entry point: borrowed observers,
-    /// boxed observer slices, per-run factories, and the progress
-    /// heartbeat all attach through one [`ObserverSet`]. Observation is
+    /// boxed observer slices and per-run factories all attach through one
+    /// [`ObserverSet`]. Observation is
     /// hash-neutral: the output is bit-identical to an unobserved run.
     ///
     /// Caller-owned observers ([`ObserverSet::watch`] /
@@ -471,16 +462,12 @@ impl Simulation {
         let ObserverSet {
             mut borrowed,
             factories,
-            progress_every,
         } = observers;
         let label = RunLabel::new(self.scheduler.label());
         let mut made: Vec<Box<dyn Observer>> = factories
             .iter()
             .map(|f| f.make(&label))
             .collect::<Result<_, _>>()?;
-        if let Some(every) = progress_every {
-            made.push(Box::new(ProgressObserver::every(every)));
-        }
         let mut extras: Vec<&mut dyn Observer> = Vec::with_capacity(borrowed.len() + made.len());
         for o in borrowed.iter_mut() {
             extras.push(&mut **o);
@@ -2549,20 +2536,6 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash);
         // submit + start + grab + pass + release + finish, twice.
         assert_eq!(seen.load(Ordering::Relaxed), 12);
-    }
-
-    #[test]
-    fn progress_heartbeat_is_trace_neutral() {
-        let w = Workload::from_jobs(vec![JobBuilder::new(1)
-            .nodes(1)
-            .runtime_secs(100, 200)
-            .mem_per_node(GIB)
-            .build()]);
-        let quiet = local_sim().run(&w);
-        // Too sparse to print.
-        let noisy = local_sim().run_with(&w, ObserverSet::new().progress_every(1_000_000));
-        assert_eq!(quiet.trace_hash, noisy.trace_hash);
-        assert_eq!(quiet.report.mean_wait_s, noisy.report.mean_wait_s);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fluent construction of [`ExperimentSpec`]s.
 
-use super::{pool_label, ExperimentSpec, WorkloadSource};
+use super::{pool_label, ExperimentSpec, Scenario, WorkloadSource};
 use crate::error::SimError;
 use crate::faults::FaultSpec;
 use crate::federation::FleetSpec;
@@ -43,9 +43,7 @@ pub struct ExperimentBuilder {
     loads: Vec<f64>,
     seeds: Vec<u64>,
     schedulers: Vec<SchedulerConfig>,
-    faults: Vec<FaultSpec>,
-    services: Vec<ServiceSpec>,
-    fleets: Vec<FleetSpec>,
+    scenarios: Vec<Scenario>,
     enforce_walltime: bool,
     check_invariants: bool,
     deferred_error: Option<String>,
@@ -61,9 +59,7 @@ impl ExperimentBuilder {
             loads: Vec::new(),
             seeds: Vec::new(),
             schedulers: Vec::new(),
-            faults: Vec::new(),
-            services: Vec::new(),
-            fleets: Vec::new(),
+            scenarios: Vec::new(),
             enforce_walltime: true,
             check_invariants: false,
             deferred_error: None,
@@ -91,9 +87,7 @@ impl ExperimentBuilder {
             loads: spec.loads,
             seeds: spec.seeds,
             schedulers: spec.schedulers,
-            faults: spec.faults,
-            services: spec.services,
-            fleets: spec.fleets,
+            scenarios: spec.scenarios,
             enforce_walltime: spec.enforce_walltime,
             check_invariants: spec.check_invariants,
             deferred_error: None,
@@ -200,56 +194,30 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Add one fault-scenario axis point. An empty fault axis (the
-    /// default) means every cell runs fault-free; adding scenarios crosses
-    /// them into the grid like any other dimension. Add
-    /// [`FaultSpec::none`] explicitly to keep a fault-free baseline
-    /// alongside fault scenarios — its cells hash (and cache) identically
-    /// to a grid without the axis.
+    /// Add a fault scenario to the scenario axis. An empty axis (the
+    /// default) means every cell is plain; each scenario adds its own
+    /// cells. Add [`FaultSpec::none`] explicitly to keep a fault-free
+    /// baseline beside fault scenarios — its cells hash (and cache)
+    /// identically to a grid without scenarios.
     pub fn fault(mut self, spec: FaultSpec) -> Self {
-        self.faults.push(spec);
+        self.scenarios.push(Scenario::Faults(spec));
         self
     }
 
-    /// Add several fault-scenario axis points.
-    pub fn faults(mut self, specs: impl IntoIterator<Item = FaultSpec>) -> Self {
-        self.faults.extend(specs);
-        self
-    }
-
-    /// Add one service-scenario axis point. An empty service axis (the
-    /// default) means every cell is a closed batch run; adding open
-    /// scenarios crosses them into the grid like any other dimension. Add
-    /// [`ServiceSpec::none`] explicitly to keep a closed baseline
-    /// alongside open scenarios — its cells hash (and cache) identically
-    /// to a grid without the axis. Open scenarios do not combine with
-    /// fault scenarios (rejected at build).
+    /// Add an open-system service scenario to the scenario axis. Add
+    /// [`ServiceSpec::none`] explicitly to keep a closed baseline beside
+    /// open scenarios — its cells hash (and cache) identically to a grid
+    /// without scenarios.
     pub fn service(mut self, spec: ServiceSpec) -> Self {
-        self.services.push(spec);
+        self.scenarios.push(Scenario::Service(spec));
         self
     }
 
-    /// Add several service-scenario axis points.
-    pub fn services(mut self, specs: impl IntoIterator<Item = ServiceSpec>) -> Self {
-        self.services.extend(specs);
-        self
-    }
-
-    /// Add one fleet-axis point. An empty fleet axis (the default) means
-    /// every cell runs on a single cluster; adding federated scenarios
-    /// crosses them into the grid like any other dimension. Add
-    /// [`FleetSpec::none`] explicitly to keep a single-cluster baseline
-    /// alongside fleets — its cells hash (and cache) identically to a
-    /// grid without the axis. Fleets do not combine with fault or service
-    /// scenarios (rejected at build).
+    /// Add a fleet scenario to the scenario axis. Add [`FleetSpec::none`]
+    /// explicitly to keep a single-cluster baseline beside fleets — its
+    /// cells hash (and cache) identically to a grid without scenarios.
     pub fn fleet(mut self, spec: FleetSpec) -> Self {
-        self.fleets.push(spec);
-        self
-    }
-
-    /// Add several fleet-axis points.
-    pub fn fleets(mut self, specs: impl IntoIterator<Item = FleetSpec>) -> Self {
-        self.fleets.extend(specs);
+        self.scenarios.push(Scenario::Fleet(spec));
         self
     }
 
@@ -294,9 +262,7 @@ impl ExperimentBuilder {
             loads: self.loads,
             seeds,
             schedulers: self.schedulers,
-            faults: self.faults,
-            services: self.services,
-            fleets: self.fleets,
+            scenarios: self.scenarios,
             enforce_walltime: self.enforce_walltime,
             check_invariants: self.check_invariants,
         };

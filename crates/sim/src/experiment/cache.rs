@@ -738,7 +738,11 @@ mod tests {
         }
         // And the epoch length is content.
         let mut longer = with_fleet.clone();
-        longer.fleets[0].epoch_s = 240.0;
+        longer.scenarios = vec![crate::Scenario::Fleet(FleetSpec::symmetric(
+            2,
+            240.0,
+            dmhpc_sched::MetaPolicyKind::RoundRobin,
+        ))];
         assert_ne!(
             cell_hash(digest, &with_fleet.compile().unwrap()[0]),
             cell_hash(digest, &longer.compile().unwrap()[0]),

@@ -7,11 +7,13 @@
 //!
 //! * [`ExperimentSpec`] — a declarative, JSON-(de)serializable description
 //!   of the run grid: a workload source ([`WorkloadSource`]), labelled
-//!   cluster shapes, load/seed axes, and scheduler configurations. Built
-//!   fluently via [`ExperimentSpec::builder`].
+//!   cluster shapes, load/seed axes, one scenario axis ([`Scenario`]: a
+//!   fault storm, an open arrival stream or a fleet, each cell running
+//!   one), and scheduler configurations. Built fluently via
+//!   [`ExperimentSpec::builder`].
 //! * [`ExperimentSpec::compile`] — expands the grid into concrete
-//!   [`RunSpec`] cells (cluster × load × seed × scheduler), validating
-//!   every axis up front so execution cannot fail mid-sweep.
+//!   [`RunSpec`] cells (cluster × load × seed × scenario × scheduler),
+//!   validating every axis up front so execution cannot fail mid-sweep.
 //! * [`ExperimentRunner`] — executes the cells over the parallel sweep
 //!   machinery with deterministic result ordering and a shared workload
 //!   cache, yielding [`ExperimentResults`].
@@ -170,12 +172,62 @@ pub struct RunSpec {
     pub fleet: FleetSpec,
 }
 
+/// One point of the scenario axis: the condition a cell runs under
+/// besides its cluster, load, seed and scheduler. A cell runs exactly one
+/// scenario, so kinds never cross, and a grid may list scenarios of
+/// different kinds side by side. The `none()` of every kind is the plain
+/// cell: fault-free, closed and single-cluster.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scenario {
+    /// Node failures, drains and pool degradations on the machine.
+    Faults(FaultSpec),
+    /// An open arrival stream instead of the closed batch.
+    Service(ServiceSpec),
+    /// A federated fleet of sites instead of one cluster.
+    Fleet(FleetSpec),
+}
+
+impl Scenario {
+    fn validate_for(&self, cluster: &ClusterSpec) -> Result<(), SimError> {
+        match self {
+            Scenario::Faults(f) => f.validate_for(cluster),
+            Scenario::Service(s) => s.validate_for(cluster),
+            Scenario::Fleet(f) => f.validate_for(cluster),
+        }
+    }
+
+    /// The `(fault, service, fleet)` key labels of this scenario's cells:
+    /// its own kind's label, and `None` for the other two and for a
+    /// `none()`.
+    fn key_labels(&self) -> [Option<String>; 3] {
+        let mut labels = [None, None, None];
+        match self {
+            Scenario::Faults(f) if !f.is_none() => labels[0] = Some(f.label()),
+            Scenario::Service(s) if !s.is_none() => labels[1] = Some(s.label()),
+            Scenario::Fleet(f) if !f.is_none() => labels[2] = Some(f.label()),
+            _ => {}
+        }
+        labels
+    }
+
+    /// The three [`RunSpec`] scenario fields: this scenario fills its own
+    /// kind's and leaves the other two `none()`.
+    fn run_fields(&self) -> (FaultSpec, ServiceSpec, FleetSpec) {
+        match self {
+            Scenario::Faults(f) => (f.clone(), ServiceSpec::none(), FleetSpec::none()),
+            Scenario::Service(s) => (FaultSpec::none(), s.clone(), FleetSpec::none()),
+            Scenario::Fleet(f) => (FaultSpec::none(), ServiceSpec::none(), f.clone()),
+        }
+    }
+}
+
 /// A declarative description of a whole experiment grid.
 ///
-/// The grid is the cross product `clusters × loads × seeds × schedulers`
-/// (with the load axis treated as a single "native load" point when empty,
-/// and the seed axis collapsed for [`WorkloadSource::Fixed`]). Construct
-/// via [`ExperimentSpec::builder`]; serialize with
+/// The grid is the cross product `clusters × loads × seeds × scenarios ×
+/// schedulers` (with the load axis treated as a single "native load"
+/// point when empty, the seed axis collapsed for
+/// [`WorkloadSource::Fixed`], and an empty scenario axis meaning one plain
+/// cell). Construct via [`ExperimentSpec::builder`]; serialize with
 /// [`ExperimentSpec::to_json`] / [`ExperimentSpec::from_json`].
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
@@ -191,17 +243,10 @@ pub struct ExperimentSpec {
     pub seeds: Vec<u64>,
     /// Scheduler axis.
     pub schedulers: Vec<SchedulerConfig>,
-    /// Fault-scenario axis. Empty = every cell runs fault-free (identical
-    /// to the pre-fault grid, hash-for-hash).
-    pub faults: Vec<FaultSpec>,
-    /// Service-scenario axis. Empty = every cell is a closed batch run
-    /// (identical to the pre-service grid, hash-for-hash). Open scenarios
-    /// do not combine with fault scenarios.
-    pub services: Vec<ServiceSpec>,
-    /// Fleet axis. Empty = every cell runs on a single cluster (identical
-    /// to the pre-federation grid, hash-for-hash). Federated scenarios do
-    /// not combine with fault or service scenarios.
-    pub fleets: Vec<FleetSpec>,
+    /// Scenario axis. Empty = every cell is plain (fault-free, closed and
+    /// single-cluster), identical to a grid without scenarios,
+    /// hash-for-hash; so is any `none()` entry.
+    pub scenarios: Vec<Scenario>,
     /// Kill jobs at their planned walltime (production behaviour).
     pub enforce_walltime: bool,
     /// Run cluster invariant checks after every event batch (tests only).
@@ -232,44 +277,12 @@ impl ExperimentSpec {
         }
     }
 
-    /// Effective fault axis: the configured scenarios, or a single
-    /// fault-free point.
-    fn fault_axis(&self) -> Vec<FaultSpec> {
-        if self.faults.is_empty() {
-            vec![FaultSpec::none()]
-        } else {
-            self.faults.clone()
-        }
-    }
-
-    /// Effective service axis: the configured scenarios, or a single
-    /// closed-batch point.
-    fn service_axis(&self) -> Vec<ServiceSpec> {
-        if self.services.is_empty() {
-            vec![ServiceSpec::none()]
-        } else {
-            self.services.clone()
-        }
-    }
-
-    /// Effective fleet axis: the configured scenarios, or a single
-    /// single-cluster point.
-    fn fleet_axis(&self) -> Vec<FleetSpec> {
-        if self.fleets.is_empty() {
-            vec![FleetSpec::none()]
-        } else {
-            self.fleets.clone()
-        }
-    }
-
     /// Number of grid cells `compile` will produce.
     pub fn cell_count(&self) -> usize {
         self.clusters.len()
             * self.load_axis().len()
             * self.seed_axis().len()
-            * self.fault_axis().len()
-            * self.service_axis().len()
-            * self.fleet_axis().len()
+            * self.scenarios.len().max(1)
             * self.schedulers.len()
     }
 
@@ -295,6 +308,11 @@ impl ExperimentSpec {
                 if self.seeds.is_empty() {
                     return Err(SimError::spec("seed axis is empty"));
                 }
+                if has_duplicates(self.seeds.clone()) {
+                    return Err(SimError::spec(
+                        "seed axis contains duplicate seeds (each would simulate the same cells)",
+                    ));
+                }
             }
             WorkloadSource::Fixed(w) => {
                 if w.is_empty() {
@@ -311,10 +329,7 @@ impl ExperimentSpec {
             }
             cluster.validate()?;
         }
-        let mut labels: Vec<&str> = self.clusters.iter().map(|(l, _)| l.as_str()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        if labels.len() != self.clusters.len() {
+        if has_duplicates(self.clusters.iter().map(|(l, _)| l.as_str()).collect()) {
             return Err(SimError::spec("cluster labels must be unique"));
         }
         for &load in &self.loads {
@@ -324,146 +339,87 @@ impl ExperimentSpec {
                 )));
             }
         }
+        if has_duplicates(self.loads.iter().map(|l| l.to_bits()).collect()) {
+            return Err(SimError::spec(
+                "load axis contains duplicate loads (each would simulate the same cells)",
+            ));
+        }
         for sched in &self.schedulers {
             sched.slowdown.validate()?;
         }
-        let mut sched_labels: Vec<String> =
-            self.schedulers.iter().map(|s| s.full_label()).collect();
-        sched_labels.sort_unstable();
-        sched_labels.dedup();
-        if sched_labels.len() != self.schedulers.len() {
+        if has_duplicates(self.schedulers.iter().map(|s| s.full_label()).collect()) {
             return Err(SimError::spec(
                 "scheduler axis contains duplicate configurations",
             ));
         }
-        for fault in &self.faults {
-            // Machine-aware: fixed actions must fit every cluster on the
-            // axis, or compile() would hand the runner an unrunnable cell.
+        for scenario in &self.scenarios {
+            // Machine-aware: fixed fault actions must target nodes and
+            // pools every cluster has, a utilization target must bind to
+            // every cluster, and unpinned fleet sites inherit each one.
             for (_, cluster) in &self.clusters {
-                fault.validate_for(cluster)?;
+                scenario.validate_for(cluster)?;
             }
         }
-        let mut fault_labels: Vec<String> = self.faults.iter().map(|f| f.label()).collect();
-        fault_labels.sort_unstable();
-        fault_labels.dedup();
-        if fault_labels.len() != self.faults.len() {
+        if has_duplicates(self.scenarios.iter().map(Scenario::key_labels).collect()) {
             return Err(SimError::spec(
-                "fault axis contains scenarios with colliding labels \
-                 (duplicate or near-duplicate FaultSpecs)",
-            ));
-        }
-        for service in &self.services {
-            // Machine-aware: a utilization target must bind to every
-            // cluster on the axis.
-            for (_, cluster) in &self.clusters {
-                service.validate_for(cluster)?;
-            }
-        }
-        let mut service_labels: Vec<String> = self.services.iter().map(|s| s.label()).collect();
-        service_labels.sort_unstable();
-        service_labels.dedup();
-        if service_labels.len() != self.services.len() {
-            return Err(SimError::spec(
-                "service axis contains scenarios with colliding labels \
-                 (duplicate or near-duplicate ServiceSpecs)",
-            ));
-        }
-        // The engine rejects the combination per run; surface it here so
-        // the whole grid fails before any cell simulates.
-        if self.services.iter().any(|s| !s.is_none()) && self.faults.iter().any(|f| !f.is_none()) {
-            return Err(SimError::spec(
-                "open-system service scenarios do not combine with fault scenarios \
-                 (split them into separate experiments)",
-            ));
-        }
-        for fleet in &self.fleets {
-            // Machine-aware: unpinned sites inherit each cluster on the
-            // axis, so the fleet must resolve against every one.
-            for (_, cluster) in &self.clusters {
-                fleet.validate_for(cluster)?;
-            }
-        }
-        let mut fleet_labels: Vec<String> = self.fleets.iter().map(|f| f.label()).collect();
-        fleet_labels.sort_unstable();
-        fleet_labels.dedup();
-        if fleet_labels.len() != self.fleets.len() {
-            return Err(SimError::spec(
-                "fleet axis contains scenarios with colliding labels \
-                 (duplicate or near-duplicate FleetSpecs)",
-            ));
-        }
-        if self.fleets.iter().any(|f| !f.is_none())
-            && (self.faults.iter().any(|f| !f.is_none())
-                || self.services.iter().any(|s| !s.is_none()))
-        {
-            return Err(SimError::spec(
-                "federated fleet scenarios do not combine with fault or service \
-                 scenarios (split them into separate experiments)",
+                "scenario axis contains scenarios with colliding labels (duplicate or \
+                 near-duplicate scenarios, or the plain cell listed twice)",
             ));
         }
         Ok(())
     }
 
     /// Expand the grid into concrete cells, in deterministic axis order
-    /// (clusters outermost, then loads, seeds, fault scenarios, service
-    /// scenarios, fleets, and schedulers innermost).
+    /// (clusters outermost, then loads, seeds, scenarios, and schedulers
+    /// innermost).
     pub fn compile(&self) -> Result<Vec<RunSpec>, SimError> {
         self.validate()?;
+        let plain = [Scenario::Faults(FaultSpec::none())];
+        let axis = if self.scenarios.is_empty() {
+            &plain[..]
+        } else {
+            &self.scenarios[..]
+        };
+        // The key labels the axis entry as written (pre-resolution), so
+        // one scenario keeps one label across the whole seed axis.
+        let resolved: Vec<_> = axis
+            .iter()
+            .map(|s| (s.run_fields(), s.key_labels()))
+            .collect();
         let mut cells = Vec::with_capacity(self.cell_count());
         for (cluster_label, cluster) in &self.clusters {
             for load in self.load_axis() {
                 for seed in self.seed_axis() {
-                    for faults in self.fault_axis() {
-                        for service in self.service_axis() {
-                            for fleet in self.fleet_axis() {
-                                for sched in &self.schedulers {
-                                    let mut config = SimConfig::new(*cluster, *sched);
-                                    config.enforce_walltime = self.enforce_walltime;
-                                    config.check_invariants = self.check_invariants;
-                                    // The key labels the axis entry as
-                                    // written (pre-resolution), so one
-                                    // scenario keeps one label across the
-                                    // whole seed axis.
-                                    let service_label = if service.is_none() {
-                                        None
-                                    } else {
-                                        Some(service.label())
-                                    };
-                                    // Resolve the stream seed: an unpinned
-                                    // open scenario draws from the cell's
-                                    // seed axis, so the seed axis varies
-                                    // the stream just like it varies
-                                    // closed workloads.
-                                    let mut service = service.clone();
-                                    if !service.is_none() && service.seed.is_none() {
-                                        service.seed =
-                                            Some(seed.unwrap_or(ServiceSpec::DEFAULT_SEED));
-                                    }
-                                    cells.push(RunSpec {
-                                        key: CellKey {
-                                            cluster: cluster_label.clone(),
-                                            load,
-                                            seed,
-                                            fault: if faults.is_none() {
-                                                None
-                                            } else {
-                                                Some(faults.label())
-                                            },
-                                            service: service_label,
-                                            fleet: if fleet.is_none() {
-                                                None
-                                            } else {
-                                                Some(fleet.label())
-                                            },
-                                            scheduler: sched.full_label(),
-                                        },
-                                        config,
-                                        faults: faults.clone(),
-                                        service,
-                                        fleet: fleet.clone(),
-                                    });
-                                }
+                    for ((faults, service, fleet), [fault_label, service_label, fleet_label]) in
+                        &resolved
+                    {
+                        for sched in &self.schedulers {
+                            let mut config = SimConfig::new(*cluster, *sched);
+                            config.enforce_walltime = self.enforce_walltime;
+                            config.check_invariants = self.check_invariants;
+                            // Resolve the stream seed: an unpinned open
+                            // scenario draws from the cell's seed axis, so
+                            // the seed axis varies the stream just like it
+                            // varies closed workloads.
+                            let mut service = service.clone();
+                            if !service.is_none() && service.seed.is_none() {
+                                service.seed = Some(seed.unwrap_or(ServiceSpec::DEFAULT_SEED));
                             }
+                            cells.push(RunSpec {
+                                key: CellKey {
+                                    cluster: cluster_label.clone(),
+                                    load,
+                                    seed,
+                                    fault: fault_label.clone(),
+                                    service: service_label.clone(),
+                                    fleet: fleet_label.clone(),
+                                    scheduler: sched.full_label(),
+                                },
+                                config,
+                                faults: faults.clone(),
+                                service,
+                                fleet: fleet.clone(),
+                            });
                         }
                     }
                 }
@@ -477,14 +433,14 @@ impl ExperimentSpec {
     ///
     /// The hash covers exactly what determines a cell's result: workload
     /// source content, cluster shape, load, seed, scheduler configuration,
-    /// walltime enforcement, and the fault scenario. Presentation-only
+    /// walltime enforcement, and the cell's scenario. Presentation-only
     /// fields (experiment name, cluster labels, `check_invariants`) are
     /// excluded, and hashes are computed from the parsed spec — not its
     /// JSON text — so reordering fields in a spec file changes nothing. A
-    /// fault-free cell ([`FaultSpec::none`]) hashes exactly as pre-fault
-    /// grids did, so attaching an explicit no-fault axis keeps existing
-    /// caches warm. Diff two specs' hashes to see which cells an edit
-    /// would re-execute.
+    /// plain cell (no scenario, or any kind's `none()`) hashes exactly as
+    /// grids without scenarios did, so listing an explicit `none()` keeps
+    /// existing caches warm. Diff two specs' hashes to see which cells an
+    /// edit would re-execute.
     pub fn cell_hashes(&self) -> Result<Vec<(CellKey, u64)>, SimError> {
         let digest = cache::workload_digest(&self.workload);
         Ok(self
@@ -510,6 +466,14 @@ impl ExperimentSpec {
         spec.validate()?;
         Ok(spec)
     }
+}
+
+/// Whether `items` holds two equal entries.
+fn has_duplicates<T: Ord>(mut items: Vec<T>) -> bool {
+    let n = items.len();
+    items.sort_unstable();
+    items.dedup();
+    items.len() != n
 }
 
 /// A stable human label for a pool topology (used for auto-generated
@@ -649,6 +613,24 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("unique"), "{err}");
+
+        // A repeated seed or load would simulate the same cells twice.
+        let err = ExperimentSpec::builder("x")
+            .preset(SystemPreset::MidCluster, 10)
+            .pool(PoolTopology::None)
+            .seeds([1, 1])
+            .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("duplicate seeds"), "{err}");
+        let err = ExperimentSpec::builder("x")
+            .preset(SystemPreset::MidCluster, 10)
+            .pool(PoolTopology::None)
+            .loads([0.8, 0.8])
+            .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("duplicate loads"), "{err}");
     }
 
     #[test]
@@ -759,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn service_axis_rejects_collisions_and_fault_combination() {
+    fn service_scenarios_reject_collisions_and_sit_beside_faults() {
         let svc = ServiceSpec::open(SystemPreset::HighThroughput).with_horizon_jobs(200);
         let err = ExperimentSpec::builder("dup-svc")
             .preset(SystemPreset::HighThroughput, 20)
@@ -772,9 +754,11 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("colliding"), "{err}");
 
+        // A fault scenario and an open scenario on one axis: each runs as
+        // its own cells and never inside the other's.
         let mut gen = crate::FaultGenerator::quiet(5, 40_000);
         gen.node_mtbf_s = 8_000;
-        let err = ExperimentSpec::builder("svc-faults")
+        let cells = ExperimentSpec::builder("svc-faults")
             .preset(SystemPreset::HighThroughput, 20)
             .pool(PoolTopology::None)
             .seed(1)
@@ -782,8 +766,14 @@ mod tests {
             .fault(crate::FaultSpec::none().with_generator(gen))
             .service(svc)
             .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("do not combine"), "{err}");
+            .unwrap()
+            .compile()
+            .unwrap();
+        assert_eq!(cells.len(), 2);
+        assert!(!cells[0].faults.is_none() && cells[0].service.is_none());
+        assert!(cells[1].faults.is_none() && !cells[1].service.is_none());
+        assert!(cells[0].key.fault.is_some() && cells[0].key.service.is_none());
+        assert!(cells[1].key.fault.is_none() && cells[1].key.service.is_some());
     }
 
     #[test]
@@ -813,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_axis_rejects_collisions_and_fault_service_combination() {
+    fn fleet_scenarios_reject_collisions_and_sit_beside_other_kinds() {
         let fleet = FleetSpec::symmetric(2, 60.0, dmhpc_sched::MetaPolicyKind::RoundRobin);
         let err = ExperimentSpec::builder("dup-fleet")
             .preset(SystemPreset::HighThroughput, 20)
@@ -828,28 +818,84 @@ mod tests {
 
         let mut gen = crate::FaultGenerator::quiet(5, 40_000);
         gen.node_mtbf_s = 8_000;
-        let err = ExperimentSpec::builder("fleet-faults")
+        let svc = ServiceSpec::open(SystemPreset::HighThroughput).with_horizon_jobs(200);
+        let cells = ExperimentSpec::builder("fleet-mixed")
             .preset(SystemPreset::HighThroughput, 20)
             .pool(PoolTopology::None)
             .seed(1)
             .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
             .fault(crate::FaultSpec::none().with_generator(gen))
+            .fleet(fleet)
+            .service(svc)
+            .build()
+            .unwrap()
+            .compile()
+            .unwrap();
+        let kinds: Vec<[bool; 3]> = cells
+            .iter()
+            .map(|c| {
+                [
+                    !c.faults.is_none(),
+                    !c.service.is_none(),
+                    !c.fleet.is_none(),
+                ]
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                [true, false, false],
+                [false, false, true],
+                [false, true, false]
+            ],
+            "each cell runs exactly the scenario it was listed with"
+        );
+    }
+
+    #[test]
+    fn mixed_kind_cells_hash_as_their_single_kind_specs() {
+        let storm = crate::FaultSpec::none().with_generator(crate::FaultGenerator {
+            node_mtbf_s: 8_000,
+            ..crate::FaultGenerator::quiet(5, 40_000)
+        });
+        let open = ServiceSpec::open(SystemPreset::HighThroughput).with_horizon_jobs(200);
+        let fleet = FleetSpec::symmetric(2, 300.0, dmhpc_sched::MetaPolicyKind::RoundRobin);
+        let base = || {
+            ExperimentSpec::builder("mixed")
+                .preset(SystemPreset::HighThroughput, 20)
+                .pools([
+                    PoolTopology::None,
+                    PoolTopology::PerRack {
+                        mib_per_rack: 512 * 1024,
+                    },
+                ])
+                .seeds([1, 2])
+                .schedulers(policy_suite(default_slowdown()).into_iter().take(2))
+        };
+        let mixed = base()
+            .fault(crate::FaultSpec::none())
+            .fault(storm.clone())
+            .service(open.clone())
             .fleet(fleet.clone())
             .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("do not combine"), "{err}");
-
-        let svc = ServiceSpec::open(SystemPreset::HighThroughput).with_horizon_jobs(200);
-        let err = ExperimentSpec::builder("fleet-svc")
-            .preset(SystemPreset::HighThroughput, 20)
-            .pool(PoolTopology::None)
-            .seed(1)
-            .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
-            .service(svc)
-            .fleet(fleet)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("do not combine"), "{err}");
+            .unwrap()
+            .cell_hashes()
+            .unwrap();
+        assert_eq!(mixed.len(), 2 * 2 * 4 * 2);
+        let singles: Vec<(CellKey, u64)> = [
+            base().build(),
+            base().fault(storm).build(),
+            base().service(open).build(),
+            base().fleet(fleet).build(),
+        ]
+        .into_iter()
+        .flat_map(|spec| spec.unwrap().cell_hashes().unwrap())
+        .collect();
+        assert_eq!(singles.len(), mixed.len());
+        for (key, hash) in &mixed {
+            let single = singles.iter().find(|(k, _)| k == key).unwrap();
+            assert_eq!(*hash, single.1, "{}", key.label());
+        }
     }
 
     #[test]
@@ -861,6 +907,17 @@ mod tests {
             .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
             .fault(crate::FaultSpec::none())
             .fault(crate::FaultSpec::none())
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("colliding"), "{err}");
+        // The plain cell is one cell whatever kind's none() names it.
+        let err = ExperimentSpec::builder("dup-plain")
+            .preset(SystemPreset::HighThroughput, 20)
+            .pool(PoolTopology::None)
+            .seed(1)
+            .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
+            .fault(crate::FaultSpec::none())
+            .service(ServiceSpec::none())
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("colliding"), "{err}");

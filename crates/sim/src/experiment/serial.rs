@@ -7,7 +7,7 @@
 //! unit variants are strings (`"fcfs"`), data variants are single-key
 //! objects (`{"wfp": {"exponent": 3.0}}`).
 
-use super::{ExperimentSpec, WorkloadSource};
+use super::{ExperimentSpec, Scenario, WorkloadSource};
 use crate::error::SimError;
 use crate::faults::{FaultAction, FaultGenerator, FaultSpec, InterruptPolicy};
 use crate::federation::{FleetSpec, SiteSpec};
@@ -310,6 +310,14 @@ fn fleet_to_json(f: &FleetSpec) -> Json {
     ])
 }
 
+fn scenario_to_json(s: &Scenario) -> Json {
+    match s {
+        Scenario::Faults(f) => Json::obj(vec![("faults", fault_to_json(f))]),
+        Scenario::Service(s) => Json::obj(vec![("service", service_to_json(s))]),
+        Scenario::Fleet(f) => Json::obj(vec![("fleet", fleet_to_json(f))]),
+    }
+}
+
 pub(super) fn spec_to_json(spec: &ExperimentSpec) -> Result<String, SimError> {
     let workload = match &spec.workload {
         WorkloadSource::Preset { preset, jobs } => Json::obj(vec![(
@@ -348,16 +356,8 @@ pub(super) fn spec_to_json(spec: &ExperimentSpec) -> Result<String, SimError> {
             Json::Arr(spec.schedulers.iter().map(scheduler_to_json).collect()),
         ),
         (
-            "faults",
-            Json::Arr(spec.faults.iter().map(fault_to_json).collect()),
-        ),
-        (
-            "services",
-            Json::Arr(spec.services.iter().map(service_to_json).collect()),
-        ),
-        (
-            "fleets",
-            Json::Arr(spec.fleets.iter().map(fleet_to_json).collect()),
+            "scenarios",
+            Json::Arr(spec.scenarios.iter().map(scenario_to_json).collect()),
         ),
         ("enforce_walltime", Json::Bool(spec.enforce_walltime)),
         ("check_invariants", Json::Bool(spec.check_invariants)),
@@ -676,6 +676,56 @@ fn preset_from_name(name: &str) -> Result<SystemPreset, JsonError> {
         .ok_or_else(|| shape(format!("unknown system preset {name:?}")))
 }
 
+fn scenario_from_json(v: &Json) -> Result<Scenario, JsonError> {
+    let (tag, data) = tagged(v)?;
+    scenario_of_kind(tag, payload(data, tag)?)
+}
+
+fn scenario_of_kind(kind: &str, data: &Json) -> Result<Scenario, JsonError> {
+    match kind {
+        "faults" => Ok(Scenario::Faults(fault_from_json(data)?)),
+        "service" => Ok(Scenario::Service(service_from_json(data)?)),
+        "fleet" => Ok(Scenario::Fleet(fleet_from_json(data)?)),
+        other => Err(shape(format!("unknown scenario kind {other:?}"))),
+    }
+}
+
+/// The scenario axis of a document written before the axes merged, when
+/// `faults`, `services` and `fleets` were crossed with each other (each
+/// key optional; an absent or empty one meant the plain cell). Crossing
+/// only ever worked with one kind holding real scenarios, so that kind's
+/// list is the axis; with none, the first non-empty list is.
+fn legacy_scenarios(doc: &Json) -> Result<Vec<Scenario>, SimError> {
+    let mut lists = Vec::new();
+    for (key, kind) in [
+        ("faults", "faults"),
+        ("services", "service"),
+        ("fleets", "fleet"),
+    ] {
+        lists.push(match doc.get(key) {
+            Some(v) => v
+                .to_arr()?
+                .iter()
+                .map(|data| scenario_of_kind(kind, data))
+                .collect::<Result<Vec<_>, _>>()?,
+            None => Vec::new(),
+        });
+    }
+    let real = |l: &&Vec<Scenario>| l.iter().any(|s| s.key_labels() != [None, None, None]);
+    let mut active = lists.iter().filter(real);
+    match (active.next(), active.next()) {
+        (Some(_), Some(_)) => Err(SimError::spec(
+            "fault, service and fleet scenarios do not combine in one cell (list them \
+             under \"scenarios\" to run each as its own cells)",
+        )),
+        (Some(l), None) => Ok(l.clone()),
+        (None, _) => Ok(lists
+            .into_iter()
+            .find(|l| !l.is_empty())
+            .unwrap_or_default()),
+    }
+}
+
 pub(super) fn spec_from_json(text: &str) -> Result<ExperimentSpec, SimError> {
     let doc = parse(text)?;
     let inner = || -> Result<ExperimentSpec, JsonError> {
@@ -717,34 +767,13 @@ pub(super) fn spec_from_json(text: &str) -> Result<ExperimentSpec, SimError> {
                 .iter()
                 .map(scheduler_from_json)
                 .collect::<Result<_, _>>()?,
-            // Absent in documents written before the fault axis existed:
-            // those grids are fault-free, exactly what an empty axis means.
-            faults: match doc.get("faults") {
-                Some(f) => f
-                    .to_arr()?
-                    .iter()
-                    .map(fault_from_json)
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            },
-            // Absent in documents written before service mode existed:
-            // those grids are closed, exactly what an empty axis means.
-            services: match doc.get("services") {
+            // Absent in documents written before any scenario existed:
+            // those grids are plain, exactly what an empty axis means.
+            scenarios: match doc.get("scenarios") {
                 Some(s) => s
                     .to_arr()?
                     .iter()
-                    .map(service_from_json)
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            },
-            // Absent in documents written before federation existed:
-            // those grids are single-cluster, exactly what an empty axis
-            // means.
-            fleets: match doc.get("fleets") {
-                Some(f) => f
-                    .to_arr()?
-                    .iter()
-                    .map(fleet_from_json)
+                    .map(scenario_from_json)
                     .collect::<Result<_, _>>()?,
                 None => Vec::new(),
             },
@@ -752,7 +781,20 @@ pub(super) fn spec_from_json(text: &str) -> Result<ExperimentSpec, SimError> {
             check_invariants: doc.expect_key("check_invariants")?.to_bool()?,
         })
     };
-    inner().map_err(SimError::from)
+    let mut spec = inner()?;
+    let legacy = ["faults", "services", "fleets"]
+        .iter()
+        .any(|k| doc.get(k).is_some());
+    if legacy {
+        if doc.get("scenarios").is_some() {
+            return Err(SimError::parse(
+                "a spec lists either \"scenarios\" or the older \"faults\"/\"services\"/\
+                 \"fleets\" keys, not both",
+            ));
+        }
+        spec.scenarios = legacy_scenarios(&doc)?;
+    }
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -814,10 +856,9 @@ mod tests {
         assert_eq!(back.loads, spec.loads);
         assert_eq!(back.seeds, spec.seeds);
         assert_eq!(back.schedulers, spec.schedulers);
-        assert_eq!(back.faults, spec.faults, "fault axis round-trips exactly");
         assert_eq!(
-            back.services, spec.services,
-            "service axis round-trips exactly"
+            back.scenarios, spec.scenarios,
+            "scenario axis round-trips exactly"
         );
         assert_eq!(back.enforce_walltime, spec.enforce_walltime);
         assert_eq!(back.check_invariants, spec.check_invariants);
@@ -883,7 +924,7 @@ mod tests {
             .unwrap();
         let json = spec.to_json().unwrap();
         let back = ExperimentSpec::from_json(&json).unwrap();
-        assert_eq!(back.services, spec.services);
+        assert_eq!(back.scenarios, spec.scenarios);
         assert_eq!(back.to_json().unwrap(), json, "canonical form is stable");
         // And the compiled grids (with resolved stream seeds) agree.
         let a = spec.compile().unwrap();
@@ -929,7 +970,7 @@ mod tests {
             .unwrap();
         let json = spec.to_json().unwrap();
         let back = ExperimentSpec::from_json(&json).unwrap();
-        assert_eq!(back.fleets, spec.fleets, "fleet axis round-trips exactly");
+        assert_eq!(back.scenarios, spec.scenarios, "fleets round-trip exactly");
         assert_eq!(back.to_json().unwrap(), json, "canonical form is stable");
         let a = spec.compile().unwrap();
         let b = back.compile().unwrap();
@@ -940,9 +981,10 @@ mod tests {
     }
 
     #[test]
-    fn pre_fleet_documents_parse_as_single_cluster() {
-        // Documents written before federation have no "fleets" key; they
-        // must keep parsing (as single-cluster grids).
+    fn pre_scenario_documents_parse_as_plain_grids() {
+        // Documents written before any scenario existed have neither
+        // "scenarios" nor the older per-kind keys; they must keep parsing
+        // (as fault-free, closed, single-cluster grids).
         let old = r#"{
             "name": "legacy",
             "workload": {"preset": {"system": "htc-128", "jobs": 10}},
@@ -960,8 +1002,112 @@ mod tests {
             "check_invariants": false
         }"#;
         let spec = ExperimentSpec::from_json(old).unwrap();
-        assert!(spec.fleets.is_empty());
-        assert_eq!(spec.compile().unwrap()[0].key.fleet, None);
+        assert!(spec.scenarios.is_empty());
+        let key = &spec.compile().unwrap()[0].key;
+        assert_eq!(
+            (&key.fault, &key.service, &key.fleet),
+            (&None, &None, &None)
+        );
+    }
+
+    /// `base` written the way documents were before the scenario kinds
+    /// shared one axis: `scenarios` replaced by per-kind keys.
+    fn legacy_doc(base: &ExperimentSpec, keys: Vec<(&str, Json)>) -> String {
+        let Json::Obj(mut pairs) = parse(&base.to_json().unwrap()).unwrap() else {
+            panic!("a spec document is an object");
+        };
+        pairs.retain(|(k, _)| k != "scenarios");
+        pairs.extend(keys.into_iter().map(|(k, v)| (k.to_string(), v)));
+        Json::Obj(pairs).to_string_pretty()
+    }
+
+    #[test]
+    fn legacy_per_kind_documents_give_the_cells_they_crossed_to() {
+        let base = || {
+            ExperimentSpec::builder("legacy")
+                .preset(SystemPreset::HighThroughput, 40)
+                .pools([
+                    PoolTopology::None,
+                    PoolTopology::PerRack {
+                        mib_per_rack: 384 * 1024,
+                    },
+                ])
+                .seeds([1, 2])
+                .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
+        };
+        let storm = FaultSpec::none().with_generator(FaultGenerator {
+            node_mtbf_s: 8_000,
+            ..FaultGenerator::quiet(5, 40_000)
+        });
+        let open = ServiceSpec::open(SystemPreset::HighThroughput).with_horizon_jobs(200);
+        let plain = base().build().unwrap();
+        let faults =
+            |list: &[&FaultSpec]| Json::Arr(list.iter().map(|f| fault_to_json(f)).collect());
+        let services =
+            |list: &[&ServiceSpec]| Json::Arr(list.iter().map(|s| service_to_json(s)).collect());
+        let none_f = FaultSpec::none();
+        let none_s = ServiceSpec::none();
+        let cases = [
+            // One kind with a real scenario: its list is the axis.
+            (
+                vec![("faults", faults(&[&none_f, &storm]))],
+                base().fault(FaultSpec::none()).fault(storm.clone()),
+            ),
+            // A none() list beside it crossed to nothing: one cell, not two.
+            (
+                vec![
+                    ("faults", faults(&[&storm])),
+                    ("services", services(&[&none_s])),
+                ],
+                base().fault(storm.clone()),
+            ),
+            (
+                vec![
+                    ("faults", faults(&[&none_f])),
+                    ("services", services(&[&none_s])),
+                ],
+                base().fault(FaultSpec::none()),
+            ),
+            (
+                vec![
+                    ("faults", Json::Arr(Vec::new())),
+                    ("services", services(&[&none_s, &open])),
+                    ("fleets", Json::Arr(Vec::new())),
+                ],
+                base().service(ServiceSpec::none()).service(open.clone()),
+            ),
+        ];
+        for (keys, want) in cases {
+            let doc = legacy_doc(&plain, keys);
+            let got = ExperimentSpec::from_json(&doc).unwrap();
+            assert_eq!(
+                got.cell_hashes().unwrap(),
+                want.build().unwrap().cell_hashes().unwrap(),
+                "{doc}"
+            );
+        }
+        // Two kinds with real scenarios crossed in the older format; no
+        // cell can hold both.
+        let doc = legacy_doc(
+            &plain,
+            vec![
+                ("faults", faults(&[&storm])),
+                ("services", services(&[&open])),
+            ],
+        );
+        let err = ExperimentSpec::from_json(&doc).unwrap_err();
+        assert!(
+            matches!(err, SimError::Spec { .. }) && err.to_string().contains("do not combine"),
+            "{err}"
+        );
+        // Both forms in one document.
+        let mixed = base().fault(storm).build().unwrap();
+        let Json::Obj(mut pairs) = parse(&mixed.to_json().unwrap()).unwrap() else {
+            panic!("a spec document is an object");
+        };
+        pairs.push(("fleets".to_string(), Json::Arr(Vec::new())));
+        let err = ExperimentSpec::from_json(&Json::Obj(pairs).to_string_pretty()).unwrap_err();
+        assert!(err.to_string().contains("not both"), "{err}");
     }
 
     #[test]
@@ -1006,38 +1152,13 @@ mod tests {
             .build()
             .unwrap();
         let back = ExperimentSpec::from_json(&spec.to_json().unwrap()).unwrap();
-        assert_eq!(back.faults, spec.faults);
+        assert_eq!(back.scenarios, spec.scenarios);
         // A no-pool cluster with a pool fault is rejected up front.
         let err = ExperimentBuilder::from_spec(spec)
             .pool(PoolTopology::None)
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("pool domain"), "{err}");
-    }
-
-    #[test]
-    fn pre_fault_documents_parse_as_fault_free() {
-        // Specs written before the fault axis existed have no "faults"
-        // key; they must keep parsing (as fault-free grids).
-        let old = r#"{
-            "name": "legacy",
-            "workload": {"preset": {"system": "htc-128", "jobs": 10}},
-            "clusters": [{
-                "label": "c0", "racks": 1, "nodes_per_rack": 4,
-                "cores": 8, "node_mem_mib": 65536, "pool": "none"
-            }],
-            "loads": [],
-            "seeds": [1],
-            "schedulers": [{
-                "order": "fcfs", "backfill": "easy", "memory": "local-only",
-                "slowdown": "none", "inflate_walltime": true
-            }],
-            "enforce_walltime": true,
-            "check_invariants": false
-        }"#;
-        let spec = ExperimentSpec::from_json(old).unwrap();
-        assert!(spec.faults.is_empty());
-        assert_eq!(spec.compile().unwrap()[0].key.fault, None);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   built-in [`observe::Observer`]s (so [`SimOutput`] is assembled from
 //!   the default observer set, bit-identically), and pluggable consumers
 //!   ride the same stream — a constant-memory JSONL
-//!   [`observe::TraceSink`], a cadence-sampled
-//!   [`observe::SampledSeriesProbe`], progress heartbeats. Observers are
-//!   hash-neutral by construction.
+//!   [`observe::TraceSink`] and a cadence-sampled
+//!   [`observe::SampledSeriesProbe`]. Observers are hash-neutral by
+//!   construction.
 //! * [`collector`] — time-weighted series (busy nodes, pool use, DRAM use,
 //!   queue depth) recorded exactly at every change, maintained by the
 //!   series observer.
@@ -69,12 +69,12 @@ pub use engine::{ObserverSet, SimOutput, Simulation};
 pub use error::SimError;
 pub use experiment::{
     CellKey, CellResult, ExperimentBuilder, ExperimentResults, ExperimentRunner, ExperimentSpec,
-    ResultCache, RunSpec, RunStats, Shard, WorkloadSource,
+    ResultCache, RunSpec, RunStats, Scenario, Shard, WorkloadSource,
 };
 pub use faults::{FaultAction, FaultGenerator, FaultSpec, InterruptPolicy};
 pub use federation::{FleetOutput, FleetSimulation, FleetSpec, SiteSpec};
 pub use observe::{
-    EventCounter, Observer, ObserverFactory, ProgressObserver, RunLabel, SampledSeriesProbe,
-    SimEvent, SketchStatsObserver, TraceDir, TraceSink,
+    EventCounter, Observer, ObserverFactory, RunLabel, SampledSeriesProbe, SimEvent,
+    SketchStatsObserver, TraceDir, TraceSink,
 };
 pub use service::{ServiceLoad, ServiceSpec};

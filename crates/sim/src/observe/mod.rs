@@ -28,7 +28,6 @@
 //!   produces, which is what makes million-job traces exportable;
 //! * [`SampledSeriesProbe`] — system state sampled at a configurable
 //!   cadence (bounded output regardless of event count);
-//! * [`ProgressObserver`] — a heartbeat line every N events;
 //! * [`EventCounter`] — per-kind event counts (tests, quick looks).
 //!
 //! **Hash-neutrality rule:** observers *consume* the stream, they never
@@ -39,8 +38,8 @@
 //!
 //! Attach points, innermost to outermost: per run, everything goes
 //! through one [`crate::ObserverSet`] passed to
-//! [`crate::Simulation::run_with`] — caller-owned observers, per-run
-//! factories, and the progress heartbeat alike; per-cell factories on a
+//! [`crate::Simulation::run_with`] — caller-owned observers and per-run
+//! factories alike; per-cell factories on a
 //! whole grid via `ExperimentRunner::observe` /
 //! `ExperimentRunner::trace_dir`; and `repro … --trace-out DIR` from the
 //! command line.
@@ -51,7 +50,7 @@ mod sketch;
 mod trace;
 
 pub use builtin::{FaultObserver, JobStatsObserver, SeriesObserver};
-pub use probe::{EventCounter, ProgressObserver, SampleRow, SampledSeriesProbe};
+pub use probe::{EventCounter, SampleRow, SampledSeriesProbe};
 pub use sketch::SketchStatsObserver;
 pub use trace::{parse_trace_line, TraceDir, TraceSink};
 

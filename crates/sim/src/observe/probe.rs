@@ -1,9 +1,8 @@
-//! Sampling, progress, and counting observers.
+//! Sampling and counting observers.
 
 use super::{Observer, RunContext, RunEnd, SimEvent};
 use dmhpc_des::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::io::Write;
 
 /// One sample of system state at a cadence boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,71 +142,6 @@ impl Observer for SampledSeriesProbe {
     }
 }
 
-/// Emits a heartbeat line every `every` events — the long-run "is it
-/// alive" signal. Writes to stderr by default; any `Write + Send` sink
-/// can be substituted (tests use a buffer).
-pub struct ProgressObserver {
-    every: u64,
-    seen: u64,
-    label: String,
-    out: Box<dyn Write + Send>,
-}
-
-impl std::fmt::Debug for ProgressObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgressObserver")
-            .field("every", &self.every)
-            .field("seen", &self.seen)
-            .finish()
-    }
-}
-
-impl ProgressObserver {
-    /// Report to stderr every `every` events (values < 1 clamp to 1).
-    pub fn every(every: u64) -> Self {
-        Self::to_writer(every, Box::new(std::io::stderr()))
-    }
-
-    /// Report into an arbitrary writer (tests, log files).
-    pub fn to_writer(every: u64, out: Box<dyn Write + Send>) -> Self {
-        ProgressObserver {
-            every: every.max(1),
-            seen: 0,
-            label: String::new(),
-            out,
-        }
-    }
-}
-
-impl Observer for ProgressObserver {
-    fn on_run_start(&mut self, ctx: &RunContext) {
-        self.seen = 0;
-        self.label = ctx.label.clone();
-    }
-
-    fn on_event(&mut self, ev: &SimEvent) {
-        self.seen += 1;
-        if self.seen.is_multiple_of(self.every) {
-            let _ = writeln!(
-                self.out,
-                "[{}] {} events, t={:.1}h",
-                self.label,
-                self.seen,
-                ev.at().as_hours_f64()
-            );
-        }
-    }
-
-    fn on_run_end(&mut self, end: &RunEnd) {
-        let _ = writeln!(
-            self.out,
-            "[{}] done: {} observed events, {} engine events, {} passes",
-            self.label, self.seen, end.events_processed, end.passes
-        );
-        let _ = self.out.flush();
-    }
-}
-
 /// Counts events per kind — the cheapest possible observer (tests,
 /// benches, quick sanity checks).
 #[derive(Debug, Clone, Default)]
@@ -296,37 +230,5 @@ mod tests {
         assert_eq!(c.count("submit"), 2);
         assert_eq!(c.count("start"), 0);
         assert_eq!(c.total(), 2);
-    }
-
-    /// A writer the test can read back after handing a clone to an observer.
-    #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(bytes);
-            Ok(bytes.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn progress_emits_on_schedule() {
-        let buf = SharedBuf::default();
-        let mut p = ProgressObserver::to_writer(2, Box::new(buf.clone()));
-        for i in 0..5 {
-            p.on_event(&submit(i));
-        }
-        let lines = buf
-            .0
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count();
-        assert_eq!(lines, 2);
     }
 }

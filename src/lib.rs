@@ -54,18 +54,19 @@
 //! Availability is a grid dimension too: a [`sim::FaultSpec`] (node
 //! failures, maintenance drains, pool degradations — fixed schedules or
 //! seeded generators, with resubmit or checkpoint/restart handling of
-//! interrupted jobs) crosses into a grid via
-//! `ExperimentSpec::builder(..).fault(..)`. Fault-free cells hash and
-//! cache exactly as before, so adding the axis never invalidates results.
+//! interrupted jobs) joins a grid's scenario axis via
+//! `ExperimentSpec::builder(..).fault(..)`, beside open service streams
+//! (`.service(..)`) and fleets (`.fleet(..)`); each cell runs one
+//! scenario. Plain cells hash and cache exactly as before, so adding
+//! scenarios never invalidates results.
 //!
 //! Runs are *observed* through a typed event stream ([`sim::observe`]):
 //! the engine emits a [`sim::observe::SimEvent`] per state change and all
 //! metrics are built-in [`sim::observe::Observer`]s, with pluggable extra
-//! consumers — a constant-memory JSONL [`sim::observe::TraceSink`], a
-//! cadence-sampled [`sim::observe::SampledSeriesProbe`], progress
-//! heartbeats — attached per run through one [`sim::ObserverSet`]
-//! ([`sim::Simulation::run_with`]) or
-//! per grid cell (`ExperimentRunner::observe` / `trace_dir`,
+//! consumers — a constant-memory JSONL [`sim::observe::TraceSink`] and a
+//! cadence-sampled [`sim::observe::SampledSeriesProbe`] — attached per run
+//! through one [`sim::ObserverSet`] ([`sim::Simulation::run_with`]) or per
+//! grid cell (`ExperimentRunner::observe` / `trace_dir`,
 //! `repro … --trace-out`). Observers are hash-neutral: they can never
 //! change a result, a trace hash, or a cache entry.
 //!
@@ -107,14 +108,14 @@ pub mod prelude {
         SiteSnapshot,
     };
     pub use dmhpc_sim::observe::{
-        EventCounter, Observer, ObserverFactory, ProgressObserver, RunLabel, SampleRow,
-        SampledSeriesProbe, SimEvent, SketchStatsObserver, TraceDir, TraceSink,
+        EventCounter, Observer, ObserverFactory, RunLabel, SampleRow, SampledSeriesProbe, SimEvent,
+        SketchStatsObserver, TraceDir, TraceSink,
     };
     pub use dmhpc_sim::{
         CellKey, CellResult, EventQueueKind, ExperimentResults, ExperimentRunner, ExperimentSpec,
         FaultAction, FaultGenerator, FaultSpec, FleetOutput, FleetSimulation, FleetSpec,
-        InterruptPolicy, ObserverSet, ResultCache, RunStats, ServiceLoad, ServiceSpec, Shard,
-        SimConfig, SimError, SimOutput, Simulation, SiteSpec, WorkloadSource,
+        InterruptPolicy, ObserverSet, ResultCache, RunStats, Scenario, ServiceLoad, ServiceSpec,
+        Shard, SimConfig, SimError, SimOutput, Simulation, SiteSpec, WorkloadSource,
     };
     pub use dmhpc_workload::source::{ArrivalProcess, JobSource};
     pub use dmhpc_workload::{

@@ -508,7 +508,8 @@ fn assert_no_panics<T, E>(
 }
 
 /// Corrupted spec JSON and trace lines come back as typed errors: 1,000
-/// seeded mutations of each input, 2,000 cases in all.
+/// seeded mutations of each kind of input (four spec documents, one trace
+/// line), 2,000 cases in all.
 #[test]
 fn mutated_user_inputs_are_typed_errors_not_panics() {
     let faults = ExperimentSpec::builder("fuzz-faults")
@@ -518,14 +519,12 @@ fn mutated_user_inputs_are_typed_errors_not_panics() {
         })
         .loads([0.7, 0.9])
         .policy_suite(SlowdownModel::Linear { penalty: 1.5 })
-        .faults([
-            FaultSpec::none(),
-            FaultSpec::none().with_generator(FaultGenerator {
-                node_mtbf_s: 20_000,
-                pool_degrade_interval_s: 40_000,
-                ..FaultGenerator::quiet(3, 86_400)
-            }),
-        ])
+        .fault(FaultSpec::none())
+        .fault(FaultSpec::none().with_generator(FaultGenerator {
+            node_mtbf_s: 20_000,
+            pool_degrade_interval_s: 40_000,
+            ..FaultGenerator::quiet(3, 86_400)
+        }))
         .build()
         .unwrap();
     let service = ExperimentSpec::builder("fuzz-service")
@@ -540,7 +539,47 @@ fn mutated_user_inputs_are_typed_errors_not_panics() {
         )
         .build()
         .unwrap();
-    let specs = [faults.to_json().unwrap(), service.to_json().unwrap()];
+    // One scenario axis holding all three kinds.
+    let mixed = ExperimentSpec::builder("fuzz-mixed")
+        .preset(SystemPreset::HighThroughput, 40)
+        .pool(PoolTopology::None)
+        .seeds([1, 2])
+        .policy_suite(SlowdownModel::None)
+        .fault(FaultSpec::none().with_action(
+            SimTime::from_secs(3_600),
+            FaultAction::NodeFail(dmhpc::platform::NodeId(2)),
+        ))
+        .service(
+            ServiceSpec::open(SystemPreset::HighThroughput)
+                .with_utilization(0.8)
+                .with_horizon_jobs(200),
+        )
+        .fleet(FleetSpec::symmetric(2, 300.0, MetaPolicyKind::RoundRobin))
+        .build()
+        .unwrap();
+    // A document written when faults, services and fleets were separate
+    // crossed axes.
+    let legacy = r#"{"name": "fuzz-legacy",
+        "workload": {"preset": {"system": "htc-128", "jobs": 40}},
+        "clusters": [{"label": "c0", "racks": 1, "nodes_per_rack": 4, "cores": 8,
+            "node_mem_mib": 65536, "pool": {"per-rack": {"mib_per_rack": 393216}}}],
+        "loads": [0.8], "seeds": [1, 2],
+        "schedulers": [{"order": "fcfs", "backfill": "easy", "memory": "pool-bf",
+            "slowdown": "none", "inflate_walltime": true}],
+        "faults": [
+            {"schedule": [], "interrupt": "resubmit", "max_resubmits": 1},
+            {"schedule": [{"at_us": 3600000000, "action": {"node-fail": {"node": 2}}}],
+             "interrupt": {"checkpoint": {"overhead_s": 120}}, "max_resubmits": 2}],
+        "services": [{"process": "poisson", "load": {"utilization": {"target": 0.8}},
+            "warmup_s": 0}],
+        "fleets": [],
+        "enforce_walltime": true, "check_invariants": false}"#;
+    let specs = [
+        faults.to_json().unwrap(),
+        service.to_json().unwrap(),
+        mixed.to_json().unwrap(),
+        legacy.to_string(),
+    ];
     for spec in &specs {
         ExperimentSpec::from_json(spec).unwrap();
     }
