@@ -381,21 +381,24 @@ fn run_grid(
         start.elapsed().as_secs_f64()
     );
     if let Some(dir) = &exec.trace_out {
-        verify_traces(dir, stats.simulated, started_at)?;
+        // Fleet cells run observation-free, so only the other simulated
+        // cells owe a trace.
+        verify_traces(dir, stats.observable, started_at)?;
     }
     Ok(())
 }
 
 /// Check the streamed traces after a `--trace-out` run: every `.jsonl`
 /// file must be non-empty and every line must parse as JSON. A run that
-/// simulated cells must have written at least one *fresh* trace (mtime
-/// at/after the run started, with a 1 s cushion for coarse filesystem
-/// timestamps) — stale files from earlier runs are still validated but
-/// cannot satisfy that check, and the totals distinguish the two so
-/// smoke logs show what this invocation actually exported.
+/// simulated `observable` cells (cells an observer watches) must have
+/// written at least one *fresh* trace (mtime at/after the run started,
+/// with a 1 s cushion for coarse filesystem timestamps) — stale files
+/// from earlier runs are still validated but cannot satisfy that check,
+/// and the totals distinguish the two so smoke logs show what this
+/// invocation actually exported.
 fn verify_traces(
     dir: &PathBuf,
-    simulated: usize,
+    observable: usize,
     started_at: std::time::SystemTime,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let cutoff = started_at - std::time::Duration::from_secs(1);
@@ -432,9 +435,10 @@ fn verify_traces(
         }
         events += lines.saturating_sub(2); // header + footer
     }
-    if simulated > 0 && fresh == 0 {
+    if observable > 0 && fresh == 0 {
         return Err(format!(
-            "--trace-out {}: {simulated} cells simulated but no trace files written by this run",
+            "--trace-out {}: {observable} observable cells simulated but no trace files \
+             written by this run",
             dir.display()
         )
         .into());
@@ -820,6 +824,36 @@ mod tests {
         let cells = spec.compile().unwrap();
         let labels: std::collections::BTreeSet<_> = cells.iter().map(|c| c.key.label()).collect();
         assert_eq!(labels.len(), cells.len(), "every cell label is unique");
+    }
+
+    /// A `--trace-out` run whose only simulated cells are fleet cells
+    /// writes no trace, and must not fail for it: `grid smoke` fills the
+    /// cache, then `grid smoke-fleet` simulates only its fleet half.
+    #[test]
+    fn fleet_only_simulation_owes_no_trace() {
+        let root =
+            std::env::temp_dir().join(format!("dmhpc-repro-fleet-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (cache, traces) = (root.join("cache"), root.join("traces"));
+        let runner = ExperimentRunner::with_threads(2).cache_dir(&cache).unwrap();
+        let smoke = runner.run(&load_spec("smoke").unwrap()).unwrap().stats();
+        assert_eq!((smoke.simulated, smoke.observable), (8, 8));
+
+        let started_at = std::time::SystemTime::now();
+        let fleet = runner
+            .trace_dir(&traces)
+            .unwrap()
+            .run(&load_spec("smoke-fleet").unwrap())
+            .unwrap()
+            .stats();
+        assert_eq!((fleet.cache_hits, fleet.simulated), (8, 8));
+        assert_eq!(fleet.observable, 0, "fleet cells run observation-free");
+        let verdict = verify_traces(&traces, fleet.observable, started_at);
+        assert!(verdict.is_ok(), "{:?}", verdict.err());
+        // Counting every simulated cell, as before, demands a trace no
+        // cell could write.
+        assert!(verify_traces(&traces, fleet.simulated, started_at).is_err());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

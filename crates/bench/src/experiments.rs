@@ -18,7 +18,7 @@ use dmhpc_sched::{
 use dmhpc_sim::scenarios::default_slowdown;
 use dmhpc_sim::{
     ExperimentBuilder, ExperimentResults, ExperimentRunner, ExperimentSpec, FaultSpec, FleetSpec,
-    Scenario, ServiceSpec, SimError,
+    Scenario, ServiceSpec, SimError, SUMMARY_POINTS,
 };
 use dmhpc_workload::{stats as wstats, SystemPreset};
 use std::cell::RefCell;
@@ -456,8 +456,8 @@ fn f2() -> ExpResult {
         100.0 * out.report.inflated_fraction,
     );
     let _ = writeln!(body, "hour,nodes_busy_frac,dram_used_frac");
-    let nodes = out.series.node_util_series(out.end_time, 25);
-    let dram = out.series.dram_util_series(out.end_time, 25);
+    let nodes = out.series.node_util_series(out.end_time, SUMMARY_POINTS);
+    let dram = out.series.dram_util_series(out.end_time, SUMMARY_POINTS);
     for ((h, n), (_, d)) in nodes.iter().zip(dram.iter()) {
         let _ = writeln!(body, "{h:.2},{n:.4},{d:.4}");
     }
@@ -686,7 +686,7 @@ fn f7() -> ExpResult {
     let mut body = String::from("pool_gib,hour,pool_util\n");
     for (cell, gib) in outs.cells().iter().zip([128u64, 512]) {
         let out = &cell.output;
-        for (h, u) in out.series.pool_util_series(out.end_time, 25) {
+        for (h, u) in out.series.pool_util_series(out.end_time, SUMMARY_POINTS) {
             let _ = writeln!(body, "{gib},{h:.2},{u:.4}");
         }
     }
@@ -1166,9 +1166,16 @@ mod tests {
             event_queue: None,
             trace_dir: None,
         };
-        let cold = run_with("f2", &options).unwrap().unwrap();
-        let warm = run_with("f2", &options).unwrap().unwrap();
-        assert_eq!(cold.body, warm.body, "cached replay reproduces the figure");
+        // f2 and f7 print step-series resamples, which a warm cell rebuilds
+        // from its stored summary rather than from the full series.
+        for id in ["f2", "f7"] {
+            let cold = run_with(id, &options).unwrap().unwrap();
+            let warm = run_with(id, &options).unwrap().unwrap();
+            assert_eq!(
+                cold.body, warm.body,
+                "{id}: cached replay reproduces the figure"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

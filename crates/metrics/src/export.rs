@@ -1,15 +1,12 @@
-//! CSV and JSON export of reports and per-job records.
+//! CSV and JSON export of reports.
 //!
 //! CSV output is deliberately hand-rolled (the format here is numeric and
 //! label-safe, no quoting edge cases); JSON goes through the in-tree
 //! [`crate::json`] module, so the whole export layer is dependency-free.
 
 use crate::classes::{ClassBreakdown, ClassRow, JobClass};
-use crate::jobstats::{JobOutcome, JobRecord};
 use crate::json::{Json, JsonError};
 use crate::summary::SimReport;
-use dmhpc_des::time::{SimDuration, SimTime};
-use dmhpc_workload::{Job, JobId, Slo};
 
 /// Column headers matching [`report_csv_row`].
 pub const REPORT_CSV_HEADER: &str = "label,completed,killed,rejected,failed,interruptions,\
@@ -114,11 +111,6 @@ pub fn report_to_value(r: &SimReport) -> Json {
     ])
 }
 
-/// Pretty JSON for one report.
-pub fn report_to_json(r: &SimReport) -> String {
-    report_to_value(r).to_string_pretty()
-}
-
 /// Rebuild a report from its JSON document model.
 pub fn report_from_value(v: &Json) -> Result<SimReport, JsonError> {
     let f = |key: &str| -> Result<f64, JsonError> { v.expect_key(key)?.to_f64() };
@@ -146,32 +138,15 @@ pub fn report_from_value(v: &Json) -> Result<SimReport, JsonError> {
             })
         })
         .collect::<Result<Vec<_>, JsonError>>()?;
-    let node_util = f("node_util")?;
     Ok(SimReport {
         label: v.expect_key("label")?.to_str()?.to_string(),
         completed: n("completed")?,
         killed: n("killed")?,
         rejected: n("rejected")?,
-        // Fault fields were introduced after PR-3; documents written by
-        // earlier engines (result-cache entries in particular) lack them
-        // and are by construction fault-free: zero counters, and
-        // availability-weighted utilization equal to plain utilization.
-        failed: match v.get("failed") {
-            Some(x) => x.to_usize()?,
-            None => 0,
-        },
-        interruptions: match v.get("interruptions") {
-            Some(x) => x.to_u64()?,
-            None => 0,
-        },
-        rework_s: match v.get("rework_s") {
-            Some(x) => x.to_f64()?,
-            None => 0.0,
-        },
-        avail_util: match v.get("avail_util") {
-            Some(x) => x.to_f64()?,
-            None => node_util,
-        },
+        failed: n("failed")?,
+        interruptions: v.expect_key("interruptions")?.to_u64()?,
+        rework_s: f("rework_s")?,
+        avail_util: f("avail_util")?,
         mean_wait_s: f("mean_wait_s")?,
         p50_wait_s: f("p50_wait_s")?,
         p95_wait_s: f("p95_wait_s")?,
@@ -181,7 +156,7 @@ pub fn report_from_value(v: &Json) -> Result<SimReport, JsonError> {
         mean_turnaround_s: f("mean_turnaround_s")?,
         makespan_h: f("makespan_h")?,
         throughput_jobs_per_day: f("throughput_jobs_per_day")?,
-        node_util,
+        node_util: f("node_util")?,
         pool_util: f("pool_util")?,
         dram_util: f("dram_util")?,
         queue_depth_mean: f("queue_depth_mean")?,
@@ -194,106 +169,6 @@ pub fn report_from_value(v: &Json) -> Result<SimReport, JsonError> {
         user_fairness: f("user_fairness")?,
         classes: ClassBreakdown { rows },
     })
-}
-
-/// The JSON document model for one per-job record. Times are encoded as
-/// exact integer microseconds and floats via the shortest round-trip
-/// writer, so [`record_from_value`] rebuilds the record bit-exactly —
-/// which is what lets result caches replay runs without re-simulating.
-pub fn record_to_value(r: &JobRecord) -> Json {
-    let time = |t: Option<SimTime>| match t {
-        Some(t) => Json::UInt(t.as_micros()),
-        None => Json::Null,
-    };
-    let mut pairs = vec![
-        ("id", Json::UInt(r.job.id.as_u64())),
-        ("user", Json::UInt(r.job.user as u64)),
-        ("arrival_us", Json::UInt(r.job.arrival.as_micros())),
-        ("nodes", Json::UInt(r.job.nodes as u64)),
-        ("walltime_us", Json::UInt(r.job.walltime.as_micros())),
-        ("runtime_us", Json::UInt(r.job.runtime.as_micros())),
-        ("mem_per_node", Json::UInt(r.job.mem_per_node)),
-        ("intensity", Json::F64(r.job.intensity)),
-    ];
-    // SLO stamps are written only when present, so records of unstamped
-    // jobs serialize byte-identically to pre-SLO exports.
-    match r.job.slo {
-        Some(Slo::Deadline { deadline_s }) => pairs.push(("slo_deadline_s", Json::F64(deadline_s))),
-        Some(Slo::BudgetFactor { factor }) => pairs.push(("slo_budget_factor", Json::F64(factor))),
-        None => {}
-    }
-    pairs.extend([
-        ("outcome", Json::Str(outcome_name(r.outcome).into())),
-        ("start_us", time(r.start)),
-        ("finish_us", time(r.finish)),
-        ("nodes_allocated", Json::UInt(r.nodes_allocated as u64)),
-        ("remote_per_node", Json::UInt(r.remote_per_node)),
-        ("dilation_planned", Json::F64(r.dilation_planned)),
-        ("dilation_actual", Json::F64(r.dilation_actual)),
-    ]);
-    Json::obj(pairs)
-}
-
-/// Rebuild a per-job record from its JSON document model.
-pub fn record_from_value(v: &Json) -> Result<JobRecord, JsonError> {
-    let time = |key: &str| -> Result<Option<SimTime>, JsonError> {
-        match v.expect_key(key)? {
-            Json::Null => Ok(None),
-            t => Ok(Some(SimTime::from_micros(t.to_u64()?))),
-        }
-    };
-    let outcome = match v.expect_key("outcome")?.to_str()? {
-        "completed" => JobOutcome::Completed,
-        "killed" => JobOutcome::Killed,
-        "rejected" => JobOutcome::Rejected,
-        "failed" => JobOutcome::Failed,
-        other => {
-            return Err(JsonError {
-                message: format!("unknown job outcome {other:?}"),
-                offset: 0,
-            })
-        }
-    };
-    let slo = if let Some(d) = v.get("slo_deadline_s") {
-        Some(Slo::Deadline {
-            deadline_s: d.to_f64()?,
-        })
-    } else if let Some(f) = v.get("slo_budget_factor") {
-        Some(Slo::BudgetFactor {
-            factor: f.to_f64()?,
-        })
-    } else {
-        None
-    };
-    Ok(JobRecord {
-        job: Job {
-            id: JobId(v.expect_key("id")?.to_u64()?),
-            user: v.expect_key("user")?.to_u64()? as u32,
-            arrival: SimTime::from_micros(v.expect_key("arrival_us")?.to_u64()?),
-            nodes: v.expect_key("nodes")?.to_u64()? as u32,
-            walltime: SimDuration::from_micros(v.expect_key("walltime_us")?.to_u64()?),
-            runtime: SimDuration::from_micros(v.expect_key("runtime_us")?.to_u64()?),
-            mem_per_node: v.expect_key("mem_per_node")?.to_u64()?,
-            intensity: v.expect_key("intensity")?.to_f64()?,
-            slo,
-        },
-        outcome,
-        start: time("start_us")?,
-        finish: time("finish_us")?,
-        nodes_allocated: v.expect_key("nodes_allocated")?.to_u64()? as u32,
-        remote_per_node: v.expect_key("remote_per_node")?.to_u64()?,
-        dilation_planned: v.expect_key("dilation_planned")?.to_f64()?,
-        dilation_actual: v.expect_key("dilation_actual")?.to_f64()?,
-    })
-}
-
-fn outcome_name(o: JobOutcome) -> &'static str {
-    match o {
-        JobOutcome::Completed => "completed",
-        JobOutcome::Killed => "killed",
-        JobOutcome::Rejected => "rejected",
-        JobOutcome::Failed => "failed",
-    }
 }
 
 /// Strip CSV-hostile characters from labels. Public so other table
@@ -350,7 +225,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let r = report("x");
-        let json = report_to_json(&r);
+        let json = report_to_value(&r).to_string_pretty();
         let back = report_from_value(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back.label, "x");
         assert_eq!(back.node_util, 0.5);
@@ -358,69 +233,6 @@ mod tests {
         // Bit-exact field round trip through the shortest-float writer.
         assert_eq!(back.p95_bsld, r.p95_bsld);
         assert_eq!(back.user_fairness, r.user_fairness);
-    }
-
-    #[test]
-    fn record_roundtrip_is_bit_exact() {
-        let rec = JobRecord {
-            job: Job {
-                id: JobId(7),
-                user: 3,
-                arrival: SimTime::from_micros(123_456_789),
-                nodes: 4,
-                walltime: SimDuration::from_secs(3600),
-                runtime: SimDuration::from_micros(987_654_321),
-                mem_per_node: 96 * 1024,
-                intensity: 0.62,
-                slo: Some(Slo::BudgetFactor { factor: 2.5 }),
-            },
-            outcome: JobOutcome::Killed,
-            start: Some(SimTime::from_micros(200_000_000)),
-            finish: None,
-            nodes_allocated: 5,
-            remote_per_node: 2048,
-            dilation_planned: 1.23456789,
-            dilation_actual: 1.3,
-        };
-        let back = record_from_value(
-            &crate::json::parse(&record_to_value(&rec).to_string_pretty()).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(back.job.id, rec.job.id);
-        assert_eq!(back.job.arrival, rec.job.arrival);
-        assert_eq!(back.job.walltime, rec.job.walltime);
-        assert_eq!(back.job.intensity, rec.job.intensity);
-        assert_eq!(back.outcome, rec.outcome);
-        assert_eq!(back.start, rec.start);
-        assert_eq!(back.finish, None);
-        assert_eq!(back.dilation_planned, rec.dilation_planned);
-        assert_eq!(back.job.slo, rec.job.slo, "stamp round-trips");
-
-        // An unstamped job writes no SLO key at all and reads back as None.
-        let mut plain = rec.clone();
-        plain.job.slo = None;
-        let doc = record_to_value(&plain).to_string_pretty();
-        assert!(!doc.contains("slo"), "absent stamp leaves no trace");
-        let back = record_from_value(&crate::json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(back.job.slo, None);
-    }
-
-    #[test]
-    fn pre_fault_documents_parse_with_defaults() {
-        // A report written before the fault fields existed (PR-2/PR-3
-        // result-cache entries) must parse with zero fault counters and
-        // avail_util == node_util — not miss.
-        let mut doc = report_to_json(&report("old"));
-        for key in ["failed", "interruptions", "rework_s", "avail_util"] {
-            let needle = format!("\"{key}\"");
-            let start = doc.find(&needle).expect("field present");
-            let end = doc[start..].find('\n').unwrap() + start + 1;
-            doc.replace_range(start..end, "");
-        }
-        let back = report_from_value(&crate::json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(back.failed, 0);
-        assert_eq!(back.interruptions, 0);
-        assert_eq!(back.rework_s, 0.0);
-        assert_eq!(back.avail_util, back.node_util, "bit-equal default");
+        assert_eq!(back.avail_util, r.avail_util);
     }
 }

@@ -327,7 +327,7 @@ mod tests {
             &data(vec![rec(1, 0, 10, 110)]),
             &ClassThresholds::standard(1024),
         );
-        let json = crate::export::report_to_json(&r);
+        let json = crate::export::report_to_value(&r).to_string_pretty();
         assert!(json.contains("\"label\": \"test\""));
         assert!(json.contains("mean_wait_s"));
     }

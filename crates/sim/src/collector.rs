@@ -37,12 +37,13 @@ impl SeriesBundle {
         }
     }
 
-    /// Rebuild a bundle from previously recorded breakpoints (the result
-    /// cache's load path). Replaying the breakpoints through the same
-    /// [`StepSeries`] update path reconstructs the integrators exactly, so
-    /// a cache-loaded bundle is indistinguishable from the live one.
-    /// Returns `None` if any series has no points (never produced by a
-    /// run: construction records the initial value).
+    /// Rebuild a bundle from recorded breakpoints (the result cache's load
+    /// path, which stores each series' fixed-resolution resample).
+    /// Replaying the breakpoints through the same [`StepSeries`] update
+    /// path reconstructs the series they describe exactly, so resampling
+    /// a cache-loaded bundle at the stored resolution gives the stored
+    /// samples back. Returns `None` if any series has no points (never
+    /// produced by a run: construction records the initial value).
     pub fn from_points(
         spec: &ClusterSpec,
         nodes_busy: &[(SimTime, f64)],

@@ -11,43 +11,57 @@
 //!
 //! The store is a directory of JSON files (one per cell, written through
 //! [`dmhpc_metrics::json`] — no new dependencies), each holding the
-//! complete [`SimOutput`]: report, per-job records, step series, and the
-//! trace hash. Loads rebuild the output bit-exactly (integer-microsecond
-//! times, shortest-round-trip floats, series replayed through the live
-//! [`SeriesBundle`] update path), so a warm run is indistinguishable from
-//! a cold one — including CSV/JSON export bytes — while performing zero
-//! simulations. That identity is what makes incremental re-runs safe:
-//! edit a spec and only cells whose hash changed are re-simulated.
+//! cell's *summary*: the report and trace hash; `events_processed`,
+//! `passes` and `end_time`; the fault summary, `preemptions` and the
+//! service summary; the cell's SLO attainment; and each step series
+//! resampled at [`SUMMARY_POINTS`]. That is everything the CSV/JSON
+//! exports and the `repro` tables read, so a warm run exports the same
+//! bytes as a cold one while performing zero simulations, and a document
+//! stays a few KB however many jobs the cell ran. Per-job records and
+//! full step series are not stored: a caller that wants them runs the
+//! cell without a cache, which is exact because the cell hash determines
+//! the output. That identity is what makes incremental re-runs safe: edit
+//! a spec and only cells whose hash changed are re-simulated.
 //!
-//! Unreadable, truncated, or version-mismatched cache files are treated
-//! as misses (the cell is simply re-simulated and re-stored); writes go
-//! through a per-process temporary file and an atomic rename, so
-//! concurrent shard processes can share one cache directory.
+//! Unreadable, truncated, or version-mismatched documents are treated as
+//! misses (the cell is simply re-simulated and its file overwritten);
+//! writes go through a per-process temporary file and an atomic rename,
+//! so concurrent shard processes can share one cache directory. The
+//! document version ([`DOC_VERSION`]) is separate from the cell-hash
+//! recipe ([`CACHE_FORMAT`]): changing what a document holds re-simulates
+//! old entries but moves no cell key.
 //!
-//! One deliberate caveat: the stored output includes engine *performance
-//! counters* (`passes`), which are not part of any export (CSV/JSON carry
-//! the trace hash and the report only) and not part of the replay-identity
-//! guarantee. An engine upgrade that schedules fewer passes while
-//! producing bit-identical traces — e.g. the PR-3 incremental kernel —
-//! intentionally does **not** bump [`CACHE_FORMAT`]: old entries stay
-//! valid, their results are exact, and only the in-memory `passes` stat
-//! reflects the engine that originally simulated the cell.
+//! One deliberate caveat: `passes` is an engine *performance counter*,
+//! not part of any export and not part of the replay-identity guarantee.
+//! An engine upgrade that schedules fewer passes while producing
+//! bit-identical traces bumps neither constant: old entries stay valid,
+//! their results are exact, and only the loaded `passes` reflects the
+//! engine that originally simulated the cell.
 
+use super::results::{CellResult, SUMMARY_POINTS};
 use super::{RunSpec, WorkloadSource};
 use crate::collector::SeriesBundle;
 use crate::engine::SimOutput;
 use crate::error::SimError;
+use dmhpc_des::stats::StepSeries;
 use dmhpc_des::time::SimTime;
 use dmhpc_metrics::export;
 use dmhpc_metrics::json::{parse, Json, JsonError};
+use dmhpc_metrics::{FaultSummary, ServiceSummary};
 use dmhpc_platform::{PoolTopology, SlowdownModel};
 use dmhpc_sched::{MemoryPolicy, OrderPolicy};
 use dmhpc_workload::source::{ArrivalProcess, Horizon};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Bump when the cell-hash recipe or the on-disk layout changes; old
-/// entries then miss instead of deserializing garbage.
+/// Bump when the cell-hash recipe changes. It moves every cell key (and
+/// the `repro grid --list` output), so a change of what a document holds
+/// bumps [`DOC_VERSION`] instead.
 const CACHE_FORMAT: u64 = 1;
+
+/// Version of the stored summary document. Documents of any other
+/// version — including version 1, which held the whole [`SimOutput`] —
+/// load as misses.
+const DOC_VERSION: u64 = 2;
 
 // ------------------------------------------------------------------ hashing
 
@@ -353,13 +367,21 @@ pub(super) fn cell_hash(workload_digest: u64, cell: &RunSpec) -> u64 {
     h.finish()
 }
 
-// --------------------------------------------------------- output documents
+// ---------------------------------------------------------- cell summaries
 
-fn series_to_json(points: &[(SimTime, f64)]) -> Json {
+/// A series resampled at [`SUMMARY_POINTS`] over `[start, end]`.
+/// Replaying the samples through [`SeriesBundle::from_points`] and
+/// resampling again reproduces them exactly: a resample is a step lookup
+/// at fixed times, and those times are the samples' own. Replay
+/// coalesces repeated values, so only the samples that change the value
+/// are stored.
+fn series_to_json(series: &StepSeries, end: SimTime) -> Json {
+    let mut samples = series.resample(end, SUMMARY_POINTS);
+    samples.dedup_by(|next, prev| next.1 == prev.1);
     Json::Arr(
-        points
-            .iter()
-            .map(|&(t, v)| Json::Arr(vec![Json::UInt(t.as_micros()), Json::F64(v)]))
+        samples
+            .into_iter()
+            .map(|(t, v)| Json::Arr(vec![Json::UInt(t.as_micros()), Json::F64(v)]))
             .collect(),
     )
 }
@@ -391,86 +413,76 @@ fn series_from_json(v: &Json) -> Result<Vec<(SimTime, f64)>, JsonError> {
     Ok(points)
 }
 
-fn output_to_json(hash: u64, output: &SimOutput) -> Json {
-    let mut fields = vec![
-        ("format", Json::UInt(CACHE_FORMAT)),
-        ("cell_hash", Json::UInt(hash)),
-        ("report", export::report_to_value(&output.report)),
-        (
-            "records",
-            Json::Arr(output.records.iter().map(export::record_to_value).collect()),
-        ),
-        (
-            "series",
-            Json::obj(vec![
-                (
-                    "nodes_busy",
-                    series_to_json(output.series.nodes_busy.points()),
-                ),
-                (
-                    "pool_used",
-                    series_to_json(output.series.pool_used.points()),
-                ),
-                (
-                    "dram_used",
-                    series_to_json(output.series.dram_used.points()),
-                ),
-                (
-                    "queue_depth",
-                    series_to_json(output.series.queue_depth.points()),
-                ),
-            ]),
-        ),
-        ("events_processed", Json::UInt(output.events_processed)),
-        ("passes", Json::UInt(output.passes)),
-        ("trace_hash", Json::UInt(output.trace_hash)),
-        ("end_time_us", Json::UInt(output.end_time.as_micros())),
-        (
-            "faults",
-            Json::obj(vec![
-                ("interruptions", Json::UInt(output.faults.interruptions)),
-                ("resubmissions", Json::UInt(output.faults.resubmissions)),
-                ("rework_s", Json::F64(output.faults.rework_s)),
-                ("downtime_node_s", Json::F64(output.faults.downtime_node_s)),
-                ("avail_util", Json::F64(output.faults.avail_util)),
-            ]),
-        ),
-    ];
-    // Preemption-free runs (every run without an opt-in PreemptPolicy)
-    // omit the key, keeping their documents byte-identical to
-    // pre-preemption cache entries.
-    if output.preemptions > 0 {
-        fields.push(("preemptions", Json::UInt(output.preemptions)));
+fn opt_f64(v: Option<f64>) -> Json {
+    v.map_or(Json::Null, Json::F64)
+}
+
+fn opt_f64_from(v: &Json) -> Result<Option<f64>, JsonError> {
+    match v {
+        Json::Null => Ok(None),
+        v => v.to_f64().map(Some),
     }
-    // Closed runs omit the key entirely, keeping their documents
-    // byte-identical to pre-service cache entries.
-    if let Some(svc) = &output.service {
-        // Target-free runs keep the historical 0.0/1.0 sentinel encoding
-        // so their documents stay byte-identical to pre-Option entries;
-        // only the newly-legal explicit 0-second target (which the
-        // sentinels used to shadow) needs a marker key to survive the
-        // round trip.
-        let mut svc_fields = vec![
+}
+
+fn summary_to_json(hash: u64, cell: &CellResult) -> Json {
+    let output = &cell.output;
+    let end = output.end_time;
+    let series = &output.series;
+    let faults = &output.faults;
+    let service = output.service.as_ref().map_or(Json::Null, |svc| {
+        Json::obj(vec![
             ("observed", Json::UInt(svc.observed)),
             ("warmup_skipped", Json::UInt(svc.warmup_skipped)),
             ("p99_wait_s", Json::F64(svc.p99_wait_s)),
-            ("slo_wait_s", Json::F64(svc.slo_wait_s.unwrap_or(0.0))),
-            ("slo_attained", Json::F64(svc.slo_attained.unwrap_or(1.0))),
-        ];
-        if svc.slo_wait_s == Some(0.0) {
-            svc_fields.push(("slo_zero_target", Json::Bool(true)));
-        }
-        fields.push(("service", Json::obj(svc_fields)));
-    }
-    Json::obj(fields)
+            ("slo_wait_s", opt_f64(svc.slo_wait_s)),
+            ("slo_attained", opt_f64(svc.slo_attained)),
+        ])
+    });
+    Json::obj(vec![
+        ("format", Json::UInt(DOC_VERSION)),
+        ("cell_hash", Json::UInt(hash)),
+        ("report", export::report_to_value(&output.report)),
+        ("trace_hash", Json::UInt(output.trace_hash)),
+        ("events_processed", Json::UInt(output.events_processed)),
+        ("passes", Json::UInt(output.passes)),
+        ("end_time_us", Json::UInt(end.as_micros())),
+        (
+            "faults",
+            Json::obj(vec![
+                ("interruptions", Json::UInt(faults.interruptions)),
+                ("resubmissions", Json::UInt(faults.resubmissions)),
+                ("rework_s", Json::F64(faults.rework_s)),
+                ("downtime_node_s", Json::F64(faults.downtime_node_s)),
+                ("avail_util", Json::F64(faults.avail_util)),
+            ]),
+        ),
+        ("preemptions", Json::UInt(output.preemptions)),
+        ("service", service),
+        ("slo_attainment", opt_f64(cell.slo_attainment)),
+        (
+            "series",
+            Json::obj(vec![
+                ("nodes_busy", series_to_json(&series.nodes_busy, end)),
+                ("pool_used", series_to_json(&series.pool_used, end)),
+                ("dram_used", series_to_json(&series.dram_used, end)),
+                ("queue_depth", series_to_json(&series.queue_depth, end)),
+            ]),
+        ),
+    ])
 }
 
-fn output_from_json(doc: &Json, hash: u64, cell: &RunSpec) -> Result<SimOutput, JsonError> {
+/// Rebuild a cell's output (records empty, series at [`SUMMARY_POINTS`])
+/// and its SLO attainment from a summary document.
+fn summary_from_json(
+    doc: &Json,
+    hash: u64,
+    cell: &RunSpec,
+) -> Result<(SimOutput, Option<f64>), JsonError> {
     let mismatch = |what: &str| JsonError {
         message: format!("cache entry {what} mismatch"),
         offset: 0,
     };
-    if doc.expect_key("format")?.to_u64()? != CACHE_FORMAT {
+    if doc.expect_key("format")?.to_u64()? != DOC_VERSION {
         return Err(mismatch("format"));
     }
     if doc.expect_key("cell_hash")?.to_u64()? != hash {
@@ -488,147 +500,84 @@ fn output_from_json(doc: &Json, hash: u64, cell: &RunSpec) -> Result<SimOutput, 
         message: "cache entry has an empty step series".into(),
         offset: 0,
     })?;
-    let report = export::report_from_value(doc.expect_key("report")?)?;
-    // Entries stored before the fault subsystem existed lack the "faults"
-    // key; they are fault-free by construction, so the summary defaults
-    // to zero counters with avail_util == node_util — exactly what a
-    // fresh fault-free simulation would report.
-    let faults = match doc.get("faults") {
-        Some(f) => dmhpc_metrics::FaultSummary {
-            interruptions: f.expect_key("interruptions")?.to_u64()?,
-            resubmissions: f.expect_key("resubmissions")?.to_u64()?,
-            rework_s: f.expect_key("rework_s")?.to_f64()?,
-            downtime_node_s: f.expect_key("downtime_node_s")?.to_f64()?,
-            avail_util: f.expect_key("avail_util")?.to_f64()?,
-        },
-        None => dmhpc_metrics::FaultSummary {
-            avail_util: report.node_util,
-            ..Default::default()
-        },
+    let f = doc.expect_key("faults")?;
+    let faults = FaultSummary {
+        interruptions: f.expect_key("interruptions")?.to_u64()?,
+        resubmissions: f.expect_key("resubmissions")?.to_u64()?,
+        rework_s: f.expect_key("rework_s")?.to_f64()?,
+        downtime_node_s: f.expect_key("downtime_node_s")?.to_f64()?,
+        avail_util: f.expect_key("avail_util")?.to_f64()?,
     };
-    let service = match doc.get("service") {
-        Some(s) => {
-            // Invert the sentinel encoding: a positive stored target is a
-            // real target, 0.0 is "no target" unless the explicit
-            // zero-target marker says otherwise.
-            let raw_slo = s.expect_key("slo_wait_s")?.to_f64()?;
-            let raw_attained = s.expect_key("slo_attained")?.to_f64()?;
-            let zero_target = s.get("slo_zero_target").is_some();
-            let slo_wait_s = if raw_slo > 0.0 || zero_target {
-                Some(raw_slo)
-            } else {
-                None
-            };
-            Some(dmhpc_metrics::ServiceSummary {
-                observed: s.expect_key("observed")?.to_u64()?,
-                warmup_skipped: s.expect_key("warmup_skipped")?.to_u64()?,
-                p99_wait_s: s.expect_key("p99_wait_s")?.to_f64()?,
-                slo_wait_s,
-                slo_attained: slo_wait_s.map(|_| raw_attained),
-            })
-        }
-        None => None,
+    let service = match doc.expect_key("service")? {
+        Json::Null => None,
+        s => Some(ServiceSummary {
+            observed: s.expect_key("observed")?.to_u64()?,
+            warmup_skipped: s.expect_key("warmup_skipped")?.to_u64()?,
+            p99_wait_s: s.expect_key("p99_wait_s")?.to_f64()?,
+            slo_wait_s: opt_f64_from(s.expect_key("slo_wait_s")?)?,
+            slo_attained: opt_f64_from(s.expect_key("slo_attained")?)?,
+        }),
     };
-    Ok(SimOutput {
-        report,
-        records: doc
-            .expect_key("records")?
-            .to_arr()?
-            .iter()
-            .map(export::record_from_value)
-            .collect::<Result<_, _>>()?,
+    let output = SimOutput {
+        report: export::report_from_value(doc.expect_key("report")?)?,
+        records: Vec::new(),
         series: bundle,
         events_processed: doc.expect_key("events_processed")?.to_u64()?,
         passes: doc.expect_key("passes")?.to_u64()?,
         trace_hash: doc.expect_key("trace_hash")?.to_u64()?,
         end_time: SimTime::from_micros(doc.expect_key("end_time_us")?.to_u64()?),
         faults,
-        preemptions: match doc.get("preemptions") {
-            Some(p) => p.to_u64()?,
-            None => 0,
-        },
+        preemptions: doc.expect_key("preemptions")?.to_u64()?,
         service,
-    })
+    };
+    Ok((output, opt_f64_from(doc.expect_key("slo_attainment")?)?))
 }
 
 // ----------------------------------------------------------------- the store
 
-/// A directory of content-addressed cell results.
-///
-/// Open with [`ResultCache::open`] and attach to an
-/// [`super::ExperimentRunner`]; the runner then loads unchanged cells
-/// instead of simulating them and stores every freshly simulated cell.
-/// One cache directory can back any number of specs and shard processes.
+/// A directory of content-addressed cell summaries, attached through
+/// [`super::ExperimentRunner::cache_dir`]: the runner loads unchanged
+/// cells instead of simulating them and stores every freshly simulated
+/// cell. One directory can back any number of specs and shard processes.
 #[derive(Debug, Clone)]
-pub struct ResultCache {
+pub(super) struct ResultCache {
     dir: PathBuf,
 }
 
 impl ResultCache {
     /// Open (creating if needed) a cache directory.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, SimError> {
+    pub(super) fn open(dir: impl Into<PathBuf>) -> Result<Self, SimError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| SimError::io(format!("creating cache dir {}", dir.display()), e))?;
         Ok(ResultCache { dir })
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path(&self, hash: u64) -> PathBuf {
         self.dir.join(format!("cell-{hash:016x}.json"))
     }
 
-    /// Whether a cell result is stored (cheap existence check; `load` may
-    /// still miss if the entry is corrupt).
-    pub fn contains(&self, hash: u64) -> bool {
-        self.path(hash).is_file()
-    }
-
-    /// Number of cell entries currently stored.
-    pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter(|e| {
-                        e.file_name()
-                            .to_str()
-                            .is_some_and(|n| n.starts_with("cell-") && n.ends_with(".json"))
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Load the output for a cell hash. Missing, unreadable, corrupt, or
-    /// format-mismatched entries all return `None` — the caller simply
-    /// re-simulates (and re-stores) the cell.
-    pub(super) fn load_cell(&self, hash: u64, cell: &RunSpec) -> Option<SimOutput> {
+    /// Load a cell's summary output and SLO attainment by cell hash.
+    /// Missing, unreadable, corrupt, or version-mismatched entries all
+    /// return `None` — the caller simply re-simulates (and re-stores) the
+    /// cell.
+    pub(super) fn load_cell(&self, hash: u64, cell: &RunSpec) -> Option<(SimOutput, Option<f64>)> {
         let text = std::fs::read_to_string(self.path(hash)).ok()?;
         let doc = parse(&text).ok()?;
-        output_from_json(&doc, hash, cell).ok()
+        summary_from_json(&doc, hash, cell).ok()
     }
 
-    /// Store one cell's output under its content hash. Writes to a
-    /// process-unique temporary file then renames, so concurrent shard
-    /// processes never observe half-written entries.
-    pub(super) fn store_cell(&self, hash: u64, output: &SimOutput) -> Result<(), SimError> {
+    /// Store one simulated cell's summary under its content hash. Writes
+    /// to a process-unique temporary file then renames, so concurrent
+    /// shard processes never observe half-written entries.
+    pub(super) fn store_cell(&self, hash: u64, cell: &CellResult) -> Result<(), SimError> {
         let final_path = self.path(hash);
         let tmp_path = self
             .dir
             .join(format!("cell-{hash:016x}.tmp.{}", std::process::id()));
         // Compact form: cache entries are machine artifacts, and they are
         // read far more often than humans inspect them.
-        let text = output_to_json(hash, output).to_string_compact();
+        let text = summary_to_json(hash, cell).to_string_compact();
         std::fs::write(&tmp_path, text)
             .map_err(|e| SimError::io(format!("writing {}", tmp_path.display()), e))?;
         std::fs::rename(&tmp_path, &final_path)
@@ -640,7 +589,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use crate::scenarios::{default_slowdown, policy_suite};
-    use crate::{ExperimentRunner, ExperimentSpec, Simulation};
+    use crate::{ExperimentRunner, ExperimentSpec};
     use dmhpc_workload::SystemPreset;
 
     fn spec() -> ExperimentSpec {
@@ -773,46 +722,46 @@ mod tests {
     }
 
     #[test]
-    fn output_round_trips_through_the_store() {
-        let spec = spec();
-        let cell = spec.compile().unwrap().remove(0);
-        let workload = SystemPreset::HighThroughput.synthetic_spec(40).generate(1);
-        let output = Simulation::new(cell.config).unwrap().run(&workload);
-
+    fn summary_round_trips_through_the_store() {
         let dir = tmp_dir("roundtrip");
-        let cache = ResultCache::open(&dir).unwrap();
-        let hash = cell_hash(workload_digest(&spec.workload), &cell);
-        assert!(!cache.contains(hash));
-        cache.store_cell(hash, &output).unwrap();
-        assert!(cache.contains(hash));
-        assert_eq!(cache.len(), 1);
-
-        let back = cache.load_cell(hash, &cell).expect("stored entry loads");
-        assert_eq!(back.trace_hash, output.trace_hash);
-        assert_eq!(back.events_processed, output.events_processed);
-        assert_eq!(back.passes, output.passes);
-        assert_eq!(back.end_time, output.end_time);
-        assert_eq!(back.records.len(), output.records.len());
-        for (a, b) in back.records.iter().zip(&output.records) {
-            assert_eq!(a.job.id, b.job.id);
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.finish, b.finish);
-            assert_eq!(a.dilation_actual, b.dilation_actual);
+        let spec = spec();
+        let runner = ExperimentRunner::with_threads(2).cache_dir(&dir).unwrap();
+        let cold = runner.run(&spec).unwrap();
+        let warm = runner.run(&spec).unwrap();
+        assert_eq!(warm.stats().cache_hits, spec.cell_count());
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let bytes = entry.unwrap().metadata().unwrap().len();
+            assert!(bytes < 16 * 1024, "a summary document is small: {bytes} B");
         }
-        assert_eq!(
-            back.series.nodes_busy.points(),
-            output.series.nodes_busy.points()
-        );
-        assert_eq!(
-            back.series.queue_depth.points(),
-            output.series.queue_depth.points()
-        );
-        assert_eq!(
-            export::report_csv_row(&back.report),
-            export::report_csv_row(&output.report)
-        );
         let _ = std::fs::remove_dir_all(&dir);
+        for (c, w) in cold.cells().iter().zip(warm.cells()) {
+            let (a, b) = (&c.output, &w.output);
+            assert!(!a.records.is_empty() && b.records.is_empty());
+            assert_eq!(b.trace_hash, a.trace_hash);
+            assert_eq!(b.events_processed, a.events_processed);
+            assert_eq!(b.passes, a.passes);
+            assert_eq!(b.end_time, a.end_time);
+            assert_eq!(b.faults, a.faults);
+            assert_eq!(b.preemptions, a.preemptions);
+            assert_eq!(b.service, a.service);
+            assert_eq!(w.slo_attainment(), c.slo_attainment());
+            assert_eq!(
+                export::report_csv_row(&b.report),
+                export::report_csv_row(&a.report)
+            );
+            let end = a.end_time;
+            for (x, y) in [
+                (&a.series.nodes_busy, &b.series.nodes_busy),
+                (&a.series.pool_used, &b.series.pool_used),
+                (&a.series.dram_used, &b.series.dram_used),
+                (&a.series.queue_depth, &b.series.queue_depth),
+            ] {
+                assert_eq!(
+                    y.resample(end, SUMMARY_POINTS),
+                    x.resample(end, SUMMARY_POINTS)
+                );
+            }
+        }
     }
 
     #[test]

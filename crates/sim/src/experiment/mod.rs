@@ -22,12 +22,13 @@
 //!
 //! Large grids scale through two additional pieces:
 //!
-//! * [`ResultCache`] — a content-addressed on-disk store keyed by a
+//! * A result cache — a content-addressed on-disk store keyed by a
 //!   stable 64-bit hash of each cell's result-determining content
 //!   ([`ExperimentSpec::cell_hashes`]); attached via
-//!   [`ExperimentRunner::cache_dir`], unchanged cells load bit-identically
-//!   instead of simulating, so re-running an edited spec re-executes only
-//!   the cells whose hash changed.
+//!   [`ExperimentRunner::cache_dir`], unchanged cells load their stored
+//!   summary instead of simulating and export byte-identically, so
+//!   re-running an edited spec re-executes only the cells whose hash
+//!   changed.
 //! * [`Shard`] — deterministic round-robin grid partitioning
 //!   ([`ExperimentSpec::shard`], [`ExperimentRunner::run_shard`]) so N
 //!   processes or CI jobs each run a disjoint slice;
@@ -63,8 +64,7 @@ mod serial;
 mod shard;
 
 pub use builder::ExperimentBuilder;
-pub use cache::ResultCache;
-pub use results::{CellResult, ExperimentResults, RunStats};
+pub use results::{CellResult, ExperimentResults, RunStats, SUMMARY_POINTS};
 pub use runner::ExperimentRunner;
 pub use shard::Shard;
 
@@ -428,8 +428,8 @@ impl ExperimentSpec {
         Ok(cells)
     }
 
-    /// The content hash of every grid cell, in grid order — the keys a
-    /// [`ResultCache`] stores results under.
+    /// The content hash of every grid cell, in grid order — the keys the
+    /// result cache ([`ExperimentRunner::cache_dir`]) stores cells under.
     ///
     /// The hash covers exactly what determines a cell's result: workload
     /// source content, cluster shape, load, seed, scheduler configuration,

@@ -7,16 +7,28 @@ use dmhpc_metrics::export;
 use dmhpc_metrics::json::Json;
 use dmhpc_metrics::SimReport;
 
+/// The resolution at which a cached cell keeps each step series: the
+/// number of points the time-series tables (F2, F7) print.
+pub const SUMMARY_POINTS: usize = 25;
+
 /// One executed grid cell: its coordinates, the exact configuration that
-/// ran, and everything the simulation produced.
+/// ran, and what the simulation produced.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// Where this cell sits in the grid.
     pub key: CellKey,
     /// The configuration that ran.
     pub config: SimConfig,
-    /// Full simulation output (report, records, series, trace hash).
+    /// The simulation output. A simulated cell carries all of it. A cell
+    /// loaded from the result cache carries its summary: the report,
+    /// counters, trace hash and fault/service summaries are exact,
+    /// `records` is empty, and each step series is rebuilt from its
+    /// [`SUMMARY_POINTS`]-point resample, so `*_series(end_time,
+    /// SUMMARY_POINTS)` matches the simulated output bit for bit. A
+    /// caller that wants records or full series runs without a cache,
+    /// which is exact because the cell hash determines the output.
     pub output: SimOutput,
+    pub(super) slo_attainment: Option<f64>,
 }
 
 impl CellResult {
@@ -33,40 +45,51 @@ impl CellResult {
     /// not as unmeasured: an admission policy must not be able to raise
     /// its attainment by rejecting the jobs it would have missed. (A
     /// fault-resubmitted job that *did* start is judged by its final
-    /// attempt's start, the one its record carries.) This is the
-    /// `r.start.is_some_and(..)` below, pinned by
-    /// `never_started_stamped_jobs_count_as_misses`.
+    /// attempt's start, the one its record carries.)
     ///
-    /// `None` when nothing in the cell carries a deadline, so SLO-free
-    /// grids report exactly what they did before deadlines existed.
+    /// The value is computed once, when the cell is simulated, and stored
+    /// with the cell's cache entry, so a warm cell reports it without
+    /// records. `None` when nothing in the cell carries a deadline, so
+    /// SLO-free grids report exactly what they did before deadlines
+    /// existed.
     pub fn slo_attainment(&self) -> Option<f64> {
-        if let Some(svc) = &self.output.service {
-            return svc.slo_attained;
-        }
-        let mut met = 0u64;
-        let mut total = 0u64;
-        for r in &self.output.records {
-            let Some(slo) = r.job.slo else { continue };
-            let deadline = slo.deadline_for(r.job.arrival, r.job.walltime);
-            total += 1;
-            if r.start.is_some_and(|s| s <= deadline) {
-                met += 1;
-            }
-        }
-        (total > 0).then(|| met as f64 / total as f64)
+        self.slo_attainment
     }
 }
 
+/// [`CellResult::slo_attainment`] of a simulated cell. Never-started
+/// stamped jobs miss through the `r.start.is_some_and(..)` below, pinned
+/// by `never_started_stamped_jobs_count_as_misses`.
+pub(super) fn slo_attainment(output: &SimOutput) -> Option<f64> {
+    if let Some(svc) = &output.service {
+        return svc.slo_attained;
+    }
+    let mut met = 0u64;
+    let mut total = 0u64;
+    for r in &output.records {
+        let Some(slo) = r.job.slo else { continue };
+        let deadline = slo.deadline_for(r.job.arrival, r.job.walltime);
+        total += 1;
+        if r.start.is_some_and(|s| s <= deadline) {
+            met += 1;
+        }
+    }
+    (total > 0).then(|| met as f64 / total as f64)
+}
+
 /// How a result table was produced: how many cells were simulated versus
-/// loaded from a [`super::ResultCache`]. A warm re-run of an unchanged
-/// spec reports `simulated == 0` — the property the CI grid smoke
-/// asserts.
+/// loaded from the result cache (see [`super::ExperimentRunner::cache_dir`]).
+/// A warm re-run of an unchanged spec reports `simulated == 0` — the
+/// property the CI grid smoke asserts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Cells executed by the simulator this run.
     pub simulated: usize,
     /// Cells loaded from the result cache.
     pub cache_hits: usize,
+    /// Simulated cells that observers watch: all but fleet cells, which
+    /// run observation-free.
+    pub observable: usize,
 }
 
 /// Results for a whole experiment, in grid order.
@@ -309,13 +332,24 @@ mod tests {
             .scheduler(SchedulerBuilder::new().slowdown(default_slowdown()).build())
             .build()
             .unwrap();
-        let r = ExperimentRunner::with_threads(1).run(&spec).unwrap();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.cells()[0].slo_attainment(), Some(0.5));
-        let csv = r.to_csv();
-        let row = csv.trim_end().lines().last().unwrap();
-        assert!(row.ends_with(",0.5"), "{row}");
-        assert!(r.to_json().contains("\"slo_attainment\": 0.5"));
+        // Cold, then warm: the attainment is computed from the records
+        // once and must survive a replay that carries no records.
+        let dir = std::env::temp_dir().join(format!("dmhpc-slo-table-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = ExperimentRunner::with_threads(1).cache_dir(&dir).unwrap();
+        let cold = runner.run(&spec).unwrap();
+        let warm = runner.run(&spec).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(warm.stats().cache_hits, 1);
+        assert!(warm.cells()[0].output.records.is_empty());
+        for r in [&cold, &warm] {
+            assert_eq!(r.len(), 1);
+            assert_eq!(r.cells()[0].slo_attainment(), Some(0.5));
+            let csv = r.to_csv();
+            let row = csv.trim_end().lines().last().unwrap();
+            assert!(row.ends_with(",0.5"), "{row}");
+            assert!(r.to_json().contains("\"slo_attainment\": 0.5"));
+        }
     }
 
     /// Satellite pin: never-started stamped jobs are misses, not
@@ -336,8 +370,7 @@ mod tests {
                 .slo(Slo::Deadline { deadline_s: 500.0 })
                 .build()
         };
-        let r = results();
-        let mut cell = r.cells()[0].clone();
+        let mut output = results().into_cells().remove(0).output;
         let started = |id: u64, start_s: u64, outcome: JobOutcome| JobRecord {
             job: stamped(id),
             outcome,
@@ -348,7 +381,7 @@ mod tests {
             dilation_planned: 1.0,
             dilation_actual: 1.0,
         };
-        cell.output.records = vec![
+        output.records = vec![
             // Met: completed, started inside the deadline.
             started(1, 100, JobOutcome::Completed),
             // Miss: admission-rejected, never started.
@@ -362,7 +395,7 @@ mod tests {
             // Miss: started, but only after the deadline passed.
             started(5, 900, JobOutcome::Completed),
         ];
-        assert_eq!(cell.slo_attainment(), Some(0.4));
+        assert_eq!(super::slo_attainment(&output), Some(0.4));
     }
 
     #[test]

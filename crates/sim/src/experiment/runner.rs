@@ -1,7 +1,7 @@
 //! Grid execution.
 
 use super::cache::{self, ResultCache};
-use super::results::{CellResult, ExperimentResults, RunStats};
+use super::results::{self, CellResult, ExperimentResults, RunStats};
 use super::shard::Shard;
 use super::{ExperimentSpec, RunSpec, WorkloadSource};
 use crate::engine::{ObserverSet, Simulation};
@@ -29,9 +29,10 @@ use std::sync::Arc;
 ///
 /// * **Result caching** ([`ExperimentRunner::cache_dir`]): each cell is
 ///   content-addressed by a stable hash of everything that determines its
-///   result; cached cells are loaded instead of simulated, bit-identically.
-///   Re-running an edited spec therefore re-executes only the cells whose
-///   hash changed — incremental re-runs for free.
+///   result; cached cells load their stored summary instead of simulating,
+///   and export byte-identically. Re-running an edited spec therefore
+///   re-executes only the cells whose hash changed — incremental re-runs
+///   for free.
 /// * **Sharding** ([`ExperimentRunner::run_shard`]): N processes each run
 ///   a disjoint slice of the grid; [`ExperimentResults::merge`] (or a warm
 ///   cached run over the full spec) recombines them.
@@ -85,15 +86,12 @@ impl ExperimentRunner {
 
     /// Attach a content-addressed result cache rooted at `dir` (created if
     /// missing). Subsequent runs load unchanged cells from the cache and
-    /// store every freshly simulated cell.
-    pub fn cache_dir(self, dir: impl Into<PathBuf>) -> Result<Self, SimError> {
-        Ok(self.cache(ResultCache::open(dir)?))
-    }
-
-    /// Attach an already opened [`ResultCache`].
-    pub fn cache(mut self, cache: ResultCache) -> Self {
-        self.cache = Some(cache);
-        self
+    /// store every freshly simulated cell. One directory can back any
+    /// number of specs and concurrent shard processes. A loaded cell
+    /// carries its summary, not its records (see [`CellResult::output`]).
+    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Result<Self, SimError> {
+        self.cache = Some(ResultCache::open(dir)?);
+        Ok(self)
     }
 
     /// Attach a per-cell observer factory: every *simulated* cell creates
@@ -191,11 +189,12 @@ impl ExperimentRunner {
         for (i, cell) in cells.into_iter().enumerate() {
             if let (Some(cache), Some(digest)) = (&self.cache, digest) {
                 let hash = cache::cell_hash(digest, &cell);
-                if let Some(output) = cache.load_cell(hash, &cell) {
+                if let Some((output, slo_attainment)) = cache.load_cell(hash, &cell) {
                     slots[i] = Some(CellResult {
                         key: cell.key,
                         config: cell.config,
                         output,
+                        slo_attainment,
                     });
                     continue;
                 }
@@ -206,6 +205,7 @@ impl ExperimentRunner {
         }
         let cache_hits = slots.iter().filter(|s| s.is_some()).count();
         let simulated = pending.len();
+        let observable = pending.iter().filter(|(_, c, _)| c.fleet.is_none()).count();
 
         // Materialize each distinct workload once, serially: generation is
         // cheap next to simulation and sharing maximizes cache reuse.
@@ -273,14 +273,16 @@ impl ExperimentRunner {
 
         for (i, cell, hash, result) in outputs {
             let output = result?;
-            if let (Some(cache), Some(hash)) = (&self.cache, hash) {
-                cache.store_cell(hash, &output)?;
-            }
-            slots[i] = Some(CellResult {
+            let result = CellResult {
                 key: cell.key,
                 config: cell.config,
+                slo_attainment: results::slo_attainment(&output),
                 output,
-            });
+            };
+            if let (Some(cache), Some(hash)) = (&self.cache, hash) {
+                cache.store_cell(hash, &result)?;
+            }
+            slots[i] = Some(result);
         }
 
         Ok(ExperimentResults::with_stats(
@@ -293,6 +295,7 @@ impl ExperimentRunner {
             RunStats {
                 simulated,
                 cache_hits,
+                observable,
             },
         ))
     }

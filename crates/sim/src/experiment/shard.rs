@@ -127,6 +127,7 @@ impl ExperimentResults {
             }
             stats.simulated += part.stats().simulated;
             stats.cache_hits += part.stats().cache_hits;
+            stats.observable += part.stats().observable;
             for cell in part.into_cells() {
                 if by_key.insert(merge_key(&cell.key), cell).is_some() {
                     return Err(SimError::spec(

@@ -69,7 +69,7 @@ pub use engine::{ObserverSet, SimOutput, Simulation};
 pub use error::SimError;
 pub use experiment::{
     CellKey, CellResult, ExperimentBuilder, ExperimentResults, ExperimentRunner, ExperimentSpec,
-    ResultCache, RunSpec, RunStats, Scenario, Shard, WorkloadSource,
+    RunSpec, RunStats, Scenario, Shard, WorkloadSource, SUMMARY_POINTS,
 };
 pub use faults::{FaultAction, FaultGenerator, FaultSpec, InterruptPolicy};
 pub use federation::{FleetOutput, FleetSimulation, FleetSpec, SiteSpec};

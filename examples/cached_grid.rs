@@ -7,6 +7,9 @@
 //!    half of the grid into one shared cache, then a merge recombines
 //!    them (zero extra simulations).
 //! 2. **Warm re-run** — the unchanged spec replays entirely from cache.
+//!    Each cached cell is its summary (report, counters, 25-point series
+//!    resamples), so the exports match a cold run byte for byte, but
+//!    per-job records are only in cells simulated by this run.
 //! 3. **Incremental re-run** — one extra seed is added; only the new
 //!    cells simulate, everything else is a cache hit.
 //!
@@ -67,6 +70,7 @@ fn main() -> Result<(), SimError> {
     let warm = ExperimentRunner::new().cache_dir(&cache_dir)?.run(&spec)?;
     assert_eq!(warm.stats().simulated, 0);
     assert_eq!(warm.to_csv(), merged.to_csv());
+    assert!(warm.cells().iter().all(|c| c.output.records.is_empty()));
     println!(
         "warm run:  {} cache hits, 0 simulated, {:.2}s (byte-identical export)\n",
         warm.stats().cache_hits,

@@ -44,9 +44,10 @@
 //! bundled implementations (see [`sim::Simulation::with_policies`]).
 //!
 //! Large grids scale through two further pieces: a content-addressed
-//! [`sim::ResultCache`] (attach via [`sim::ExperimentRunner::cache_dir`];
-//! unchanged cells load bit-identically instead of simulating, so edited
-//! specs re-execute only changed cells) and deterministic [`sim::Shard`]
+//! result cache (attach via [`sim::ExperimentRunner::cache_dir`];
+//! unchanged cells load their stored summary instead of simulating and
+//! export byte-identically, so edited specs re-execute only changed
+//! cells) and deterministic [`sim::Shard`]
 //! partitioning ([`sim::ExperimentRunner::run_shard`] +
 //! [`sim::ExperimentResults::merge`]) for fanning a grid out across
 //! processes or CI jobs.
@@ -114,8 +115,8 @@ pub mod prelude {
     pub use dmhpc_sim::{
         CellKey, CellResult, EventQueueKind, ExperimentResults, ExperimentRunner, ExperimentSpec,
         FaultAction, FaultGenerator, FaultSpec, FleetOutput, FleetSimulation, FleetSpec,
-        InterruptPolicy, ObserverSet, ResultCache, RunStats, Scenario, ServiceLoad, ServiceSpec,
-        Shard, SimConfig, SimError, SimOutput, Simulation, SiteSpec, WorkloadSource,
+        InterruptPolicy, ObserverSet, RunStats, Scenario, ServiceLoad, ServiceSpec, Shard,
+        SimConfig, SimError, SimOutput, Simulation, SiteSpec, WorkloadSource,
     };
     pub use dmhpc_workload::source::{ArrivalProcess, JobSource};
     pub use dmhpc_workload::{

@@ -628,3 +628,76 @@ fn mutated_swf_traces_are_typed_errors_not_panics() {
     let parsed = assert_no_panics("SWF", &traces, 0x5EF, 1_000, parse);
     assert!(parsed < 900, "{parsed} of 1000 mutations still parsed");
 }
+
+/// A one-cell grid small enough to re-simulate a thousand times.
+const TINY_SPEC: &str = r#"{"name": "fuzz-cache",
+ "workload": {"preset": {"system": "htc-128", "jobs": 6}},
+ "clusters": [{"label": "c0", "racks": 1, "nodes_per_rack": 4, "cores": 8,
+     "node_mem_mib": 65536, "pool": {"per-rack": {"mib_per_rack": 131072}}}],
+ "loads": [0.8], "seeds": [1],
+ "schedulers": [{"order": "fcfs", "backfill": "easy", "memory": "pool-bf",
+     "slowdown": "none", "inflate_walltime": true}],
+ "enforce_walltime": true, "check_invariants": false}"#;
+
+/// Corrupted cache documents never panic: each of 1,000 seeded mutations
+/// of a cell's stored summary, written over the cell's file, loads as a
+/// hit or is a miss that re-simulates the cell and rewrites its file. A
+/// full-output document of the previous format, written for this very
+/// cell key, is a miss.
+#[test]
+fn mutated_cache_documents_hit_or_resimulate() {
+    let spec = ExperimentSpec::from_json(TINY_SPEC).unwrap();
+    let dir = std::env::temp_dir().join(format!("dmhpc-fuzz-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let runner = ExperimentRunner::with_threads(1).cache_dir(&dir).unwrap();
+    let cold = runner.run(&spec).unwrap();
+    assert_eq!(cold.stats().simulated, 1);
+    let path = std::fs::read_dir(&dir)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let summary = std::fs::read_to_string(&path).unwrap();
+
+    // Every warm run either hits or re-simulates, and a re-simulated cell
+    // stores the same summary again.
+    let warm = |text: &str| -> Result<(), ()> {
+        std::fs::write(&path, text).unwrap();
+        let results = runner.run(&spec).unwrap();
+        let (hits, simulated) = (results.stats().cache_hits, results.stats().simulated);
+        assert_eq!(hits + simulated, 1);
+        let _ = (results.to_csv(), results.to_json());
+        if simulated == 0 {
+            return Ok(());
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), summary);
+        Err(())
+    };
+    warm(&summary).unwrap();
+    let hits = assert_no_panics(
+        "cache document",
+        std::slice::from_ref(&summary),
+        0xCAC4E,
+        1_000,
+        warm,
+    );
+    // Some mutations keep the document loadable (a flipped digit in the
+    // report, say); most must not, or the loader's error paths go unused.
+    assert!(
+        0 < hits && hits < 900,
+        "{hits} of 1000 mutations still loaded"
+    );
+
+    // The previous format stored the whole output for this same cell key.
+    let format1 = include_str!("fixtures/cell-format1.json");
+    let key = dmhpc_metrics::json::parse(format1)
+        .unwrap()
+        .expect_key("cell_hash")
+        .unwrap()
+        .to_u64()
+        .unwrap();
+    assert_eq!(key, spec.cell_hashes().unwrap()[0].1);
+    assert!(warm(format1).is_err(), "a format-1 document is a miss");
+    let _ = std::fs::remove_dir_all(&dir);
+}
