@@ -138,15 +138,32 @@ pub fn report_from_value(v: &Json) -> Result<SimReport, JsonError> {
             })
         })
         .collect::<Result<Vec<_>, JsonError>>()?;
+    let node_util = f("node_util")?;
     Ok(SimReport {
         label: v.expect_key("label")?.to_str()?.to_string(),
         completed: n("completed")?,
         killed: n("killed")?,
         rejected: n("rejected")?,
-        failed: n("failed")?,
-        interruptions: v.expect_key("interruptions")?.to_u64()?,
-        rework_s: f("rework_s")?,
-        avail_util: f("avail_util")?,
+        // Fault fields were introduced after PR-3; documents written by
+        // earlier engines (result-cache entries in particular) lack them
+        // and are by construction fault-free: zero counters, and
+        // availability-weighted utilization equal to plain utilization.
+        failed: match v.get("failed") {
+            Some(x) => x.to_usize()?,
+            None => 0,
+        },
+        interruptions: match v.get("interruptions") {
+            Some(x) => x.to_u64()?,
+            None => 0,
+        },
+        rework_s: match v.get("rework_s") {
+            Some(x) => x.to_f64()?,
+            None => 0.0,
+        },
+        avail_util: match v.get("avail_util") {
+            Some(x) => x.to_f64()?,
+            None => node_util,
+        },
         mean_wait_s: f("mean_wait_s")?,
         p50_wait_s: f("p50_wait_s")?,
         p95_wait_s: f("p95_wait_s")?,
@@ -156,7 +173,7 @@ pub fn report_from_value(v: &Json) -> Result<SimReport, JsonError> {
         mean_turnaround_s: f("mean_turnaround_s")?,
         makespan_h: f("makespan_h")?,
         throughput_jobs_per_day: f("throughput_jobs_per_day")?,
-        node_util: f("node_util")?,
+        node_util,
         pool_util: f("pool_util")?,
         dram_util: f("dram_util")?,
         queue_depth_mean: f("queue_depth_mean")?,
@@ -234,5 +251,24 @@ mod tests {
         assert_eq!(back.p95_bsld, r.p95_bsld);
         assert_eq!(back.user_fairness, r.user_fairness);
         assert_eq!(back.avail_util, r.avail_util);
+    }
+
+    #[test]
+    fn pre_fault_documents_parse_with_defaults() {
+        // A report written before the fault fields existed (PR-2/PR-3
+        // result-cache entries) must parse with zero fault counters and
+        // avail_util == node_util — not miss.
+        let mut doc = report_to_value(&report("old")).to_string_pretty();
+        for key in ["failed", "interruptions", "rework_s", "avail_util"] {
+            let needle = format!("\"{key}\"");
+            let start = doc.find(&needle).expect("field present");
+            let end = doc[start..].find('\n').unwrap() + start + 1;
+            doc.replace_range(start..end, "");
+        }
+        let back = report_from_value(&crate::json::parse(&doc).unwrap()).unwrap();
+        assert_eq!(back.failed, 0);
+        assert_eq!(back.interruptions, 0);
+        assert_eq!(back.rework_s, 0.0);
+        assert_eq!(back.avail_util, back.node_util, "bit-equal default");
     }
 }

@@ -42,8 +42,12 @@ impl SeriesBundle {
     /// Replaying the breakpoints through the same [`StepSeries`] update
     /// path reconstructs the series they describe exactly, so resampling
     /// a cache-loaded bundle at the stored resolution gives the stored
-    /// samples back. Returns `None` if any series has no points (never
-    /// produced by a run: construction records the initial value).
+    /// samples back. Anything else read from such a bundle (the
+    /// time-weighted means, the queue-depth peak, the breakpoints, a
+    /// resample at another resolution) describes the resampled series,
+    /// not the run, and may differ from the live bundle. Returns `None`
+    /// if any series has no points (never produced by a run:
+    /// construction records the initial value).
     pub fn from_points(
         spec: &ClusterSpec,
         nodes_busy: &[(SimTime, f64)],

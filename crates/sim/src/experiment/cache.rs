@@ -372,14 +372,11 @@ pub(super) fn cell_hash(workload_digest: u64, cell: &RunSpec) -> u64 {
 /// A series resampled at [`SUMMARY_POINTS`] over `[start, end]`.
 /// Replaying the samples through [`SeriesBundle::from_points`] and
 /// resampling again reproduces them exactly: a resample is a step lookup
-/// at fixed times, and those times are the samples' own. Replay
-/// coalesces repeated values, so only the samples that change the value
-/// are stored.
+/// at fixed times, and those times are the samples' own.
 fn series_to_json(series: &StepSeries, end: SimTime) -> Json {
-    let mut samples = series.resample(end, SUMMARY_POINTS);
-    samples.dedup_by(|next, prev| next.1 == prev.1);
     Json::Arr(
-        samples
+        series
+            .resample(end, SUMMARY_POINTS)
             .into_iter()
             .map(|(t, v)| Json::Arr(vec![Json::UInt(t.as_micros()), Json::F64(v)]))
             .collect(),
@@ -762,6 +759,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn warm_cells_are_exact_only_through_the_report_and_summary_series() {
+        // Which accessors of a warm cell's output are exact. The report,
+        // and each `*_series` helper at SUMMARY_POINTS, match the cold
+        // cell bit for bit. The series integrators, the raw breakpoints
+        // and resamples at any other resolution are computed from
+        // SUMMARY_POINTS samples, so they may differ: a table that needs
+        // utilization or queue depth reads the report, not
+        // `output.series`.
+        let dir = tmp_dir("exact");
+        let spec = spec();
+        let runner = ExperimentRunner::with_threads(2).cache_dir(&dir).unwrap();
+        let cold = runner.run(&spec).unwrap();
+        let warm = runner.run(&spec).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let (a, b) = (&cold.cells()[0].output, &warm.cells()[0].output);
+        let end = a.end_time;
+        let (x, y) = (&a.series, &b.series);
+        assert_eq!(
+            export::report_csv_row(&b.report),
+            export::report_csv_row(&a.report)
+        );
+        assert_eq!(
+            y.node_util_series(end, SUMMARY_POINTS),
+            x.node_util_series(end, SUMMARY_POINTS)
+        );
+        assert_eq!(
+            y.pool_util_series(end, SUMMARY_POINTS),
+            x.pool_util_series(end, SUMMARY_POINTS)
+        );
+        assert_eq!(
+            y.dram_util_series(end, SUMMARY_POINTS),
+            x.dram_util_series(end, SUMMARY_POINTS)
+        );
+        // The report carries the exact integrals; the warm integrators,
+        // peak and breakpoints do not.
+        assert_eq!(b.report.node_util, x.node_util(end));
+        assert_eq!(b.report.queue_depth_max, x.queue_depth_max());
+        assert_ne!(y.node_util(end), x.node_util(end));
+        assert_ne!(y.queue_depth_max(), x.queue_depth_max());
+        assert!(y.nodes_busy.points().len() < x.nodes_busy.points().len());
+        assert!(b.records.is_empty() && !a.records.is_empty());
     }
 
     #[test]

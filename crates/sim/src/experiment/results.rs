@@ -24,9 +24,13 @@ pub struct CellResult {
     /// counters, trace hash and fault/service summaries are exact,
     /// `records` is empty, and each step series is rebuilt from its
     /// [`SUMMARY_POINTS`]-point resample, so `*_series(end_time,
-    /// SUMMARY_POINTS)` matches the simulated output bit for bit. A
-    /// caller that wants records or full series runs without a cache,
-    /// which is exact because the cell hash determines the output.
+    /// SUMMARY_POINTS)` matches the simulated output bit for bit. Every
+    /// other view of a warm cell's series — `node_util`, `pool_util`,
+    /// `dram_util`, `queue_depth_mean`, `queue_depth_max`, `points()`, or
+    /// a resample at any other resolution — is an approximation built
+    /// from those samples; read the exact values from `report`. A caller
+    /// that wants records or full series runs without a cache, which is
+    /// exact because the cell hash determines the output.
     pub output: SimOutput,
     pub(super) slo_attainment: Option<f64>,
 }

@@ -661,32 +661,34 @@ fn mutated_cache_documents_hit_or_resimulate() {
     let summary = std::fs::read_to_string(&path).unwrap();
 
     // Every warm run either hits or re-simulates, and a re-simulated cell
-    // stores the same summary again.
-    let warm = |text: &str| -> Result<(), ()> {
+    // stores the same summary again. Returns whether it hit.
+    let warm = |text: &str| -> bool {
         std::fs::write(&path, text).unwrap();
         let results = runner.run(&spec).unwrap();
         let (hits, simulated) = (results.stats().cache_hits, results.stats().simulated);
         assert_eq!(hits + simulated, 1);
         let _ = (results.to_csv(), results.to_json());
-        if simulated == 0 {
-            return Ok(());
+        if simulated == 1 {
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), summary);
         }
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), summary);
-        Err(())
+        hits == 1
     };
-    warm(&summary).unwrap();
-    let hits = assert_no_panics(
+    assert!(warm(&summary));
+    let parsed = assert_no_panics(
         "cache document",
         std::slice::from_ref(&summary),
         0xCAC4E,
         1_000,
-        warm,
+        |text| {
+            warm(text);
+            dmhpc_metrics::json::parse(text).map(drop)
+        },
     );
-    // Some mutations keep the document loadable (a flipped digit in the
-    // report, say); most must not, or the loader's error paths go unused.
+    // Some mutations are still JSON, so the loader's checks past the
+    // parser are reached; others are not, so the parse error path is.
     assert!(
-        0 < hits && hits < 900,
-        "{hits} of 1000 mutations still loaded"
+        0 < parsed && parsed < 1_000,
+        "{parsed} of 1000 mutations still parse"
     );
 
     // The previous format stored the whole output for this same cell key.
@@ -698,6 +700,6 @@ fn mutated_cache_documents_hit_or_resimulate() {
         .to_u64()
         .unwrap();
     assert_eq!(key, spec.cell_hashes().unwrap()[0].1);
-    assert!(warm(format1).is_err(), "a format-1 document is a miss");
+    assert!(!warm(format1), "a format-1 document is a miss");
     let _ = std::fs::remove_dir_all(&dir);
 }
