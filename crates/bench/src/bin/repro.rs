@@ -21,13 +21,19 @@
 //! Table/figure output is printed and mirrored to `results/<id>.txt`;
 //! grid/merge output lands in `results/<name>.*.{csv,json}`.
 //!
+//! The table ids and the built-in grid names are each listed once, in
+//! `experiments::TABLES` and `experiments::GRIDS`; `--list`, the usage
+//! text and spec loading all read those lists. A tables or grid run
+//! builds one [`ExperimentRunner`] from its knobs ([`ExecKnobs::runner`])
+//! and passes it to every table or grid it runs.
+//!
 //! Internally every invocation is parsed ([`parse_cli`]) and then
 //! *resolved* ([`RunMode::resolve`]) into one [`RunMode`] variant carrying
 //! exactly the knobs that apply to it. Every flag × mode combination rule
 //! lives in `resolve` — the run functions below cannot even see a flag
 //! that is meaningless in their mode.
 
-use dmhpc_bench::experiments::{self, RunOptions};
+use dmhpc_bench::experiments::{self, Table, GRIDS, TABLES};
 use dmhpc_sim::{
     EventQueueKind, ExperimentResults, ExperimentRunner, ExperimentSpec, Shard, SimError,
 };
@@ -35,13 +41,12 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-const BUILTIN_GRIDS: &str =
-    "smoke|smoke-contention|smoke-faults|smoke-service|smoke-deadline|smoke-admission|smoke-fleet";
-
 fn usage() {
+    let grids: Vec<&str> = GRIDS.iter().map(|(name, _)| *name).collect();
+    let builtin = grids.join("|");
     eprintln!("usage: repro [--list] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR] <id>... | all");
-    eprintln!("       repro grid  <spec.json|{BUILTIN_GRIDS}> [--shard i/n] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR]");
-    eprintln!("       repro merge <spec.json|{BUILTIN_GRIDS}> --cache-dir DIR");
+    eprintln!("       repro grid  <spec.json|{builtin}> [--shard i/n] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR]");
+    eprintln!("       repro merge <spec.json|{builtin}> --cache-dir DIR");
     eprintln!("       a spec's \"scenarios\" list adds fault, open-service and fleet cells");
     eprintln!("       beside its plain ones (smoke-faults, smoke-service and smoke-fleet");
     eprintln!("       are built-in examples); federated cells run observation-free and");
@@ -49,7 +54,10 @@ fn usage() {
     eprintln!("       --trace-out DIR streams one <spec>.<cell>.jsonl event trace per");
     eprintln!("       simulated cell into DIR (constant memory per cell; hash-neutral,");
     eprintln!("       so result caches stay warm — cache-hit cells emit no trace)");
-    eprintln!("ids: {}", experiments::all_ids().join(" "));
+    let ids: Vec<&str> = TABLES.iter().map(|t| t.id).collect();
+    eprintln!("ids: {}", ids.join(" "));
+    eprintln!("     the ids and the built-in grid names above are each listed once, in");
+    eprintln!("     experiments::TABLES and experiments::GRIDS; --list prints both");
 }
 
 /// Raw flags exactly as given — parsed, but not yet checked against each
@@ -86,6 +94,32 @@ struct ExecKnobs {
     trace_out: Option<PathBuf>,
 }
 
+impl ExecKnobs {
+    fn from_cli(cli: Cli) -> Self {
+        ExecKnobs {
+            cache_dir: cli.cache_dir,
+            threads: cli.threads.unwrap_or(0),
+            queue: cli.queue,
+            trace_out: cli.trace_out,
+        }
+    }
+
+    /// The one runner a tables or grid invocation runs everything on.
+    fn runner(&self) -> Result<ExperimentRunner, SimError> {
+        let mut runner = ExperimentRunner::with_threads(self.threads);
+        if let Some(dir) = &self.cache_dir {
+            runner = runner.cache_dir(dir)?;
+        }
+        if let Some(kind) = self.queue {
+            runner = runner.event_queue(kind);
+        }
+        if let Some(dir) = &self.trace_out {
+            runner = runner.trace_dir(dir)?;
+        }
+        Ok(runner)
+    }
+}
+
 /// One fully validated invocation. Each variant carries exactly the knobs
 /// that apply to it; every rejected flag combination is refused in
 /// [`RunMode::resolve`] — the single source of truth for the CLI's
@@ -97,10 +131,7 @@ enum RunMode {
     /// inventory. Never simulates.
     ListTables,
     /// `repro <id>... | all`: regenerate tables/figures.
-    Tables {
-        ids: Vec<String>,
-        options: RunOptions,
-    },
+    Tables { ids: Vec<String>, exec: ExecKnobs },
     /// `repro grid <spec> --list`: print the cells (optionally one
     /// shard's) the spec compiles to. Never simulates.
     ListGrid {
@@ -124,7 +155,7 @@ impl RunMode {
     /// The one place flag combinations are accepted or refused. Checks
     /// keep the historical order so every long-standing error message
     /// (and the CI scripts grepping for them) is preserved verbatim.
-    fn resolve(cli: Cli) -> Result<RunMode, String> {
+    fn resolve(mut cli: Cli) -> Result<RunMode, String> {
         // Listing never simulates, in any mode: execution knobs are
         // refused, not silently dropped.
         fn reject_exec_knobs_under_list(cli: &Cli) -> Result<(), String> {
@@ -156,12 +187,7 @@ impl RunMode {
                 Ok(RunMode::Grid {
                     spec_arg,
                     shard: cli.shard,
-                    exec: ExecKnobs {
-                        cache_dir: cli.cache_dir,
-                        threads: cli.threads.unwrap_or(0),
-                        queue: cli.queue,
-                        trace_out: cli.trace_out,
-                    },
+                    exec: ExecKnobs::from_cli(cli),
                 })
             }
             Mode::Merge => {
@@ -222,13 +248,8 @@ impl RunMode {
                     return Ok(RunMode::ListTables);
                 }
                 Ok(RunMode::Tables {
-                    ids: cli.args,
-                    options: RunOptions {
-                        cache_dir: cli.cache_dir,
-                        threads: cli.threads.unwrap_or(0),
-                        event_queue: cli.queue,
-                        trace_dir: cli.trace_out,
-                    },
+                    ids: std::mem::take(&mut cli.args),
+                    exec: ExecKnobs::from_cli(cli),
                 })
             }
         }
@@ -306,19 +327,12 @@ fn parse_cli(raw: Vec<String>) -> Result<Cli, Box<dyn std::error::Error>> {
     Ok(cli)
 }
 
-/// Resolve a grid-mode spec argument: a JSON file path, or one of the
-/// built-in grids (`smoke`, `smoke-contention`, …). Compile errors surface
-/// as `SimError` → non-zero exit.
+/// Resolve a grid-mode spec argument: the name of a built-in grid
+/// (`GRIDS`), or a JSON file path. Compile errors surface as `SimError` →
+/// non-zero exit.
 fn load_spec(arg: &str) -> Result<ExperimentSpec, Box<dyn std::error::Error>> {
-    match arg {
-        "smoke" => return Ok(experiments::smoke_spec()?),
-        "smoke-contention" => return Ok(experiments::smoke_contention_spec()?),
-        "smoke-faults" => return Ok(experiments::smoke_faults_spec()?),
-        "smoke-service" => return Ok(experiments::smoke_service_spec()?),
-        "smoke-deadline" => return Ok(experiments::smoke_deadline_spec()?),
-        "smoke-admission" => return Ok(experiments::smoke_admission_spec()?),
-        "smoke-fleet" => return Ok(experiments::smoke_fleet_spec()?),
-        _ => {}
+    if let Some((_, build)) = GRIDS.iter().find(|(name, _)| *name == arg) {
+        return Ok(build()?);
     }
     let text =
         std::fs::read_to_string(arg).map_err(|e| SimError::io(format!("reading spec {arg}"), e))?;
@@ -351,16 +365,7 @@ fn run_grid(
     exec: &ExecKnobs,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let spec = load_spec(spec_arg)?;
-    let mut runner = ExperimentRunner::with_threads(exec.threads);
-    if let Some(dir) = &exec.cache_dir {
-        runner = runner.cache_dir(dir)?;
-    }
-    if let Some(kind) = exec.queue {
-        runner = runner.event_queue(kind);
-    }
-    if let Some(dir) = &exec.trace_out {
-        runner = runner.trace_dir(dir)?;
-    }
+    let runner = exec.runner()?;
     let started_at = std::time::SystemTime::now();
     let start = Instant::now();
     let (results, stem) = match shard {
@@ -477,60 +482,45 @@ fn run_merge(spec_arg: &str, cache_dir: &PathBuf) -> Result<(), Box<dyn std::err
 }
 
 fn list_tables() -> Result<(), Box<dyn std::error::Error>> {
-    for id in experiments::all_ids() {
-        println!("{id}");
+    for table in &TABLES {
+        println!("{}", table.id);
     }
     // The built-in grid specs are part of the CLI surface; an ill-formed
     // one must fail the listing (and therefore CI), not exit 0 silently.
-    let smoke = experiments::smoke_spec()?;
-    println!("grid: smoke ({} cells)", smoke.compile()?.len());
-    let contention = experiments::smoke_contention_spec()?;
-    println!(
-        "grid: smoke-contention ({} cells)",
-        contention.compile()?.len()
-    );
-    let faults = experiments::smoke_faults_spec()?;
-    println!("grid: smoke-faults ({} cells)", faults.compile()?.len());
-    let service = experiments::smoke_service_spec()?;
-    println!("grid: smoke-service ({} cells)", service.compile()?.len());
-    let deadline = experiments::smoke_deadline_spec()?;
-    println!("grid: smoke-deadline ({} cells)", deadline.compile()?.len());
-    let admission = experiments::smoke_admission_spec()?;
-    println!(
-        "grid: smoke-admission ({} cells)",
-        admission.compile()?.len()
-    );
-    let fleet = experiments::smoke_fleet_spec()?;
-    println!("grid: smoke-fleet ({} cells)", fleet.compile()?.len());
+    for (name, build) in &GRIDS {
+        println!("grid: {name} ({} cells)", build()?.compile()?.len());
+    }
     Ok(())
 }
 
-fn run_tables(ids: &[String], options: &RunOptions) -> Result<(), Box<dyn std::error::Error>> {
-    let started_at = std::time::SystemTime::now();
-    let ids: Vec<&str> = if ids.iter().any(|a| a == "all") {
-        experiments::all_ids().to_vec()
+fn run_tables(ids: &[String], exec: &ExecKnobs) -> Result<(), Box<dyn std::error::Error>> {
+    let tables: Vec<&Table> = if ids.iter().any(|a| a == "all") {
+        TABLES.iter().collect()
     } else {
-        ids.iter().map(String::as_str).collect()
-    };
-    std::fs::create_dir_all("results")?;
-    for id in ids {
-        let start = Instant::now();
-        let Some(result) = experiments::run_with(id, options)? else {
-            return Err(format!("unknown experiment id {id:?} (try --list)").into());
+        let find = |id: &String| {
+            experiments::table(id)
+                .ok_or_else(|| format!("unknown experiment id {id:?} (try --list)"))
         };
-        let elapsed = start.elapsed();
+        ids.iter().map(find).collect::<Result<_, _>>()?
+    };
+    let runner = exec.runner()?;
+    let started_at = std::time::SystemTime::now();
+    std::fs::create_dir_all("results")?;
+    for table in tables {
+        let start = Instant::now();
+        let body = (table.body)(&runner)?;
         println!(
             "== {} — {} [{:.1}s]",
-            result.id,
-            result.title,
-            elapsed.as_secs_f64()
+            table.id,
+            table.title,
+            start.elapsed().as_secs_f64()
         );
-        println!("{}", result.body);
-        let mut f = std::fs::File::create(format!("results/{}.txt", result.id))?;
-        writeln!(f, "# {} — {}", result.id, result.title)?;
-        f.write_all(result.body.as_bytes())?;
+        println!("{body}");
+        let mut f = std::fs::File::create(format!("results/{}.txt", table.id))?;
+        writeln!(f, "# {} — {}", table.id, table.title)?;
+        f.write_all(body.as_bytes())?;
     }
-    if let Some(dir) = &options.trace_dir {
+    if let Some(dir) = &exec.trace_out {
         // Tables runs may be fully cache-served (zero simulations, zero
         // traces): validate whatever was written without demanding files.
         verify_traces(dir, 0, started_at)?;
@@ -553,7 +543,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     match mode {
         RunMode::ListTables => list_tables(),
-        RunMode::Tables { ids, options } => run_tables(&ids, &options),
+        RunMode::Tables { ids, exec } => run_tables(&ids, &exec),
         RunMode::ListGrid { spec_arg, shard } => list_grid(&spec_arg, shard),
         RunMode::Grid {
             spec_arg,
@@ -717,9 +707,9 @@ mod tests {
             other => panic!("expected ListTables, got {other:?}"),
         }
         match resolve(&["t1", "all"]).unwrap() {
-            RunMode::Tables { ids, options } => {
+            RunMode::Tables { ids, exec } => {
                 assert_eq!(ids, ["t1", "all"]);
-                assert_eq!(options.threads, 0);
+                assert_eq!(exec.threads, 0);
             }
             other => panic!("expected Tables, got {other:?}"),
         }
@@ -801,27 +791,18 @@ mod tests {
     }
 
     #[test]
-    fn smoke_fleet_is_a_builtin_spec() {
-        let spec = load_spec("smoke-fleet").unwrap();
-        assert_eq!(spec.name, "smoke-fleet");
-        assert_eq!(spec.cell_count(), 16);
-    }
-
-    #[test]
-    fn smoke_deadline_is_a_builtin_spec() {
-        let spec = load_spec("smoke-deadline").unwrap();
-        assert_eq!(spec.name, "smoke-deadline");
-        assert_eq!(spec.cell_count(), 8);
-    }
-
-    #[test]
-    fn smoke_admission_is_a_builtin_spec() {
-        let spec = load_spec("smoke-admission").unwrap();
-        assert_eq!(spec.name, "smoke-admission");
-        assert_eq!(spec.cell_count(), 8);
+    fn every_registered_grid_loads_by_name() {
+        for (name, build) in &GRIDS {
+            let spec = load_spec(name).unwrap();
+            assert_eq!(spec.name, *name);
+            assert_eq!(
+                spec.cell_hashes().unwrap(),
+                build().unwrap().cell_hashes().unwrap()
+            );
+        }
         // The admission/placement knobs must keep cell labels (and hence
         // cache keys) distinct across the four scheduler columns.
-        let cells = spec.compile().unwrap();
+        let cells = load_spec("smoke-admission").unwrap().compile().unwrap();
         let labels: std::collections::BTreeSet<_> = cells.iter().map(|c| c.key.label()).collect();
         assert_eq!(labels.len(), cells.len(), "every cell label is unique");
     }
@@ -865,5 +846,92 @@ mod tests {
             Some(PathBuf::from("/tmp/t"))
         );
         assert_eq!(parse(&["grid", "smoke"]).unwrap().trace_out, None);
+    }
+
+    /// Flags and values a mutation swaps in: malformed numbers, shards
+    /// and backends, near-miss flags, and tokens of other modes.
+    #[rustfmt::skip]
+    const CORRUPT_TOKENS: &[&str] = &[
+        "", "0", "-1", "+2", " 2", "2 ", "18446744073709551616", "0/0", "2/2", "3/2",
+        "1/", "/1", "/", "-1/2", "0/18446744073709551616", "--", "-", "---threads",
+        "--thread", "--Queue", "HEAP", "calendar ", "grid", "merge", "all", "--list",
+        "--shard", "--threads", "--queue", "\u{e9}", "\0",
+    ];
+
+    /// Apply 1–3 edits to `argv`: drop, duplicate or swap a token, swap in
+    /// one of [`CORRUPT_TOKENS`], or flip, insert or cut one character of a
+    /// token.
+    fn mutate_argv(rng: &mut dmhpc_des::Pcg64, argv: &mut Vec<String>) {
+        for _ in 0..1 + rng.index(3) {
+            if argv.is_empty() {
+                argv.push(CORRUPT_TOKENS[rng.index(CORRUPT_TOKENS.len())].to_string());
+                continue;
+            }
+            let at = rng.index(argv.len());
+            match rng.index(5) {
+                0 => drop(argv.remove(at)),
+                1 => argv.insert(rng.index(argv.len() + 1), argv[at].clone()),
+                2 => {
+                    let other = rng.index(argv.len());
+                    argv.swap(at, other);
+                }
+                3 => argv[at] = CORRUPT_TOKENS[rng.index(CORRUPT_TOKENS.len())].to_string(),
+                _ => {
+                    let mut bytes = argv[at].clone().into_bytes();
+                    let i = rng.index(bytes.len() + 1);
+                    match rng.index(3) {
+                        0 if i < bytes.len() => bytes[i] ^= 1 << rng.index(7),
+                        1 => bytes.insert(i, b"0123456789/-"[rng.index(12)]),
+                        _ => bytes.truncate(i),
+                    }
+                    argv[at] = String::from_utf8_lossy(&bytes).into_owned();
+                }
+            }
+        }
+    }
+
+    /// 1,000 seeded mutations of valid argv vectors of each mode parse and
+    /// resolve to a mode or a typed error, never a panic. The resolved
+    /// modes are never run, so no mutated `--threads` value starts a
+    /// thread.
+    #[test]
+    fn mutated_argv_is_a_typed_error_not_a_panic() {
+        // Valid invocations of each mode, one argv token per word.
+        let modes: [&[&str]; 3] = [
+            &[
+                "--cache-dir c --threads 2 --queue heap t2 f3",
+                "--trace-out t all",
+                "--list",
+            ],
+            &[
+                "grid smoke --shard 1/2 --cache-dir c --threads 2",
+                "grid smoke-contention --queue calendar --trace-out t",
+                "grid smoke-faults --list --shard 0/3",
+            ],
+            &["merge smoke --cache-dir c"],
+        ];
+        for (mode, valid) in modes.iter().enumerate() {
+            let mut resolved = 0;
+            for case in 0..1_000u64 {
+                let mut rng = dmhpc_des::Pcg64::new_stream(0xA26 + mode as u64, case);
+                let seed: Vec<&str> = valid[case as usize % valid.len()].split(' ').collect();
+                assert!(resolve(&seed).is_ok(), "{seed:?}");
+                let mut argv: Vec<String> = seed.iter().map(|s| s.to_string()).collect();
+                mutate_argv(&mut rng, &mut argv);
+                let outcome = std::panic::catch_unwind(|| {
+                    let cli = parse_cli(argv.clone()).map_err(|e| e.to_string())?;
+                    RunMode::resolve(cli).map(drop)
+                });
+                match outcome {
+                    Ok(ok) => resolved += ok.is_ok() as usize,
+                    Err(_) => panic!("mode {mode} case {case} panicked on {argv:?}"),
+                }
+            }
+            // Both the accepting and the refusing paths are reached.
+            assert!(
+                0 < resolved && resolved < 1_000,
+                "mode {mode}: {resolved} resolved"
+            );
+        }
     }
 }

@@ -1,29 +1,37 @@
-//! Experiment definitions: one function per reconstructed table/figure.
+//! The paper's tables and the built-in grids, each declared once.
+//!
+//! - `TABLES` is the one list of `repro`'s tables and figures. Each
+//!   [`Table`] holds an id, a title and a body function that runs its
+//!   grids on the [`ExperimentRunner`] it is given and prints its rows, so
+//!   one runner (and its cache, worker count, event queue and trace
+//!   export) serves every table of a `repro` invocation.
+//! - `GRIDS` is the one list of built-in grids: `(name, builder)` pairs
+//!   that `repro grid`, `repro merge` and `repro --list` read.
 //!
 //! Base configuration (unless a sweep varies it): `mid-256` preset
 //! (256 nodes × 64 cores × 256 GiB), per-rack pools of 512 GiB, offered
 //! load 0.9, 1,500 jobs, seed 42, saturating slowdown with a 1.5× worst
-//! case. Each experiment prints the same rows/series the corresponding
+//! case. Each table prints the same rows/series the corresponding
 //! figure plots.
 //!
-//! Every simulation-backed experiment is a declarative
-//! [`ExperimentSpec`] grid executed by [`ExperimentRunner`]; the functions
-//! here only declare axes and format the resulting table.
+//! Every simulated table runs declarative [`ExperimentSpec`] grids. One
+//! printer lays out every column table: a column's header, width and
+//! value are declared once and lay out the header row and every data row
+//! alike. A row's key is the axis point its cell was built from, given
+//! with that point where the grid is declared.
 
-use dmhpc_metrics::{JobClass, SimReport};
-use dmhpc_platform::{NodeSpec, PoolTopology, SlowdownModel};
+use dmhpc_metrics::{ClassRow, JobClass, SimReport};
+use dmhpc_platform::{ClusterSpec, NodeSpec, PoolTopology, SlowdownModel};
 use dmhpc_sched::{
     AdmissionPolicy, BackfillPolicy, MemoryPolicy, OrderPolicy, SchedulerBuilder, SchedulerConfig,
 };
-use dmhpc_sim::scenarios::default_slowdown;
+use dmhpc_sim::scenarios::{default_slowdown, policy_suite};
 use dmhpc_sim::{
-    ExperimentBuilder, ExperimentResults, ExperimentRunner, ExperimentSpec, FaultSpec, FleetSpec,
-    Scenario, ServiceSpec, SimError, SUMMARY_POINTS,
+    ExperimentBuilder, ExperimentRunner, ExperimentSpec, FaultSpec, FleetSpec, Scenario,
+    ServiceSpec, SimError, SimOutput, SUMMARY_POINTS,
 };
 use dmhpc_workload::{stats as wstats, SystemPreset};
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const GIB: u64 = 1024;
 const N_JOBS: usize = 1500;
@@ -32,75 +40,55 @@ const LOAD: f64 = 0.9;
 const BASE_POOL_GIB: u64 = 512;
 const PRESET: SystemPreset = SystemPreset::MidCluster;
 
-/// A finished experiment: id, title, and the printed body.
-pub struct ExpResult {
+/// One of `repro`'s tables or figures.
+pub struct Table {
     /// Experiment id (`t1`, `f3`, `a2`, …).
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,
-    /// Printed rows (also written to `results/<id>.txt`).
-    pub body: String,
+    /// Runs the table's grids on the given runner and prints its rows
+    /// (`repro` also writes them to `results/<id>.txt`).
+    pub body: fn(&ExperimentRunner) -> Result<String, SimError>,
 }
 
-/// All experiment ids in report order.
-pub fn all_ids() -> &'static [&'static str] {
-    &[
-        "t1", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "t2", "a1", "a2", "a3",
-    ]
+/// Every table, in report order.
+#[rustfmt::skip]
+pub static TABLES: [Table; 14] = [
+    Table { id: "t1", title: "Workload characterization (per synthetic system preset)", body: t1 },
+    Table { id: "f1", title: "CDF of per-node memory demand (fraction of node DRAM)", body: f1 },
+    Table { id: "f2", title: "CPU vs memory utilization over time (local-only baseline)", body: f2 },
+    Table { id: "f3", title: "Wait time vs per-rack pool capacity (4 policies)", body: f3 },
+    Table { id: "f4", title: "Bounded slowdown vs offered load (4 policies, pool 512 GiB/rack)", body: f4 },
+    Table { id: "f5", title: "Utilization & throughput vs node DRAM (pool fixed at 512 GiB/rack)", body: f5 },
+    Table { id: "f6", title: "Crossover vs far-memory penalty (does borrowing stop paying?)", body: f6 },
+    Table { id: "f7", title: "Pool utilization over time (128 vs 512 GiB/rack)", body: f7 },
+    Table { id: "f8", title: "Per-class wait: local-only vs slowdown-aware (who wins?)", body: f8 },
+    Table { id: "f9", title: "Pool topology: none vs per-rack vs global (equal total capacity)", body: f9 },
+    Table { id: "t2", title: "Headline policy comparison (base config: load 0.9, 512 GiB/rack)", body: t2 },
+    Table { id: "a1", title: "Ablation A1: walltime inflation for dilated jobs (kill counts)", body: a1 },
+    Table { id: "a2", title: "Ablation A2: backfill flavour under disaggregation", body: a2 },
+    Table { id: "a3", title: "Ablation A3: static vs contention-aware dilation", body: a3 },
+];
+
+/// The table with this id, if there is one.
+pub fn table(id: &str) -> Option<&'static Table> {
+    TABLES.iter().find(|t| t.id == id)
 }
 
-/// Execution knobs shared by every experiment in one `repro` invocation.
-#[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// Attach a content-addressed result cache at this directory: cells
-    /// already stored there load instead of simulating, and fresh cells
-    /// are stored for the next invocation.
-    pub cache_dir: Option<PathBuf>,
-    /// Worker threads (`0` = one per available core).
-    pub threads: usize,
-    /// Pending-event-set backend override for simulated cells (results
-    /// are identical on either; `None` = per-cell default).
-    pub event_queue: Option<dmhpc_sim::EventQueueKind>,
-    /// Stream every simulated cell's event trace to this directory as
-    /// JSONL (constant memory per cell; hash-neutral, so caches stay
-    /// warm). `None` = no trace export.
-    pub trace_dir: Option<PathBuf>,
-}
+/// Builds one of the built-in grids.
+pub type GridBuilder = fn() -> Result<ExperimentSpec, SimError>;
 
-thread_local! {
-    // The experiment functions below are declarative tables; the runner
-    // they share is ambient so adding an execution knob does not churn
-    // every table definition.
-    static RUNNER: RefCell<ExperimentRunner> = RefCell::new(ExperimentRunner::new());
-}
-
-/// Run one experiment by id with default options (no cache, auto threads).
-pub fn run(id: &str) -> Option<ExpResult> {
-    run_with(id, &RunOptions::default()).expect("default options cannot fail")
-}
-
-/// Run one experiment by id under explicit [`RunOptions`]. `Ok(None)`
-/// means the id is unknown; `Err` surfaces cache-directory *setup*
-/// problems (unwritable/uncreatable dir). Store failures mid-run (disk
-/// filling up underneath a running sweep) abort with a panic — the
-/// experiment tables are deliberately infallible declarations; `repro
-/// grid` mode reports the same condition as a typed error.
-pub fn run_with(id: &str, options: &RunOptions) -> Result<Option<ExpResult>, SimError> {
-    let mut runner = ExperimentRunner::with_threads(options.threads);
-    if let Some(dir) = &options.cache_dir {
-        runner = runner.cache_dir(dir)?;
-    }
-    if let Some(kind) = options.event_queue {
-        runner = runner.event_queue(kind);
-    }
-    if let Some(dir) = &options.trace_dir {
-        runner = runner.trace_dir(dir)?;
-    }
-    RUNNER.with(|r| *r.borrow_mut() = runner);
-    let result = dispatch(id);
-    RUNNER.with(|r| *r.borrow_mut() = ExperimentRunner::new());
-    Ok(result)
-}
+/// Every built-in grid, by the name `repro grid` and `repro merge` accept
+/// (each builder names its spec the same), in `repro --list` order.
+pub static GRIDS: [(&str, GridBuilder); 7] = [
+    ("smoke", smoke_spec),
+    ("smoke-contention", smoke_contention_spec),
+    ("smoke-faults", smoke_faults_spec),
+    ("smoke-service", smoke_service_spec),
+    ("smoke-deadline", smoke_deadline_spec),
+    ("smoke-admission", smoke_admission_spec),
+    ("smoke-fleet", smoke_fleet_spec),
+];
 
 /// The CI smoke grid: small enough to finish in seconds, wide enough to
 /// exercise every axis (2 pools × 2 seeds × 2 schedulers) — the grid the
@@ -317,44 +305,112 @@ pub fn smoke_admission_spec() -> Result<ExperimentSpec, SimError> {
         .build()
 }
 
-fn dispatch(id: &str) -> Option<ExpResult> {
-    Some(match id {
-        "t1" => t1(),
-        "f1" => f1(),
-        "f2" => f2(),
-        "f3" => f3(),
-        "f4" => f4(),
-        "f5" => f5(),
-        "f6" => f6(),
-        "f7" => f7(),
-        "f8" => f8(),
-        "f9" => f9(),
-        "t2" => t2(),
-        "a1" => a1(),
-        "a2" => a2(),
-        "a3" => a3(),
-        _ => return None,
-    })
+// ---------------------------------------------------------------- the printer
+
+/// A table column: its header, its width, and the text it prints for a
+/// row. The text carries the value's precision and any `%`/`x` suffix, so
+/// the one width lays out the header and every value alike.
+type Col<R> = (&'static str, usize, fn(&R) -> String);
+
+/// Lay out a table: a header row, then one line per row. A row is its key
+/// texts, printed under the `(header, width)` of `keys`, and a value the
+/// `cols` print from. The first column is left-aligned and the rest are
+/// right-aligned, one space apart.
+fn layout<'a, R: 'a>(
+    keys: &[(&str, usize)],
+    cols: &[Col<R>],
+    rows: impl IntoIterator<Item = (Vec<String>, &'a R)>,
+) -> String {
+    let widths: Vec<usize> = keys
+        .iter()
+        .map(|k| k.1)
+        .chain(cols.iter().map(|c| c.1))
+        .collect();
+    let mut body = String::new();
+    let mut line = |texts: Vec<String>| {
+        for (i, (text, width)) in texts.iter().zip(&widths).enumerate() {
+            let _ = match i {
+                0 => write!(body, "{text:<width$}"),
+                _ => write!(body, " {text:>width$}"),
+            };
+        }
+        body.push('\n');
+    };
+    let heads = keys.iter().map(|k| k.0).chain(cols.iter().map(|c| c.0));
+    line(heads.map(String::from).collect());
+    for (key, value) in rows {
+        line(
+            key.into_iter()
+                .chain(cols.iter().map(|c| (c.2)(value)))
+                .collect(),
+        );
+    }
+    body
 }
 
-/// The shared base grid: `mid-256` preset, 1,500 jobs, seed 42, load 0.9.
-/// Experiments add their own cluster/scheduler axes on top.
-fn base(name: &'static str) -> ExperimentBuilder {
+/// [`layout`] over the reports of [`sweep`] rows keyed by their texts.
+fn report_table(
+    keys: &[(&str, usize)],
+    cols: &[Col<SimReport>],
+    rows: &[(Vec<String>, SimOutput)],
+) -> String {
+    layout(
+        keys,
+        cols,
+        rows.iter().map(|(key, out)| (key.clone(), &out.report)),
+    )
+}
+
+fn fixed(value: f64, places: usize) -> String {
+    format!("{value:.places$}")
+}
+
+fn pct(fraction: f64) -> String {
+    format!("{:.1}%", 100.0 * fraction)
+}
+
+const MEAN_WAIT: Col<SimReport> = ("mean_wait_s", 12, |r| fixed(r.mean_wait_s, 0));
+const P95_BSLD: Col<SimReport> = ("p95_bsld", 10, |r| fixed(r.p95_bsld, 2));
+const NODE_UTIL: Col<SimReport> = ("node_util", 10, |r| fixed(r.node_util, 3));
+const BORROWED: Col<SimReport> = ("borrowed%", 10, |r| pct(r.borrowed_fraction));
+
+// ---------------------------------------------------------------- the grids
+
+/// The shared base grid: `mid-256` preset, 1,500 jobs, seed 42, at offered
+/// load `load` (the tables' base load is `LOAD`, 0.9). Tables add their
+/// own cluster and scheduler axes on top.
+fn base(name: &'static str, load: f64) -> ExperimentBuilder {
     ExperimentSpec::builder(name)
         .preset(PRESET, N_JOBS)
-        .load(LOAD)
+        .load(load)
         .seed(SEED)
 }
 
-/// Declare-and-run: every experiment goes through the shared ambient
-/// runner (set up by [`run_with`]), so `repro --cache-dir` accelerates
-/// every table and figure without each one knowing about caching.
-fn execute(builder: ExperimentBuilder) -> ExperimentResults {
-    let spec = builder.build().expect("experiment grid is well-formed");
-    RUNNER
-        .with(|r| r.borrow().clone())
-        .run(&spec)
-        .expect("validated grid runs and the cache directory is writable")
+/// Run `base` with one more axis, added point by point through `add`, and
+/// return each point's row key with the output of the cell built from it.
+/// `base` holds one point on every other axis, so the grid's cells are the
+/// points, in order.
+fn sweep<K, T>(
+    runner: &ExperimentRunner,
+    base: ExperimentBuilder,
+    add: impl Fn(ExperimentBuilder, T) -> ExperimentBuilder,
+    points: impl IntoIterator<Item = (K, T)>,
+) -> Result<Vec<(K, SimOutput)>, SimError> {
+    let (keys, points): (Vec<K>, Vec<T>) = points.into_iter().unzip();
+    let spec = points.into_iter().fold(base, add).build()?;
+    let cells = runner.run(&spec)?.into_cells();
+    assert_eq!(cells.len(), keys.len(), "{}: one cell per point", spec.name);
+    Ok(keys
+        .into_iter()
+        .zip(cells.into_iter().map(|c| c.output))
+        .collect())
+}
+
+/// Run a one-cell grid and return its output.
+fn one_cell(runner: &ExperimentRunner, grid: ExperimentBuilder) -> Result<SimOutput, SimError> {
+    let mut cells = runner.run(&grid.build()?)?.into_cells();
+    assert_eq!(cells.len(), 1, "a one-cell grid");
+    Ok(cells.remove(0).output)
 }
 
 fn per_rack(gib: u64) -> PoolTopology {
@@ -370,609 +426,417 @@ fn sched_with(memory: MemoryPolicy, slowdown: SlowdownModel) -> SchedulerConfig 
         .build()
 }
 
-fn policy_short(label: &str) -> &str {
-    label.rsplit('+').next().unwrap_or(label)
+/// Scheduler points keyed by their memory policy and `key`.
+fn by_memory(
+    scheds: impl IntoIterator<Item = SchedulerConfig>,
+    key: String,
+) -> impl Iterator<Item = (Vec<String>, SchedulerConfig)> {
+    scheds
+        .into_iter()
+        .map(move |s| (vec![s.memory.name().to_string(), key.clone()], s))
 }
 
 // ---------------------------------------------------------------- T1 / F1
 
-fn t1() -> ExpResult {
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<10} {:>6} {:>9} {:>10} {:>7} {:>9} {:>9} {:>8} {:>9} {:>9}",
-        "trace",
-        "jobs",
-        "span_h",
-        "node_h",
-        "mean_n",
-        "med_run_s",
-        "med_mem%",
-        "p95_mem%",
-        "over_node",
-        "over_work"
-    );
-    for preset in SystemPreset::ALL {
+fn t1(_: &ExperimentRunner) -> Result<String, SimError> {
+    let summaries = SystemPreset::ALL.map(|preset| {
         let spec = preset.synthetic_spec(8000);
-        let w = spec.generate(SEED);
-        let s = wstats::summarize(preset.name(), &w, spec.memory.node_mem_mib);
-        let _ = writeln!(
-            body,
-            "{:<10} {:>6} {:>9.1} {:>10.0} {:>7.1} {:>9.0} {:>8.1}% {:>7.1}% {:>8.1}% {:>8.1}%",
-            s.name,
-            s.jobs,
-            s.span_hours,
-            s.node_hours,
-            s.mean_nodes,
-            s.median_runtime_s,
-            100.0 * s.median_mem_frac,
-            100.0 * s.p95_mem_frac,
-            100.0 * s.over_node_fraction,
-            100.0 * s.over_node_work_fraction,
-        );
-    }
-    ExpResult {
-        id: "t1",
-        title: "Workload characterization (per synthetic system preset)",
-        body,
-    }
+        wstats::summarize(
+            preset.name(),
+            &spec.generate(SEED),
+            spec.memory.node_mem_mib,
+        )
+    });
+    let cols: [Col<wstats::WorkloadSummary>; 9] = [
+        ("jobs", 6, |s| s.jobs.to_string()),
+        ("span_h", 9, |s| fixed(s.span_hours, 1)),
+        ("node_h", 10, |s| fixed(s.node_hours, 0)),
+        ("mean_n", 7, |s| fixed(s.mean_nodes, 1)),
+        ("med_run_s", 9, |s| fixed(s.median_runtime_s, 0)),
+        ("med_mem%", 9, |s| pct(s.median_mem_frac)),
+        ("p95_mem%", 8, |s| pct(s.p95_mem_frac)),
+        ("over_node", 9, |s| pct(s.over_node_fraction)),
+        ("over_work", 9, |s| pct(s.over_node_work_fraction)),
+    ];
+    let rows = summaries.iter().map(|s| (vec![s.name.clone()], s));
+    Ok(layout(&[("trace", 10)], &cols, rows))
 }
 
-fn f1() -> ExpResult {
+fn f1(_: &ExperimentRunner) -> Result<String, SimError> {
     let spec = PRESET.synthetic_spec(8000);
     let w = spec.generate(SEED);
-    let pts = wstats::memory_demand_cdf(&w, spec.memory.node_mem_mib, 25);
     let mut body = String::from("mem_frac_of_node,cdf\n");
-    for (x, y) in pts {
+    for (x, y) in wstats::memory_demand_cdf(&w, spec.memory.node_mem_mib, 25) {
         let _ = writeln!(body, "{x:.4},{y:.4}");
     }
-    ExpResult {
-        id: "f1",
-        title: "CDF of per-node memory demand (fraction of node DRAM)",
-        body,
-    }
+    Ok(body)
 }
 
 // ---------------------------------------------------------------- F2
 
-fn f2() -> ExpResult {
-    let outs = execute(
-        base("f2")
+fn f2(runner: &ExperimentRunner) -> Result<String, SimError> {
+    let out = one_cell(
+        runner,
+        base("f2", LOAD)
             .pool(PoolTopology::None)
             .scheduler(sched_with(MemoryPolicy::LocalOnly, SlowdownModel::None)),
+    )?;
+    let r = &out.report;
+    let mut body = format!(
+        "# motivation: CPU vs DRAM utilization gap under local-only scheduling\n\
+         node_util={:.3} dram_util={:.3} gap={:.3} inflated_jobs={}\n\
+         hour,nodes_busy_frac,dram_used_frac\n",
+        r.node_util,
+        r.dram_util,
+        r.node_util - r.dram_util,
+        pct(r.inflated_fraction),
     );
-    let out = &outs.cells()[0].output;
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "# motivation: CPU vs DRAM utilization gap under local-only scheduling"
-    );
-    let _ = writeln!(
-        body,
-        "node_util={:.3} dram_util={:.3} gap={:.3} inflated_jobs={:.1}%",
-        out.report.node_util,
-        out.report.dram_util,
-        out.report.node_util - out.report.dram_util,
-        100.0 * out.report.inflated_fraction,
-    );
-    let _ = writeln!(body, "hour,nodes_busy_frac,dram_used_frac");
     let nodes = out.series.node_util_series(out.end_time, SUMMARY_POINTS);
     let dram = out.series.dram_util_series(out.end_time, SUMMARY_POINTS);
-    for ((h, n), (_, d)) in nodes.iter().zip(dram.iter()) {
+    for ((h, n), (_, d)) in nodes.iter().zip(&dram) {
         let _ = writeln!(body, "{h:.2},{n:.4},{d:.4}");
     }
-    ExpResult {
-        id: "f2",
-        title: "CPU vs memory utilization over time (local-only baseline)",
-        body,
-    }
+    Ok(body)
 }
 
 // ---------------------------------------------------------------- F3
 
-fn f3() -> ExpResult {
-    let sizes = [0u64, 128, 256, 512, 1024];
-    let outs = execute(
-        base("f3")
-            .pools(sizes.iter().map(|&gib| {
+fn f3(runner: &ExperimentRunner) -> Result<String, SimError> {
+    // Policy-major rows: the figure draws one line per policy.
+    let mut rows = Vec::new();
+    for sched in policy_suite(default_slowdown()) {
+        let pools = [0u64, 128, 256, 512, 1024].map(|gib| {
+            let key = vec![sched.memory.name().to_string(), gib.to_string()];
+            (
+                key,
                 if gib == 0 {
                     PoolTopology::None
                 } else {
                     per_rack(gib)
-                }
-            }))
-            .policy_suite(default_slowdown()),
-    );
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<14} {:>10} {:>12} {:>12} {:>10}",
-        "policy", "pool_gib", "mean_wait_s", "p95_wait_s", "p95_bsld"
-    );
-    // Policy-major rows (the figure draws one line per policy). Grid order
-    // is cluster-outer/scheduler-inner, so cell (ci, si) sits at
-    // `ci * n_policies + si`.
-    let n_policies = outs.len() / sizes.len();
-    for si in 0..n_policies {
-        for (ci, &gib) in sizes.iter().enumerate() {
-            let cell = &outs.cells()[ci * n_policies + si];
-            let _ = writeln!(
-                body,
-                "{:<14} {:>10} {:>12.0} {:>12.0} {:>10.2}",
-                policy_short(&cell.output.report.label),
-                gib,
-                cell.output.report.mean_wait_s,
-                cell.output.report.p95_wait_s,
-                cell.output.report.p95_bsld,
-            );
-        }
+                },
+            )
+        });
+        let grid = base("f3", LOAD).scheduler(sched);
+        rows.extend(sweep(runner, grid, ExperimentBuilder::pool, pools)?);
     }
-    ExpResult {
-        id: "f3",
-        title: "Wait time vs per-rack pool capacity (4 policies)",
-        body,
-    }
+    let cols = [
+        MEAN_WAIT,
+        ("p95_wait_s", 12, |r| fixed(r.p95_wait_s, 0)),
+        P95_BSLD,
+    ];
+    Ok(report_table(
+        &[("policy", 14), ("pool_gib", 10)],
+        &cols,
+        &rows,
+    ))
 }
 
 // ---------------------------------------------------------------- F4
 
-fn f4() -> ExpResult {
-    let outs = execute(
-        base("f4")
-            .pool(per_rack(BASE_POOL_GIB))
-            .loads([0.7, 0.8, 1.0, 1.1]) // 0.9 comes from base()
-            .policy_suite(default_slowdown()),
-    );
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<14} {:>6} {:>12} {:>10} {:>10}",
-        "policy", "load", "mean_wait_s", "p95_bsld", "node_util"
-    );
-    let mut loads: Vec<f64> = outs.cells().iter().filter_map(|c| c.key.load).collect();
-    loads.sort_by(|a, b| a.partial_cmp(b).expect("finite loads"));
-    loads.dedup();
-    for &load in &loads {
-        for cell in outs.select(|k| k.load == Some(load)) {
-            let _ = writeln!(
-                body,
-                "{:<14} {:>6.2} {:>12.0} {:>10.2} {:>10.3}",
-                policy_short(&cell.output.report.label),
-                load,
-                cell.output.report.mean_wait_s,
-                cell.output.report.p95_bsld,
-                cell.output.report.node_util,
-            );
-        }
+fn f4(runner: &ExperimentRunner) -> Result<String, SimError> {
+    let mut rows = Vec::new();
+    for load in [0.7, 0.8, LOAD, 1.0, 1.1] {
+        let grid = base("f4", load).pool(per_rack(BASE_POOL_GIB));
+        let scheds = by_memory(policy_suite(default_slowdown()), fixed(load, 2));
+        rows.extend(sweep(runner, grid, ExperimentBuilder::scheduler, scheds)?);
     }
-    ExpResult {
-        id: "f4",
-        title: "Bounded slowdown vs offered load (4 policies, pool 512 GiB/rack)",
-        body,
-    }
+    let cols = [MEAN_WAIT, P95_BSLD, NODE_UTIL];
+    Ok(report_table(&[("policy", 14), ("load", 6)], &cols, &rows))
 }
 
 // ---------------------------------------------------------------- F5
 
-fn f5() -> ExpResult {
+fn f5(runner: &ExperimentRunner) -> Result<String, SimError> {
     // Shrink node DRAM while a fixed pool compensates: does disaggregation
-    // let you buy thinner nodes?
-    let drams = [128u64, 192, 256, 384, 512];
+    // let you buy thinner nodes? One row per (policy, DRAM) point.
     let (racks, npr, cores, _) = PRESET.machine();
-    let mut builder = base("f5");
-    for &dram in &drams {
-        builder = builder.cluster(
-            format!("dram-{dram}gib"),
-            dmhpc_platform::ClusterSpec::new(
-                racks,
-                npr,
-                NodeSpec::new(cores, dram * GIB),
-                per_rack(BASE_POOL_GIB),
-            ),
-        );
+    let mut rows = Vec::new();
+    for memory in [
+        MemoryPolicy::LocalOnly,
+        MemoryPolicy::SlowdownAware { max_dilation: 1.35 },
+    ] {
+        let clusters = [128u64, 192, 256, 384, 512].map(|dram| {
+            let node = NodeSpec::new(cores, dram * GIB);
+            let spec = ClusterSpec::new(racks, npr, node, per_rack(BASE_POOL_GIB));
+            let key = vec![memory.name().to_string(), dram.to_string()];
+            (key, (format!("dram-{dram}gib"), spec))
+        });
+        let grid = base("f5", LOAD).scheduler(sched_with(memory, default_slowdown()));
+        let add = |b: ExperimentBuilder, (label, spec)| b.cluster(label, spec);
+        rows.extend(sweep(runner, grid, add, clusters)?);
     }
-    let outs = execute(builder.schedulers([
-        sched_with(MemoryPolicy::LocalOnly, default_slowdown()),
-        sched_with(
-            MemoryPolicy::SlowdownAware { max_dilation: 1.35 },
-            default_slowdown(),
-        ),
-    ]));
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<14} {:>9} {:>10} {:>12} {:>12} {:>10}",
-        "policy", "dram_gib", "node_util", "mean_wait_s", "jobs_per_day", "borrowed%"
-    );
-    for memory in ["local-only", "slowdown-aware"] {
-        for &dram in &drams {
-            let cell = outs
-                .select(|k| k.cluster == format!("dram-{dram}gib") && k.scheduler.contains(memory))
-                .into_iter()
-                .next()
-                .expect("every (dram, policy) cell ran");
-            let r = &cell.output.report;
-            let _ = writeln!(
-                body,
-                "{:<14} {:>9} {:>10.3} {:>12.0} {:>12.0} {:>9.1}%",
-                memory,
-                dram,
-                r.node_util,
-                r.mean_wait_s,
-                r.throughput_jobs_per_day,
-                100.0 * r.borrowed_fraction,
-            );
-        }
-    }
-    ExpResult {
-        id: "f5",
-        title: "Utilization & throughput vs node DRAM (pool fixed at 512 GiB/rack)",
-        body,
-    }
+    let jobs_per_day: Col<SimReport> =
+        ("jobs_per_day", 12, |r| fixed(r.throughput_jobs_per_day, 0));
+    let cols = [NODE_UTIL, MEAN_WAIT, jobs_per_day, BORROWED];
+    Ok(report_table(
+        &[("policy", 14), ("dram_gib", 9)],
+        &cols,
+        &rows,
+    ))
 }
 
 // ---------------------------------------------------------------- F6
 
-fn f6() -> ExpResult {
-    let penalties = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0];
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<14} {:>8} {:>11} {:>12} {:>11} {:>10}",
-        "policy", "penalty", "makespan_h", "mean_wait_s", "mean_dil", "borrowed%"
-    );
-    // Local-only reference (penalty-independent).
-    let base_outs = execute(
-        base("f6-baseline")
-            .pool(PoolTopology::None)
-            .scheduler(sched_with(MemoryPolicy::LocalOnly, SlowdownModel::None)),
-    );
-    let b = &base_outs.cells()[0].output.report;
-    let _ = writeln!(
-        body,
-        "{:<14} {:>8} {:>11.1} {:>12.0} {:>11.3} {:>9.1}%",
-        "local-only", "-", b.makespan_h, b.mean_wait_s, 1.0, 0.0
-    );
+fn f6(runner: &ExperimentRunner) -> Result<String, SimError> {
+    // The local-only reference (penalty-independent) leads.
+    let local = sched_with(MemoryPolicy::LocalOnly, SlowdownModel::None);
+    let grid = base("f6-baseline", LOAD).pool(PoolTopology::None);
+    let baseline = by_memory([local], "-".into());
+    let mut rows = sweep(runner, grid, ExperimentBuilder::scheduler, baseline)?;
     // The penalty sweep is a scheduler axis: memory policy × slowdown model.
-    let memories = [
+    for memory in [
         MemoryPolicy::PoolFirstFit,
         MemoryPolicy::SlowdownAware { max_dilation: 1.35 },
-    ];
-    let outs = execute(base("f6").pool(per_rack(BASE_POOL_GIB)).schedulers(
-        memories.iter().flat_map(|&memory| {
-            penalties.map(move |penalty| {
-                sched_with(
-                    memory,
-                    SlowdownModel::Saturating {
-                        penalty,
-                        curvature: 3.0,
-                    },
-                )
-            })
+    ] {
+        let scheds = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0].map(|penalty| {
+            let model = SlowdownModel::Saturating {
+                penalty,
+                curvature: 3.0,
+            };
+            (
+                vec![memory.name().to_string(), fixed(penalty, 1)],
+                sched_with(memory, model),
+            )
+        });
+        let grid = base("f6", LOAD).pool(per_rack(BASE_POOL_GIB));
+        rows.extend(sweep(runner, grid, ExperimentBuilder::scheduler, scheds)?);
+    }
+    let cols: [Col<SimReport>; 4] = [
+        ("makespan_h", 11, |r| fixed(r.makespan_h, 1)),
+        MEAN_WAIT,
+        ("mean_dil", 11, |r| {
+            fixed(r.mean_dilation_borrowers.max(1.0), 3)
         }),
-    ));
-    for (cell, (memory, penalty)) in outs.cells().iter().zip(
-        memories
-            .iter()
-            .flat_map(|&m| penalties.map(move |p| (m, p))),
-    ) {
-        let r = &cell.output.report;
-        let _ = writeln!(
-            body,
-            "{:<14} {:>8.1} {:>11.1} {:>12.0} {:>11.3} {:>9.1}%",
-            memory.name(),
-            penalty,
-            r.makespan_h,
-            r.mean_wait_s,
-            r.mean_dilation_borrowers.max(1.0),
-            100.0 * r.borrowed_fraction,
-        );
-    }
-    ExpResult {
-        id: "f6",
-        title: "Crossover vs far-memory penalty (does borrowing stop paying?)",
-        body,
-    }
+        BORROWED,
+    ];
+    Ok(report_table(
+        &[("policy", 14), ("penalty", 8)],
+        &cols,
+        &rows,
+    ))
 }
 
 // ---------------------------------------------------------------- F7
 
-fn f7() -> ExpResult {
-    let outs = execute(
-        base("f7")
-            .pools([per_rack(128), per_rack(512)])
-            .scheduler(sched_with(MemoryPolicy::PoolFirstFit, default_slowdown())),
-    );
+fn f7(runner: &ExperimentRunner) -> Result<String, SimError> {
+    let grid =
+        base("f7", LOAD).scheduler(sched_with(MemoryPolicy::PoolFirstFit, default_slowdown()));
+    let pools = [128u64, 512].map(|gib| (gib, per_rack(gib)));
     let mut body = String::from("pool_gib,hour,pool_util\n");
-    for (cell, gib) in outs.cells().iter().zip([128u64, 512]) {
-        let out = &cell.output;
+    for (gib, out) in sweep(runner, grid, ExperimentBuilder::pool, pools)? {
         for (h, u) in out.series.pool_util_series(out.end_time, SUMMARY_POINTS) {
             let _ = writeln!(body, "{gib},{h:.2},{u:.4}");
         }
     }
-    ExpResult {
-        id: "f7",
-        title: "Pool utilization over time (128 vs 512 GiB/rack)",
-        body,
-    }
+    Ok(body)
 }
 
 // ---------------------------------------------------------------- F8
 
-fn f8() -> ExpResult {
-    let baseline = execute(
-        base("f8-baseline")
+fn f8(runner: &ExperimentRunner) -> Result<String, SimError> {
+    let local = one_cell(
+        runner,
+        base("f8-baseline", LOAD)
             .pool(PoolTopology::None)
             .scheduler(sched_with(MemoryPolicy::LocalOnly, SlowdownModel::None)),
-    );
-    let aware = execute(
-        base("f8-aware")
+    )?;
+    let aware = one_cell(
+        runner,
+        base("f8-aware", LOAD)
             .pool(per_rack(BASE_POOL_GIB))
             .scheduler(sched_with(
                 MemoryPolicy::SlowdownAware { max_dilation: 1.35 },
                 default_slowdown(),
             )),
-    );
-    let baseline = &baseline.cells()[0].output;
-    let aware = &aware.cells()[0].output;
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<12} {:>6} {:>14} {:>14} {:>9} {:>10} {:>10}",
-        "class", "jobs", "wait_local_s", "wait_aware_s", "speedup", "borrowed%", "inflated%"
-    );
-    for class in JobClass::ALL {
-        let b = baseline.report.classes.row(class);
-        let a = aware.report.classes.row(class);
-        let speedup = if a.mean_wait_s > 0.0 {
-            b.mean_wait_s / a.mean_wait_s
-        } else if b.mean_wait_s > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        };
-        let _ = writeln!(
-            body,
-            "{:<12} {:>6} {:>14.0} {:>14.0} {:>8.2}x {:>9.1}% {:>9.1}%",
-            class.name(),
-            b.jobs,
-            b.mean_wait_s,
-            a.mean_wait_s,
-            speedup,
-            100.0 * a.borrowed_fraction,
-            100.0 * b.inflated_fraction,
-        );
-    }
-    ExpResult {
-        id: "f8",
-        title: "Per-class wait: local-only vs slowdown-aware (who wins?)",
-        body,
-    }
+    )?;
+    let classes =
+        JobClass::ALL.map(|c| (c, local.report.classes.row(c), aware.report.classes.row(c)));
+    let cols: [Col<(JobClass, &ClassRow, &ClassRow)>; 6] = [
+        ("jobs", 6, |(_, b, _)| b.jobs.to_string()),
+        ("wait_local_s", 14, |(_, b, _)| fixed(b.mean_wait_s, 0)),
+        ("wait_aware_s", 14, |(_, _, a)| fixed(a.mean_wait_s, 0)),
+        ("speedup", 9, |(_, b, a)| {
+            let speedup = if a.mean_wait_s > 0.0 {
+                b.mean_wait_s / a.mean_wait_s
+            } else if b.mean_wait_s > 0.0 {
+                f64::INFINITY
+            } else {
+                1.0
+            };
+            format!("{speedup:.2}x")
+        }),
+        ("borrowed%", 10, |(_, _, a)| pct(a.borrowed_fraction)),
+        ("inflated%", 10, |(_, b, _)| pct(b.inflated_fraction)),
+    ];
+    let rows = classes
+        .iter()
+        .map(|row| (vec![row.0.name().to_string()], row));
+    Ok(layout(&[("class", 12)], &cols, rows))
 }
 
 // ---------------------------------------------------------------- F9
 
-fn f9() -> ExpResult {
+fn f9(runner: &ExperimentRunner) -> Result<String, SimError> {
     let total = BASE_POOL_GIB * 8; // same total capacity, different layout
-    let outs = execute(
-        base("f9")
-            .pools([
-                PoolTopology::None,
-                per_rack(BASE_POOL_GIB),
-                PoolTopology::Global { mib: total * GIB },
-            ])
-            .scheduler(sched_with(MemoryPolicy::PoolBestFit, default_slowdown())),
-    );
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<14} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "topology", "mean_wait_s", "p95_bsld", "node_util", "pool_util", "borrowed%"
-    );
-    for (cell, name) in outs
-        .cells()
-        .iter()
-        .zip(["none", "per-rack-512", "global-4096"])
-    {
-        let r = &cell.output.report;
-        let _ = writeln!(
-            body,
-            "{:<14} {:>12.0} {:>10.2} {:>10.3} {:>10.3} {:>9.1}%",
-            name,
-            r.mean_wait_s,
-            r.p95_bsld,
-            r.node_util,
-            r.pool_util,
-            100.0 * r.borrowed_fraction,
-        );
-    }
-    ExpResult {
-        id: "f9",
-        title: "Pool topology: none vs per-rack vs global (equal total capacity)",
-        body,
-    }
-}
-
-// ---------------------------------------------------------------- T2
-
-fn report_table(reports: &[&SimReport]) -> String {
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<28} {:>5} {:>5} {:>4} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "policy",
-        "done",
-        "kill",
-        "rej",
-        "mean_w_s",
-        "p95_w_s",
-        "p95_bsld",
-        "node_ut",
-        "pool_ut",
-        "borrow%",
-        "infl%",
-        "fair"
-    );
-    for r in reports {
-        let _ = writeln!(
-            body,
-            "{:<28} {:>5} {:>5} {:>4} {:>10.0} {:>10.0} {:>9.2} {:>9.3} {:>9.3} {:>8.1}% {:>8.1}% {:>9.3}",
-            r.label,
-            r.completed,
-            r.killed,
-            r.rejected,
-            r.mean_wait_s,
-            r.p95_wait_s,
-            r.p95_bsld,
-            r.node_util,
-            r.pool_util,
-            100.0 * r.borrowed_fraction,
-            100.0 * r.inflated_fraction,
-            r.user_fairness,
-        );
-    }
-    body
-}
-
-fn t2() -> ExpResult {
-    let outs = execute(
-        base("t2")
-            .pool(per_rack(BASE_POOL_GIB))
-            .policy_suite(default_slowdown()),
-    );
-    let reports: Vec<&SimReport> = outs.cells().iter().map(|c| &c.output.report).collect();
-    ExpResult {
-        id: "t2",
-        title: "Headline policy comparison (base config: load 0.9, 512 GiB/rack)",
-        body: report_table(&reports),
-    }
-}
-
-// ---------------------------------------------------------------- A1–A3
-
-fn a1() -> ExpResult {
-    let outs = execute(
-        base("a1")
-            .pool(per_rack(BASE_POOL_GIB))
-            .schedulers([true, false].map(|inflate| {
-                SchedulerBuilder::new()
-                    .memory(MemoryPolicy::PoolFirstFit)
-                    .slowdown(default_slowdown())
-                    .inflate_walltime(inflate)
-                    .build()
-            })),
-    );
-    let mut reports = Vec::new();
-    for (cell, inflate) in outs.cells().iter().zip([true, false]) {
-        let mut r = cell.output.report.clone();
-        r.label = format!("pool-ff inflate={inflate}");
-        reports.push(r);
-    }
-    let refs: Vec<&SimReport> = reports.iter().collect();
-    ExpResult {
-        id: "a1",
-        title: "Ablation A1: walltime inflation for dilated jobs (kill counts)",
-        body: report_table(&refs),
-    }
-}
-
-fn a2() -> ExpResult {
-    let outs = execute(
-        base("a2").pool(per_rack(BASE_POOL_GIB)).schedulers(
-            [
-                BackfillPolicy::None,
-                BackfillPolicy::Easy,
-                BackfillPolicy::Conservative,
-            ]
-            .map(|backfill| {
-                SchedulerBuilder::new()
-                    .order(OrderPolicy::Fcfs)
-                    .backfill(backfill)
-                    .memory(MemoryPolicy::PoolBestFit)
-                    .slowdown(default_slowdown())
-                    .build()
-            }),
-        ),
-    );
-    let reports: Vec<&SimReport> = outs.cells().iter().map(|c| &c.output.report).collect();
-    ExpResult {
-        id: "a2",
-        title: "Ablation A2: backfill flavour under disaggregation",
-        body: report_table(&reports),
-    }
-}
-
-fn a3() -> ExpResult {
-    let models: [(&str, SlowdownModel); 3] = [
-        ("static-linear-1.5", SlowdownModel::Linear { penalty: 1.5 }),
-        (
-            "contention-g1",
-            SlowdownModel::Contention {
-                penalty: 1.5,
-                gamma: 1.0,
-            },
-        ),
-        (
-            "contention-g2",
-            SlowdownModel::Contention {
-                penalty: 1.5,
-                gamma: 2.0,
-            },
-        ),
+    let grid =
+        base("f9", LOAD).scheduler(sched_with(MemoryPolicy::PoolBestFit, default_slowdown()));
+    let pools = [
+        ("none", PoolTopology::None),
+        ("per-rack-512", per_rack(BASE_POOL_GIB)),
+        ("global-4096", PoolTopology::Global { mib: total * GIB }),
+    ]
+    .map(|(name, pool)| (vec![name.to_string()], pool));
+    let rows = sweep(runner, grid, ExperimentBuilder::pool, pools)?;
+    let cols = [
+        MEAN_WAIT,
+        P95_BSLD,
+        NODE_UTIL,
+        ("pool_util", 10, |r| fixed(r.pool_util, 3)),
+        BORROWED,
     ];
-    let outs = execute(
-        base("a3")
-            .pool(per_rack(BASE_POOL_GIB))
-            .schedulers(models.map(|(_, model)| sched_with(MemoryPolicy::PoolFirstFit, model))),
-    );
-    let mut body = String::new();
-    let _ = writeln!(
-        body,
-        "{:<20} {:>12} {:>10} {:>12} {:>6}",
-        "model", "mean_wait_s", "p95_bsld", "mean_dil", "kill"
-    );
-    for (cell, (name, _)) in outs.cells().iter().zip(models) {
-        let r = &cell.output.report;
-        let _ = writeln!(
-            body,
-            "{:<20} {:>12.0} {:>10.2} {:>12.3} {:>6}",
-            name,
-            r.mean_wait_s,
-            r.p95_bsld,
-            r.mean_dilation_borrowers.max(1.0),
-            r.killed,
-        );
-    }
-    ExpResult {
-        id: "a3",
-        title: "Ablation A3: static vs contention-aware dilation",
-        body,
-    }
+    Ok(report_table(&[("topology", 14)], &cols, &rows))
+}
+
+// ---------------------------------------------------------------- T2, A1–A3
+
+/// The whole-report columns t2, a1 and a2 print after their policy key.
+const REPORT_COLS: [Col<SimReport>; 11] = [
+    ("done", 5, |r| r.completed.to_string()),
+    ("kill", 5, |r| r.killed.to_string()),
+    ("rej", 4, |r| r.rejected.to_string()),
+    ("mean_w_s", 10, |r| fixed(r.mean_wait_s, 0)),
+    ("p95_w_s", 10, |r| fixed(r.p95_wait_s, 0)),
+    ("p95_bsld", 9, |r| fixed(r.p95_bsld, 2)),
+    ("node_ut", 9, |r| fixed(r.node_util, 3)),
+    ("pool_ut", 9, |r| fixed(r.pool_util, 3)),
+    ("borrow%", 9, |r| pct(r.borrowed_fraction)),
+    ("infl%", 9, |r| pct(r.inflated_fraction)),
+    ("fair", 9, |r| fixed(r.user_fairness, 3)),
+];
+
+/// Sweep `scheds` on the base grid with 512 GiB/rack pools, keyed by the
+/// label each is printed under.
+fn scheduler_rows(
+    runner: &ExperimentRunner,
+    name: &'static str,
+    scheds: impl IntoIterator<Item = (String, SchedulerConfig)>,
+) -> Result<Vec<(Vec<String>, SimOutput)>, SimError> {
+    let grid = base(name, LOAD).pool(per_rack(BASE_POOL_GIB));
+    let points = scheds.into_iter().map(|(key, s)| (vec![key], s));
+    sweep(runner, grid, ExperimentBuilder::scheduler, points)
+}
+
+/// A [`REPORT_COLS`] table of `scheds`, each keyed by its policy label.
+fn policy_table(
+    runner: &ExperimentRunner,
+    name: &'static str,
+    scheds: impl IntoIterator<Item = SchedulerConfig>,
+) -> Result<String, SimError> {
+    let rows = scheduler_rows(runner, name, scheds.into_iter().map(|s| (s.label(), s)))?;
+    Ok(report_table(&[("policy", 28)], &REPORT_COLS, &rows))
+}
+
+fn t2(runner: &ExperimentRunner) -> Result<String, SimError> {
+    policy_table(runner, "t2", policy_suite(default_slowdown()))
+}
+
+fn a1(runner: &ExperimentRunner) -> Result<String, SimError> {
+    let scheds = [true, false].map(|inflate| {
+        let sched = SchedulerBuilder::new()
+            .memory(MemoryPolicy::PoolFirstFit)
+            .slowdown(default_slowdown())
+            .inflate_walltime(inflate)
+            .build();
+        (format!("pool-ff inflate={inflate}"), sched)
+    });
+    let rows = scheduler_rows(runner, "a1", scheds)?;
+    Ok(report_table(&[("policy", 28)], &REPORT_COLS, &rows))
+}
+
+fn a2(runner: &ExperimentRunner) -> Result<String, SimError> {
+    let backfills = [
+        BackfillPolicy::None,
+        BackfillPolicy::Easy,
+        BackfillPolicy::Conservative,
+    ];
+    let scheds = backfills.map(|backfill| {
+        SchedulerBuilder::new()
+            .order(OrderPolicy::Fcfs)
+            .backfill(backfill)
+            .memory(MemoryPolicy::PoolBestFit)
+            .slowdown(default_slowdown())
+            .build()
+    });
+    policy_table(runner, "a2", scheds)
+}
+
+fn a3(runner: &ExperimentRunner) -> Result<String, SimError> {
+    let contention = |gamma| SlowdownModel::Contention {
+        penalty: 1.5,
+        gamma,
+    };
+    let models = [
+        ("static-linear-1.5", SlowdownModel::Linear { penalty: 1.5 }),
+        ("contention-g1", contention(1.0)),
+        ("contention-g2", contention(2.0)),
+    ];
+    let scheds =
+        models.map(|(name, m)| (name.to_string(), sched_with(MemoryPolicy::PoolFirstFit, m)));
+    let rows = scheduler_rows(runner, "a3", scheds)?;
+    let cols = [
+        MEAN_WAIT,
+        P95_BSLD,
+        ("mean_dil", 12, |r| {
+            fixed(r.mean_dilation_borrowers.max(1.0), 3)
+        }),
+        ("kill", 6, |r| r.killed.to_string()),
+    ];
+    Ok(report_table(&[("model", 20)], &cols, &rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A table's body on a runner with no cache.
+    fn body(id: &str) -> String {
+        (table(id).unwrap().body)(&ExperimentRunner::new()).unwrap()
+    }
+
     #[test]
-    fn ids_dispatch() {
-        assert_eq!(all_ids().len(), 14);
-        assert!(run("zzz").is_none());
+    fn table_registry_names_each_table_once() {
+        let mut ids: Vec<&str> = TABLES.iter().map(|t| t.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 14);
+        assert!(table("zzz").is_none());
+        assert_eq!(table("f6").unwrap().id, "f6");
     }
 
     #[test]
     fn t1_runs_quickly_and_shapes() {
-        let r = run("t1").unwrap();
-        assert_eq!(r.id, "t1");
-        assert_eq!(r.body.lines().count(), 4, "header + 3 presets");
+        assert_eq!(body("t1").lines().count(), 4, "header + 3 presets");
     }
 
     #[test]
     fn f1_is_csv_cdf() {
-        let r = run("f1").unwrap();
-        let lines: Vec<&str> = r.body.trim().lines().collect();
+        let body = body("f1");
+        let lines: Vec<&str> = body.trim().lines().collect();
         assert_eq!(lines[0], "mem_frac_of_node,cdf");
         assert!(lines.len() > 10);
+    }
+
+    #[test]
+    fn layout_declares_each_column_once() {
+        let cols: [Col<f64>; 2] = [("v", 6, |v| fixed(*v, 2)), ("share%", 7, |v| pct(*v))];
+        let rows = [0.5, 12.25];
+        let keyed = rows.iter().map(|v| (vec![format!("k{v}")], v));
+        assert_eq!(
+            layout(&[("key", 5)], &cols, keyed),
+            "key        v  share%\n\
+             k0.5    0.50   50.0%\n\
+             k12.25  12.25 1225.0%\n"
+        );
     }
 
     #[test]
@@ -1037,17 +901,20 @@ mod tests {
         assert_eq!(baseline * 2, spec.cell_count(), "half the cells are closed");
     }
 
+    /// FNV-1a over `text`'s bytes.
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, b| {
+            (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// FNV-1a over the text `repro grid <spec> --list` prints: every
     /// cell's hash and label, in grid order.
     fn listing_digest(spec: &ExperimentSpec) -> u64 {
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        for (key, hash) in spec.cell_hashes().unwrap() {
-            for b in format!("{hash:016x}  {}\n", key.label()).bytes() {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        digest
+        let listing: String = (spec.cell_hashes().unwrap().into_iter())
+            .map(|(key, hash)| format!("{hash:016x}  {}\n", key.label()))
+            .collect();
+        fnv(&listing)
     }
 
     #[test]
@@ -1056,20 +923,24 @@ mod tests {
         // separate fault, service and fleet axes: one scenario axis must
         // give every built-in grid the same cells, labels and hashes in
         // the same order.
-        type Builder = fn() -> Result<ExperimentSpec, SimError>;
-        let pinned: [(Builder, usize, u64); 7] = [
-            (smoke_spec, 8, 0x8079_0b51_4c56_f4f1),
-            (smoke_contention_spec, 8, 0x1891_6e7a_6d50_8cd9),
-            (smoke_faults_spec, 16, 0x2358_d8da_2c6f_16ed),
-            (smoke_service_spec, 16, 0xead9_8f7f_9eb2_afef),
-            (smoke_deadline_spec, 8, 0xfb33_96d3_4fbb_239a),
-            (smoke_admission_spec, 8, 0xcbbc_3b29_ce55_1d7d),
-            (smoke_fleet_spec, 16, 0xd2ff_d797_f273_f527),
+        let pinned: [(&str, usize, u64); 7] = [
+            ("smoke", 8, 0x8079_0b51_4c56_f4f1),
+            ("smoke-contention", 8, 0x1891_6e7a_6d50_8cd9),
+            ("smoke-faults", 16, 0x2358_d8da_2c6f_16ed),
+            ("smoke-service", 16, 0xead9_8f7f_9eb2_afef),
+            ("smoke-deadline", 8, 0xfb33_96d3_4fbb_239a),
+            ("smoke-admission", 8, 0xcbbc_3b29_ce55_1d7d),
+            ("smoke-fleet", 16, 0xd2ff_d797_f273_f527),
         ];
-        for (build, cells, digest) in pinned {
+        for ((name, build), (pinned_name, cells, digest)) in GRIDS.iter().zip(pinned) {
+            assert_eq!(*name, pinned_name);
             let spec = build().unwrap();
-            assert_eq!(spec.cell_count(), cells, "{}", spec.name);
-            assert_eq!(listing_digest(&spec), digest, "{}", spec.name);
+            assert_eq!(
+                spec.name, *name,
+                "a grid's builder names its spec as the registry does"
+            );
+            assert_eq!(spec.cell_count(), cells, "{name}");
+            assert_eq!(listing_digest(&spec), digest, "{name}");
         }
     }
 
@@ -1155,33 +1026,63 @@ mod tests {
         assert_eq!(back.cell_hashes().unwrap(), spec.cell_hashes().unwrap());
     }
 
-    #[test]
-    fn run_with_cache_dir_reuses_results() {
-        let dir =
-            std::env::temp_dir().join(format!("dmhpc-repro-cache-test-{}", std::process::id()));
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dmhpc-tables-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let options = RunOptions {
-            cache_dir: Some(dir.clone()),
-            threads: 2,
-            event_queue: None,
-            trace_dir: None,
-        };
-        // f2 and f7 print step-series resamples, which a warm cell rebuilds
-        // from its stored summary rather than from the full series.
-        for id in ["f2", "f7"] {
-            let cold = run_with(id, &options).unwrap().unwrap();
-            let warm = run_with(id, &options).unwrap().unwrap();
-            assert_eq!(
-                cold.body, warm.body,
-                "{id}: cached replay reproduces the figure"
-            );
+        dir
+    }
+
+    /// Every table prints the bytes pinned (as the FNV-1a digest of its
+    /// body) from the tree before the tables shared one printer, and a warm
+    /// run through the same cache directory prints them again.
+    #[test]
+    fn every_table_is_pinned_cold_and_warm() {
+        let pinned: [(&str, u64); 14] = [
+            ("t1", 0x3f22_11a2_0c6d_1b0d),
+            ("f1", 0x01e9_7ca9_99d6_dde9),
+            ("f2", 0xfb6b_3d29_64dd_d522),
+            ("f3", 0xfd58_9864_1334_0a4c),
+            ("f4", 0x060a_8850_187b_8dbf),
+            ("f5", 0x9bdd_6398_6690_1b22),
+            ("f6", 0x3a40_eeba_d114_51be),
+            ("f7", 0x8e45_c5de_6209_cbec),
+            ("f8", 0xe12d_6de3_6f72_1ffa),
+            ("f9", 0x7b6f_1695_a0d7_e992),
+            ("t2", 0xe2bf_dee7_b916_1c5a),
+            ("a1", 0xe1da_eef7_9694_382c),
+            ("a2", 0x6e3e_06c1_218c_4eab),
+            ("a3", 0x9080_85ed_fed6_e610),
+        ];
+        let dir = tmp_dir("pinned");
+        let runner = ExperimentRunner::with_threads(2).cache_dir(&dir).unwrap();
+        for (table, (id, digest)) in TABLES.iter().zip(pinned) {
+            assert_eq!(table.id, id);
+            let cold = (table.body)(&runner).unwrap();
+            assert_eq!(fnv(&cold), digest, "{id} prints its pinned bytes:\n{cold}");
+            let warm = (table.body)(&runner).unwrap();
+            assert_eq!(cold, warm, "{id}: cached replay reproduces the table");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A store that fails mid-run is a typed error of the table, not a
+    /// panic: the runner's cache directory is replaced by a plain file
+    /// after the runner is built, so storing a cell fails with `ENOTDIR`
+    /// (which holds even for root).
+    #[test]
+    fn a_failed_cache_store_is_a_table_error() {
+        let dir = tmp_dir("enotdir");
+        let runner = ExperimentRunner::with_threads(1).cache_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, "not a directory").unwrap();
+        let err = (table("f2").unwrap().body)(&runner).unwrap_err();
+        assert!(err.to_string().contains("writing"), "{err}");
+        let _ = std::fs::remove_file(&dir);
+    }
+
     #[test]
     fn base_grid_declares_the_standard_cell() {
-        let spec = base("probe")
+        let spec = base("probe", LOAD)
             .pool(per_rack(BASE_POOL_GIB))
             .policy_suite(default_slowdown())
             .build()

@@ -9,8 +9,8 @@
 //! labels, `check_invariants` — are deliberately excluded, so
 //! relabelling a grid keeps its cache warm.
 //!
-//! The store is a directory of JSON files (one per cell, written through
-//! [`dmhpc_metrics::json`] — no new dependencies), each holding the
+//! The store is a directory of documents (one per cell, its JSON written
+//! through [`dmhpc_metrics::json`] — no new dependencies), each holding the
 //! cell's *summary*: the report and trace hash; `events_processed`,
 //! `passes` and `end_time`; the fault summary, `preemptions` and the
 //! service summary; the cell's SLO attainment; and each step series
@@ -23,8 +23,13 @@
 //! the output. That identity is what makes incremental re-runs safe: edit
 //! a spec and only cells whose hash changed are re-simulated.
 //!
-//! Unreadable, truncated, or version-mismatched documents are treated as
-//! misses (the cell is simply re-simulated and its file overwritten);
+//! A document is a header line — its version and the FNV-1a digest of the
+//! exact bytes that follow — then the summary as one compact JSON line.
+//! The digest is checked before the JSON is parsed, so a corrupted
+//! document cannot load as a hit that exports other bytes than the cold
+//! run did. Unreadable, truncated, version-mismatched, or digest-mismatched
+//! documents are treated as misses (the cell is simply re-simulated and its
+//! file overwritten);
 //! writes go through a per-process temporary file and an atomic rename,
 //! so concurrent shard processes can share one cache directory. The
 //! document version ([`DOC_VERSION`]) is separate from the cell-hash
@@ -59,9 +64,9 @@ use std::path::PathBuf;
 const CACHE_FORMAT: u64 = 1;
 
 /// Version of the stored summary document. Documents of any other
-/// version — including version 1, which held the whole [`SimOutput`] —
-/// load as misses.
-const DOC_VERSION: u64 = 2;
+/// version load as misses: version 1 held the whole [`SimOutput`], and
+/// version 2 held today's summary without the digest header.
+const DOC_VERSION: u64 = 3;
 
 // ------------------------------------------------------------------ hashing
 
@@ -436,7 +441,6 @@ fn summary_to_json(hash: u64, cell: &CellResult) -> Json {
         ])
     });
     Json::obj(vec![
-        ("format", Json::UInt(DOC_VERSION)),
         ("cell_hash", Json::UInt(hash)),
         ("report", export::report_to_value(&output.report)),
         ("trace_hash", Json::UInt(output.trace_hash)),
@@ -468,6 +472,21 @@ fn summary_to_json(hash: u64, cell: &CellResult) -> Json {
     ])
 }
 
+/// The header line of a document whose summary line is `body`: the
+/// document version and the FNV-1a digest of `body`'s bytes.
+fn document_header(body: &str) -> String {
+    let mut h = Fnv64::new();
+    h.write_bytes(body.as_bytes());
+    format!("{DOC_VERSION} {:016x}", h.finish())
+}
+
+/// The summary line of a stored document, if its header names this
+/// version and the digest of exactly those bytes.
+fn checked_body(text: &str) -> Option<&str> {
+    let (header, body) = text.split_once('\n')?;
+    (header == document_header(body)).then_some(body)
+}
+
 /// Rebuild a cell's output (records empty, series at [`SUMMARY_POINTS`])
 /// and its SLO attainment from a summary document.
 fn summary_from_json(
@@ -479,9 +498,6 @@ fn summary_from_json(
         message: format!("cache entry {what} mismatch"),
         offset: 0,
     };
-    if doc.expect_key("format")?.to_u64()? != DOC_VERSION {
-        return Err(mismatch("format"));
-    }
     if doc.expect_key("cell_hash")?.to_u64()? != hash {
         return Err(mismatch("cell_hash"));
     }
@@ -555,12 +571,12 @@ impl ResultCache {
     }
 
     /// Load a cell's summary output and SLO attainment by cell hash.
-    /// Missing, unreadable, corrupt, or version-mismatched entries all
-    /// return `None` — the caller simply re-simulates (and re-stores) the
+    /// Missing, unreadable, corrupt, version- or digest-mismatched entries
+    /// all return `None` — the caller simply re-simulates (and re-stores) the
     /// cell.
     pub(super) fn load_cell(&self, hash: u64, cell: &RunSpec) -> Option<(SimOutput, Option<f64>)> {
         let text = std::fs::read_to_string(self.path(hash)).ok()?;
-        let doc = parse(&text).ok()?;
+        let doc = parse(checked_body(&text)?).ok()?;
         summary_from_json(&doc, hash, cell).ok()
     }
 
@@ -574,7 +590,8 @@ impl ResultCache {
             .join(format!("cell-{hash:016x}.tmp.{}", std::process::id()));
         // Compact form: cache entries are machine artifacts, and they are
         // read far more often than humans inspect them.
-        let text = summary_to_json(hash, cell).to_string_compact();
+        let body = summary_to_json(hash, cell).to_string_compact();
+        let text = format!("{}\n{body}", document_header(&body));
         std::fs::write(&tmp_path, text)
             .map_err(|e| SimError::io(format!("writing {}", tmp_path.display()), e))?;
         std::fs::rename(&tmp_path, &final_path)
@@ -815,7 +832,12 @@ mod tests {
         std::fs::write(cache.path(hash), "{ not json").unwrap();
         assert!(cache.load_cell(hash, &cell).is_none());
         // Wrong hash inside the file (e.g. manual rename) also misses.
-        std::fs::write(cache.path(hash), r#"{"format": 1, "cell_hash": 12345}"#).unwrap();
+        let body = r#"{"cell_hash": 12345}"#;
+        std::fs::write(
+            cache.path(hash),
+            format!("{}\n{body}", document_header(body)),
+        )
+        .unwrap();
         assert!(cache.load_cell(hash, &cell).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -641,9 +641,9 @@ const TINY_SPEC: &str = r#"{"name": "fuzz-cache",
 
 /// Corrupted cache documents never panic: each of 1,000 seeded mutations
 /// of a cell's stored summary, written over the cell's file, loads as a
-/// hit or is a miss that re-simulates the cell and rewrites its file. A
-/// full-output document of the previous format, written for this very
-/// cell key, is a miss.
+/// hit that exports the cold run's CSV byte for byte, or is a miss that
+/// re-simulates the cell and rewrites its file. Documents of the two
+/// earlier formats, written for this very cell key, are misses.
 #[test]
 fn mutated_cache_documents_hit_or_resimulate() {
     let spec = ExperimentSpec::from_json(TINY_SPEC).unwrap();
@@ -652,6 +652,7 @@ fn mutated_cache_documents_hit_or_resimulate() {
     let runner = ExperimentRunner::with_threads(1).cache_dir(&dir).unwrap();
     let cold = runner.run(&spec).unwrap();
     assert_eq!(cold.stats().simulated, 1);
+    let cold_csv = cold.to_csv();
     let path = std::fs::read_dir(&dir)
         .unwrap()
         .next()
@@ -660,15 +661,19 @@ fn mutated_cache_documents_hit_or_resimulate() {
         .path();
     let summary = std::fs::read_to_string(&path).unwrap();
 
-    // Every warm run either hits or re-simulates, and a re-simulated cell
-    // stores the same summary again. Returns whether it hit.
+    // Every warm run either hits and exports the cold bytes, or
+    // re-simulates and stores the same summary again. Returns whether it
+    // hit.
     let warm = |text: &str| -> bool {
         std::fs::write(&path, text).unwrap();
         let results = runner.run(&spec).unwrap();
         let (hits, simulated) = (results.stats().cache_hits, results.stats().simulated);
         assert_eq!(hits + simulated, 1);
-        let _ = (results.to_csv(), results.to_json());
-        if simulated == 1 {
+        let csv = results.to_csv();
+        let _ = results.to_json();
+        if hits == 1 {
+            assert_eq!(csv, cold_csv, "a hit exports the cold run's bytes");
+        } else {
             assert_eq!(std::fs::read_to_string(&path).unwrap(), summary);
         }
         hits == 1
@@ -681,25 +686,31 @@ fn mutated_cache_documents_hit_or_resimulate() {
         1_000,
         |text| {
             warm(text);
-            dmhpc_metrics::json::parse(text).map(drop)
+            let body = text.split_once('\n').map_or(text, |(_, body)| body);
+            dmhpc_metrics::json::parse(body).map(drop)
         },
     );
-    // Some mutations are still JSON, so the loader's checks past the
-    // parser are reached; others are not, so the parse error path is.
+    // Some mutations leave the summary line valid JSON, so only the digest
+    // tells them from the stored bytes; others do not parse at all.
     assert!(
         0 < parsed && parsed < 1_000,
         "{parsed} of 1000 mutations still parse"
     );
 
-    // The previous format stored the whole output for this same cell key.
-    let format1 = include_str!("fixtures/cell-format1.json");
-    let key = dmhpc_metrics::json::parse(format1)
-        .unwrap()
-        .expect_key("cell_hash")
-        .unwrap()
-        .to_u64()
-        .unwrap();
-    assert_eq!(key, spec.cell_hashes().unwrap()[0].1);
-    assert!(!warm(format1), "a format-1 document is a miss");
+    // Format 1 stored the whole output for this same cell key; format 2
+    // stored today's summary line without the digest header.
+    for (format, text) in [
+        (1, include_str!("fixtures/cell-format1.json")),
+        (2, include_str!("fixtures/cell-format2.json")),
+    ] {
+        let key = dmhpc_metrics::json::parse(text)
+            .unwrap()
+            .expect_key("cell_hash")
+            .unwrap()
+            .to_u64()
+            .unwrap();
+        assert_eq!(key, spec.cell_hashes().unwrap()[0].1);
+        assert!(!warm(text), "a format-{format} document is a miss");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
