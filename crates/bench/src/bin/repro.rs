@@ -12,9 +12,9 @@
 //! cargo run --release -p dmhpc-bench --bin repro -- grid smoke --shard 0/2 --cache-dir .grid
 //! cargo run --release -p dmhpc-bench --bin repro -- grid smoke --shard 1/2 --cache-dir .grid
 //!
-//! # Merge: recombine shard outputs into the full grid-ordered table.
-//! # Every cell must already be cached (zero simulations) — a missing
-//! # cell means a shard did not run, and the merge fails loudly:
+//! # Merge: load the full grid-ordered table from the cache. It never
+//! # simulates or writes a cell, so a cell no shard stored fails the
+//! # merge, every time, until that shard runs:
 //! cargo run --release -p dmhpc-bench --bin repro -- merge smoke --cache-dir .grid
 //! ```
 //!
@@ -47,6 +47,8 @@ fn usage() {
     eprintln!("usage: repro [--list] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR] <id>... | all");
     eprintln!("       repro grid  <spec.json|{builtin}> [--shard i/n] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR]");
     eprintln!("       repro merge <spec.json|{builtin}> --cache-dir DIR");
+    eprintln!("       merge loads every cell from the cache and never simulates or");
+    eprintln!("       writes one; a cell no shard stored fails it");
     eprintln!("       a spec's \"scenarios\" list adds fault, open-service and fleet cells");
     eprintln!("       beside its plain ones (smoke-faults, smoke-service and smoke-fleet");
     eprintln!("       are built-in examples); federated cells run observation-free and");
@@ -144,7 +146,7 @@ enum RunMode {
         shard: Option<Shard>,
         exec: ExecKnobs,
     },
-    /// `repro merge <spec>`: recombine a fully cached grid.
+    /// `repro merge <spec>`: load the full grid from the cache.
     Merge {
         spec_arg: String,
         cache_dir: PathBuf,
@@ -206,9 +208,8 @@ impl RunMode {
                     );
                 }
                 if cli.threads.is_some() {
-                    // Merge demands all-cache-hits and therefore
-                    // simulates nothing: a worker count here means the
-                    // caller expected simulations.
+                    // Merge only loads cells, so a worker count here
+                    // means the caller expected simulations.
                     return Err(
                         "--threads does not apply to merge mode (merge loads cells, never \
                          simulates; use `grid` to run missing cells)"
@@ -457,19 +458,8 @@ fn verify_traces(
 
 fn run_merge(spec_arg: &str, cache_dir: &PathBuf) -> Result<(), Box<dyn std::error::Error>> {
     let spec = load_spec(spec_arg)?;
-    let runner = ExperimentRunner::with_threads(1).cache_dir(cache_dir)?;
     let start = Instant::now();
-    let results = runner.run(&spec)?;
-    let stats = results.stats();
-    if stats.simulated > 0 {
-        return Err(format!(
-            "merge expected every cell cached, but {} of {} cell(s) were missing \
-             (did all shards run against this cache dir?)",
-            stats.simulated,
-            results.len()
-        )
-        .into());
-    }
+    let results = ExperimentRunner::new().cache_dir(cache_dir)?.merge(&spec)?;
     export(&results, &spec.name)?;
     println!(
         "== merge {} — {} cells, all from cache [{:.1}s] -> results/{}.{{csv,json}}",
@@ -835,6 +825,69 @@ mod tests {
         // cell could write.
         assert!(verify_traces(&traces, fleet.simulated, started_at).is_err());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn cache_files(dir: &std::path::Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Grids that list service or fleet scenarios beside their plain
+    /// cells merge from disjoint shards, with nothing simulated and
+    /// exports equal to a cold full run.
+    #[test]
+    fn scenario_grids_merge_from_disjoint_shards() {
+        let root =
+            std::env::temp_dir().join(format!("dmhpc-repro-scenario-merge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for name in ["smoke-service", "smoke-fleet"] {
+            let spec = load_spec(name).unwrap();
+            let cache = root.join(name);
+            for i in 0..2 {
+                ExperimentRunner::with_threads(2)
+                    .cache_dir(&cache)
+                    .unwrap()
+                    .run_shard(&spec, Shard::new(i, 2).unwrap())
+                    .unwrap();
+            }
+            let merged = ExperimentRunner::new()
+                .cache_dir(&cache)
+                .unwrap()
+                .merge(&spec)
+                .unwrap();
+            assert_eq!(merged.stats().simulated, 0, "{name}");
+            let cold = ExperimentRunner::with_threads(2).run(&spec).unwrap();
+            assert_eq!(merged.to_csv(), cold.to_csv(), "{name}");
+            assert_eq!(merged.to_json(), cold.to_json(), "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `repro merge` with shard 1/2 missing fails, writes nothing into
+    /// the cache, and fails the same way when run again.
+    #[test]
+    fn merge_with_a_missing_shard_fails_and_leaves_the_cache() {
+        let cache =
+            std::env::temp_dir().join(format!("dmhpc-repro-missing-shard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache);
+        let spec = load_spec("smoke").unwrap();
+        ExperimentRunner::with_threads(2)
+            .cache_dir(&cache)
+            .unwrap()
+            .run_shard(&spec, Shard::new(0, 2).unwrap())
+            .unwrap();
+        let before = cache_files(&cache);
+        assert_eq!(before.len(), 4);
+        for _ in 0..2 {
+            let err = run_merge("smoke", &cache).unwrap_err().to_string();
+            assert!(err.contains("4 of 8 cell(s) were missing"), "{err}");
+            assert_eq!(cache_files(&cache), before);
+        }
+        let _ = std::fs::remove_dir_all(&cache);
     }
 
     #[test]

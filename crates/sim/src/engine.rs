@@ -74,9 +74,10 @@ use crate::collector::SeriesBundle;
 use crate::config::{EventQueueKind, SimConfig};
 use crate::error::SimError;
 use crate::faults::{FaultAction, FaultSpec, InterruptPolicy};
+use crate::fnv::Fnv64;
 use crate::observe::{
-    FaultObserver, JobStatsObserver, Observer, ObserverFactory, RunContext, RunEnd, RunLabel,
-    SeriesObserver, SimEvent, SketchStatsObserver,
+    FaultObserver, JobStatsObserver, Observer, RunContext, RunEnd, SeriesObserver, SimEvent,
+    SketchStatsObserver,
 };
 use crate::service::ServiceSpec;
 use dmhpc_des::queue::{BinaryHeapQueue, CalendarQueue, EventQueue};
@@ -92,7 +93,6 @@ use dmhpc_sched::{
 use dmhpc_workload::{Job, JobId, JobSource, Workload};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 /// One simulation event. Arrivals are not events: they come from the
 /// engine's arrival feed.
@@ -245,10 +245,9 @@ pub struct SimOutput {
 }
 
 /// Everything one run should watch, gathered into a single value for
-/// [`Simulation::run_with`]: caller-owned observers and per-run
-/// factories. Observation is always hash-neutral:
-/// attaching any combination below leaves the run's trace hash and output
-/// bit-identical.
+/// [`Simulation::run_with`]: caller-owned observers, borrowed for the
+/// run. Observation is always hash-neutral: attaching any combination
+/// leaves the run's trace hash and output bit-identical.
 ///
 /// ```
 /// use dmhpc_sim::ObserverSet;
@@ -262,10 +261,6 @@ pub struct ObserverSet<'a> {
     /// Caller-owned observers: inspectable after the run; the caller is
     /// responsible for checking [`Observer::failure`].
     borrowed: Vec<&'a mut dyn Observer>,
-    /// Per-run factories: one fresh observer is built per run; creation
-    /// or deferred sink failures panic (the observer dies with the run,
-    /// so there is nowhere else to report them).
-    factories: Vec<Arc<dyn ObserverFactory>>,
 }
 
 impl<'a> ObserverSet<'a> {
@@ -290,31 +285,12 @@ impl<'a> ObserverSet<'a> {
         }
         self
     }
-
-    /// Build one fresh observer from this factory when the run starts.
-    /// Factory errors and end-of-run sink failures panic; use
-    /// [`ObserverSet::watch`] where errors must be handled instead.
-    pub fn factory(mut self, factory: Arc<dyn ObserverFactory>) -> Self {
-        self.factories.push(factory);
-        self
-    }
-
-    /// Number of attachments (borrowed + factories).
-    pub fn len(&self) -> usize {
-        self.borrowed.len() + self.factories.len()
-    }
-
-    /// Whether nothing beyond the built-ins is attached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl std::fmt::Debug for ObserverSet<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObserverSet")
             .field("borrowed", &self.borrowed.len())
-            .field("factories", &self.factories.len())
             .finish()
     }
 }
@@ -431,59 +407,29 @@ impl Simulation {
     /// Simulate the workload with everything in `observers` watching, on
     /// top of the built-in metric observers that assemble [`SimOutput`].
     ///
-    /// This is the single observed-run entry point: borrowed observers,
-    /// boxed observer slices and per-run factories all attach through one
-    /// [`ObserverSet`]. Observation is
+    /// This is the single observed-run entry point. Observation is
     /// hash-neutral: the output is bit-identical to an unobserved run.
-    ///
-    /// Caller-owned observers ([`ObserverSet::watch`] /
-    /// [`ObserverSet::watch_boxed`]) stay inspectable after the run and
-    /// report their own failures through [`Observer::failure`];
-    /// factory-made observers die here, so their creation or deferred
-    /// sink failures panic — there is nowhere left to report them.
-    /// [`Simulation::try_run_with`] is the non-panicking form.
+    /// The run itself cannot fail: construction validated every input.
+    /// Observers stay with the caller, who inspects them after the run
+    /// and checks their deferred sink failures through
+    /// [`Observer::failure`] (the experiment runner does this for the
+    /// observers its factories make per cell).
     pub fn run_with(&self, workload: &Workload, observers: ObserverSet<'_>) -> SimOutput {
-        self.try_run_with(workload, observers)
-            // lint: allow(panic) — documented contract of the infallible
-            // surface: observation errors have nowhere else to go here.
-            .unwrap_or_else(|e| panic!("observed run failed: {e}"))
-    }
-
-    /// [`Simulation::run_with`], but observation failures — a factory
-    /// that cannot open its sink, or a factory-made observer whose
-    /// deferred sink write failed — come back as `Err` instead of
-    /// panicking. The simulation itself is still infallible by
-    /// construction; only attached observation can fail.
-    pub fn try_run_with(
-        &self,
-        workload: &Workload,
-        observers: ObserverSet<'_>,
-    ) -> Result<SimOutput, SimError> {
-        let ObserverSet {
-            mut borrowed,
-            factories,
-        } = observers;
-        let label = RunLabel::new(self.scheduler.label());
-        let mut made: Vec<Box<dyn Observer>> = factories
-            .iter()
-            .map(|f| f.make(&label))
-            .collect::<Result<_, _>>()?;
-        let mut extras: Vec<&mut dyn Observer> = Vec::with_capacity(borrowed.len() + made.len());
-        for o in borrowed.iter_mut() {
-            extras.push(&mut **o);
-        }
-        for b in made.iter_mut() {
-            extras.push(b.as_mut());
-        }
+        let mut extras = observers.borrowed;
         // One arrival feed either way: a closed run replays the workload,
         // an open run streams its scenario's seeded jobs — opened fresh
         // per run, so repeated runs replay identically.
         let source: Box<dyn JobSource + '_> = if self.service.is_none() {
             Box::new(workload.source())
         } else {
-            Box::new(self.service.open_source(&self.cfg.cluster)?)
+            Box::new(
+                self.service
+                    .open_source(&self.cfg.cluster)
+                    // lint: allow(panic) — with_service_spec opened this stream once to validate it
+                    .expect("validated service stream opens"),
+            )
         };
-        let output = Engine::new(
+        Engine::new(
             &self.cfg,
             &self.scheduler,
             &self.faults,
@@ -492,16 +438,7 @@ impl Simulation {
             &mut extras,
             None,
         )
-        .finish();
-        drop(extras);
-        // Factory-made observers die with this call, so a deferred sink
-        // failure (e.g. trace disk full) would be silently lost — the
-        // caller keeps their own observers and can check those, but these
-        // are ours to account for.
-        if let Some(e) = made.iter().find_map(|o| o.failure()) {
-            return Err(e);
-        }
-        Ok(output)
+        .finish()
     }
 }
 
@@ -563,7 +500,7 @@ pub(crate) struct Engine<'a, 'o> {
     start_time: SimTime,
     events_processed: u64,
     passes: u64,
-    trace_hash: u64,
+    trace_hash: Fnv64,
     /// Fault bookkeeping for interrupted jobs (empty on fault-free runs).
     fault_meta: BTreeMap<JobId, FaultMeta>,
     /// Time of the last job-affecting event (arrival, finish, interrupt,
@@ -582,9 +519,6 @@ pub(crate) struct Engine<'a, 'o> {
     /// once per pass.
     deferred: BTreeSet<JobId>,
 }
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl<'a, 'o> Engine<'a, 'o> {
     /// Build a run's engine. `source` feeds its arrivals; a federated site
@@ -656,7 +590,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             start_time,
             events_processed: 0,
             passes: 0,
-            trace_hash: FNV_OFFSET,
+            trace_hash: Fnv64::new(),
             fault_meta: BTreeMap::new(),
             last_job_time: start_time,
             next_wake: None,
@@ -699,10 +633,7 @@ impl<'a, 'o> Engine<'a, 'o> {
 
     fn hash_mix(&mut self, vals: [u64; 3]) {
         for v in vals {
-            for byte in v.to_le_bytes() {
-                self.trace_hash ^= byte as u64;
-                self.trace_hash = self.trace_hash.wrapping_mul(FNV_PRIME);
-            }
+            self.trace_hash.write_u64(v);
         }
     }
 
@@ -1557,6 +1488,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             preemptions,
             ..
         } = self;
+        let trace_hash = trace_hash.finish();
         // Fault runs clamp the metrics window to the last job-affecting
         // event: repair/drain-end events trailing the last finish (the
         // generator's horizon routinely outlives short workloads) would
@@ -2504,38 +2436,6 @@ mod tests {
         let last = probe.samples().last().unwrap();
         assert_eq!(last.running, 0, "machine drained by the window end");
         assert_eq!(last.queued, 0);
-    }
-
-    #[test]
-    fn with_observer_factory_builds_one_per_run() {
-        use crate::observe::{Observer, RunLabel};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        struct Count(Arc<AtomicU64>);
-        impl Observer for Count {
-            fn on_event(&mut self, _: &crate::observe::SimEvent) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let seen = Arc::new(AtomicU64::new(0));
-        let factory = {
-            let seen = Arc::clone(&seen);
-            move |_: &RunLabel| -> Result<Box<dyn Observer>, crate::SimError> {
-                Ok(Box::new(Count(Arc::clone(&seen))))
-            }
-        };
-        let w = Workload::from_jobs(vec![JobBuilder::new(1)
-            .nodes(1)
-            .runtime_secs(100, 200)
-            .mem_per_node(GIB)
-            .build()]);
-        let factory: Arc<dyn crate::observe::ObserverFactory> = Arc::new(factory);
-        let sim = local_sim();
-        let a = sim.run_with(&w, ObserverSet::new().factory(Arc::clone(&factory)));
-        let b = sim.run_with(&w, ObserverSet::new().factory(Arc::clone(&factory)));
-        assert_eq!(a.trace_hash, b.trace_hash);
-        // submit + start + grab + pass + release + finish, twice.
-        assert_eq!(seen.load(Ordering::Relaxed), 12);
     }
 
     #[test]

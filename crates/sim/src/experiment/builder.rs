@@ -228,19 +228,6 @@ impl ExperimentBuilder {
         self.schedulers(scenarios::policy_suite(slowdown))
     }
 
-    /// Toggle walltime enforcement for every cell (default on).
-    pub fn enforce_walltime(mut self, on: bool) -> Self {
-        self.enforce_walltime = on;
-        self
-    }
-
-    /// Toggle per-batch invariant checking for every cell (default off;
-    /// O(nodes) per event — tests only).
-    pub fn check_invariants(mut self, on: bool) -> Self {
-        self.check_invariants = on;
-        self
-    }
-
     /// Validate and produce the spec. Seeds default to `[42]` when the
     /// axis was never touched.
     pub fn build(self) -> Result<ExperimentSpec, SimError> {

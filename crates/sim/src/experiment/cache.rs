@@ -48,6 +48,7 @@ use super::{RunSpec, WorkloadSource};
 use crate::collector::SeriesBundle;
 use crate::engine::SimOutput;
 use crate::error::SimError;
+use crate::fnv::Fnv64;
 use dmhpc_des::stats::StepSeries;
 use dmhpc_des::time::SimTime;
 use dmhpc_metrics::export;
@@ -69,55 +70,6 @@ const CACHE_FORMAT: u64 = 1;
 const DOC_VERSION: u64 = 3;
 
 // ------------------------------------------------------------------ hashing
-
-/// Incremental FNV-1a (the same function the engine uses for trace
-/// hashes). Strings are length-prefixed and every field is tagged by
-/// write order, so distinct field sequences cannot collide by
-/// concatenation.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-
-    fn write_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                self.write_u64(1);
-                self.write_u64(v);
-            }
-            None => self.write_u64(0),
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// Digest of a workload source: what jobs the grid will see. Presets
 /// digest their calibration name and job count (the generator is

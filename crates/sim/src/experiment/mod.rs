@@ -31,9 +31,9 @@
 //!   changed.
 //! * [`Shard`] — deterministic round-robin grid partitioning
 //!   ([`ExperimentSpec::shard`], [`ExperimentRunner::run_shard`]) so N
-//!   processes or CI jobs each run a disjoint slice;
-//!   [`ExperimentResults::merge`] recombines the slices into one
-//!   grid-ordered table.
+//!   processes or CI jobs each run a disjoint slice into one cache;
+//!   [`ExperimentRunner::merge`] loads the full grid-ordered table from
+//!   that cache and fails, simulating nothing, if any cell is missing.
 //!
 //! ```
 //! use dmhpc_sim::{ExperimentRunner, ExperimentSpec};

@@ -5,7 +5,6 @@ use crate::config::SimConfig;
 use crate::engine::SimOutput;
 use dmhpc_metrics::export;
 use dmhpc_metrics::json::Json;
-use dmhpc_metrics::SimReport;
 
 /// The resolution at which a cached cell keeps each step series: the
 /// number of points the time-series tables (F2, F7) print.
@@ -157,20 +156,6 @@ impl ExperimentResults {
                 && c.key.seed == seed
                 && c.key.scheduler == scheduler
         })
-    }
-
-    /// Per-cell reports, relabelled with the full cell label
-    /// (`cluster|load|seed|scheduler`) so rows stay distinguishable in
-    /// flat tables.
-    pub fn reports(&self) -> Vec<SimReport> {
-        self.cells
-            .iter()
-            .map(|c| {
-                let mut r = c.output.report.clone();
-                r.label = c.key.label();
-                r
-            })
-            .collect()
     }
 
     /// CSV document: one row per cell, grid axes as leading columns, then
@@ -442,16 +427,5 @@ mod tests {
                 "fcfs+easy+pool-bf+sat1.5k3"
             )
             .is_none());
-    }
-
-    #[test]
-    fn reports_are_relabelled() {
-        let r = results();
-        let reports = r.reports();
-        assert!(reports[0].label.contains("rack-384gib|load0.70|seed3|"));
-        let mut labels: Vec<String> = reports.iter().map(|x| x.label.clone()).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), r.len(), "labels unique");
     }
 }

@@ -34,8 +34,8 @@ use std::sync::Arc;
 ///   re-executes only the cells whose hash changed — incremental re-runs
 ///   for free.
 /// * **Sharding** ([`ExperimentRunner::run_shard`]): N processes each run
-///   a disjoint slice of the grid; [`ExperimentResults::merge`] (or a warm
-///   cached run over the full spec) recombines them.
+///   a disjoint slice of the grid into one cache directory, and
+///   [`ExperimentRunner::merge`] rebuilds the full grid from that cache.
 #[derive(Clone, Default)]
 pub struct ExperimentRunner {
     threads: usize,
@@ -59,6 +59,10 @@ impl std::fmt::Debug for ExperimentRunner {
 /// Workload-cache key: `(seed, load bits, cluster node count)`. Loads are
 /// keyed by bit pattern — exact float identity is what the grid axes mean.
 type WorkloadKey = (Option<u64>, Option<u64>, u32);
+
+/// A cell the cache did not hold: its grid index, the cell, and its
+/// cell hash (`None` without a cache).
+type Miss = (usize, RunSpec, Option<u64>);
 
 impl ExperimentRunner {
     /// A runner using one worker per available core.
@@ -163,7 +167,8 @@ impl ExperimentRunner {
     }
 
     /// Run one shard of the grid (see [`Shard`]); the partial results are
-    /// in grid order and recombine via [`ExperimentResults::merge`].
+    /// in grid order. With a cache attached, [`ExperimentRunner::merge`]
+    /// recombines the shards once every one of them has run.
     pub fn run_shard(
         &self,
         spec: &ExperimentSpec,
@@ -173,19 +178,51 @@ impl ExperimentRunner {
         self.execute(spec, cells)
     }
 
-    fn execute(
+    /// Rebuild the whole grid from this runner's cache alone: the step
+    /// after shard processes stored their cells into one cache directory.
+    /// Every compiled cell must load from the cache; any miss (a runner
+    /// without a cache misses every cell) is an error giving the number
+    /// of missing cells and the first one's label. Merge simulates
+    /// nothing and writes nothing, so a failed merge leaves the cache as
+    /// it was and fails the same way until the missing cells are run.
+    /// The cache is content-addressed, so cells stored twice by
+    /// overlapping shards, or by other specs, are harmless.
+    pub fn merge(&self, spec: &ExperimentSpec) -> Result<ExperimentResults, SimError> {
+        let cells = spec.compile()?;
+        let total = cells.len();
+        let (slots, missing) = self.probe(spec, cells);
+        if let Some((_, first, _)) = missing.first() {
+            return Err(SimError::spec(format!(
+                "merge expected every cell cached, but {} of {total} cell(s) were missing, \
+                 first {} (did all shards run against this cache dir?)",
+                missing.len(),
+                first.key.label()
+            )));
+        }
+        Ok(ExperimentResults::with_stats(
+            spec.name.clone(),
+            slots.into_iter().flatten().collect(),
+            RunStats {
+                simulated: 0,
+                cache_hits: total,
+                observable: 0,
+            },
+        ))
+    }
+
+    /// Load every cell the cache holds into its grid slot and return the
+    /// misses.
+    fn probe(
         &self,
         spec: &ExperimentSpec,
         cells: Vec<RunSpec>,
-    ) -> Result<ExperimentResults, SimError> {
-        // Probe the cache first: hits skip both workload materialization
-        // and simulation.
+    ) -> (Vec<Option<CellResult>>, Vec<Miss>) {
         let digest = self
             .cache
             .as_ref()
             .map(|_| cache::workload_digest(&spec.workload));
         let mut slots: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
-        let mut pending: Vec<(usize, RunSpec, Option<u64>)> = Vec::new();
+        let mut pending: Vec<Miss> = Vec::new();
         for (i, cell) in cells.into_iter().enumerate() {
             if let (Some(cache), Some(digest)) = (&self.cache, digest) {
                 let hash = cache::cell_hash(digest, &cell);
@@ -203,6 +240,17 @@ impl ExperimentRunner {
                 pending.push((i, cell, None));
             }
         }
+        (slots, pending)
+    }
+
+    fn execute(
+        &self,
+        spec: &ExperimentSpec,
+        cells: Vec<RunSpec>,
+    ) -> Result<ExperimentResults, SimError> {
+        // Probe the cache first: hits skip both workload materialization
+        // and simulation.
+        let (mut slots, pending) = self.probe(spec, cells);
         let cache_hits = slots.iter().filter(|s| s.is_some()).count();
         let simulated = pending.len();
         let observable = pending.iter().filter(|(_, c, _)| c.fleet.is_none()).count();
@@ -261,8 +309,7 @@ impl ExperimentRunner {
                         .iter()
                         .map(|f| f.make(&run))
                         .collect::<Result<_, SimError>>()?;
-                    let output =
-                        sim.try_run_with(workload, ObserverSet::new().watch_boxed(&mut obs))?;
+                    let output = sim.run_with(workload, ObserverSet::new().watch_boxed(&mut obs));
                     match obs.iter().find_map(|o| o.failure()) {
                         Some(e) => Err(e),
                         None => Ok(output),

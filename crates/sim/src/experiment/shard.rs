@@ -1,4 +1,4 @@
-//! Deterministic grid sharding and shard-result merging.
+//! Deterministic grid sharding.
 //!
 //! A [`Shard`] names one slice of a compiled grid: shard `i` of `n` takes
 //! every cell whose compile-order index is congruent to `i` mod `n`.
@@ -10,14 +10,12 @@
 //! coordination, and `∪ shards == full grid` with no overlaps for any
 //! `n ≥ 1` (tested).
 //!
-//! [`ExperimentResults::merge`] recombines shard outputs into one
-//! grid-ordered table, verifying that the shards cover the grid exactly
-//! (every cell present once, nothing foreign).
+//! Shards meet in a result cache: each shard process stores its cells
+//! into one cache directory, and [`crate::ExperimentRunner::merge`]
+//! loads the full grid from it, failing on any cell no shard stored.
 
-use super::results::RunStats;
-use super::{CellKey, ExperimentResults, ExperimentSpec, RunSpec};
+use super::{ExperimentSpec, RunSpec};
 use crate::error::SimError;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One slice of a grid: shard `index` of `count`.
@@ -74,20 +72,6 @@ impl fmt::Display for Shard {
     }
 }
 
-/// Exact-equality lookup key for a grid cell (loads compared by bit
-/// pattern, as the grid axes mean).
-type MergeKey = (String, Option<u64>, Option<u64>, Option<String>, String);
-
-fn merge_key(key: &CellKey) -> MergeKey {
-    (
-        key.cluster.clone(),
-        key.load.map(f64::to_bits),
-        key.seed,
-        key.fault.clone(),
-        key.scheduler.clone(),
-    )
-}
-
 impl ExperimentSpec {
     /// Compile the grid and keep only the cells belonging to `shard`, in
     /// grid order. `shard(0, 1)` is the whole grid.
@@ -99,64 +83,6 @@ impl ExperimentSpec {
             .filter(|(i, _)| shard.owns(*i))
             .map(|(_, cell)| cell)
             .collect())
-    }
-}
-
-impl ExperimentResults {
-    /// Recombine shard results into the full grid-ordered table.
-    ///
-    /// `parts` may arrive in any order (they are matched by cell
-    /// coordinates, not position). Fails if any grid cell is missing,
-    /// duplicated, or if a part carries a cell the spec does not compile
-    /// to — each a sign that the shards were produced from a different
-    /// spec revision. Cache/simulation statistics are summed across
-    /// parts.
-    pub fn merge(
-        spec: &ExperimentSpec,
-        parts: impl IntoIterator<Item = ExperimentResults>,
-    ) -> Result<ExperimentResults, SimError> {
-        let grid = spec.compile()?;
-        let mut by_key: BTreeMap<MergeKey, super::CellResult> = BTreeMap::new();
-        let mut stats = RunStats::default();
-        for part in parts {
-            if part.name != spec.name {
-                return Err(SimError::spec(format!(
-                    "cannot merge results for {:?} into experiment {:?}",
-                    part.name, spec.name
-                )));
-            }
-            stats.simulated += part.stats().simulated;
-            stats.cache_hits += part.stats().cache_hits;
-            stats.observable += part.stats().observable;
-            for cell in part.into_cells() {
-                if by_key.insert(merge_key(&cell.key), cell).is_some() {
-                    return Err(SimError::spec(
-                        "duplicate cell across shard results (overlapping shards?)",
-                    ));
-                }
-            }
-        }
-        let mut cells = Vec::with_capacity(grid.len());
-        for cell in &grid {
-            let result = by_key.remove(&merge_key(&cell.key)).ok_or_else(|| {
-                SimError::spec(format!(
-                    "shard results missing grid cell {} (incomplete shard set?)",
-                    cell.key.label()
-                ))
-            })?;
-            cells.push(result);
-        }
-        if !by_key.is_empty() {
-            return Err(SimError::spec(format!(
-                "{} shard result cell(s) not in the spec's grid (stale spec?)",
-                by_key.len()
-            )));
-        }
-        Ok(ExperimentResults::with_stats(
-            spec.name.clone(),
-            cells,
-            stats,
-        ))
     }
 }
 
@@ -232,16 +158,52 @@ mod tests {
         }
     }
 
+    /// A fresh cache directory for one test, removed when dropped.
+    struct TempCache(std::path::PathBuf);
+
+    impl TempCache {
+        fn new(test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("dmhpc-shard-{test}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempCache(dir)
+        }
+
+        fn runner(&self) -> ExperimentRunner {
+            ExperimentRunner::with_threads(2)
+                .cache_dir(&self.0)
+                .unwrap()
+        }
+
+        fn files(&self) -> Vec<std::path::PathBuf> {
+            let mut files: Vec<_> = std::fs::read_dir(&self.0)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            files
+        }
+    }
+
+    impl Drop for TempCache {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn merged_shards_equal_the_full_run() {
         let spec = spec();
-        let runner = ExperimentRunner::with_threads(2);
-        let full = runner.run(&spec).unwrap();
-        let parts: Vec<ExperimentResults> = (0..3)
-            .map(|i| runner.run_shard(&spec, Shard::new(i, 3).unwrap()).unwrap())
-            .collect();
-        // Parts merge in any order.
-        let merged = ExperimentResults::merge(&spec, parts.into_iter().rev()).unwrap();
+        let full = ExperimentRunner::with_threads(2).run(&spec).unwrap();
+        let cache = TempCache::new("merged");
+        // Shards may run in any order.
+        for i in (0..3).rev() {
+            cache
+                .runner()
+                .run_shard(&spec, Shard::new(i, 3).unwrap())
+                .unwrap();
+        }
+        let merged = cache.runner().merge(&spec).unwrap();
         assert_eq!(merged.len(), full.len());
         assert_eq!(merged.to_csv(), full.to_csv());
         assert_eq!(merged.to_json(), full.to_json());
@@ -249,29 +211,74 @@ mod tests {
             assert_eq!(a.key, b.key);
             assert_eq!(a.output.trace_hash, b.output.trace_hash);
         }
-        assert_eq!(merged.stats().simulated, full.len());
+        assert_eq!(merged.stats().simulated, 0);
+        assert_eq!(merged.stats().cache_hits, full.len());
     }
 
     #[test]
-    fn merge_rejects_missing_overlapping_and_foreign_cells() {
+    fn merge_fails_on_missing_cells_and_leaves_the_cache_as_it_was() {
         let spec = spec();
-        let runner = ExperimentRunner::with_threads(1);
-        let s0 = runner.run_shard(&spec, Shard::new(0, 2).unwrap()).unwrap();
-        let s1 = runner.run_shard(&spec, Shard::new(1, 2).unwrap()).unwrap();
+        let cache = TempCache::new("missing");
+        cache
+            .runner()
+            .run_shard(&spec, Shard::new(0, 2).unwrap())
+            .unwrap();
+        let before = cache.files();
+        let first_missing = spec.compile().unwrap()[1].key.label();
+        let total = spec.cell_count();
+        let expected = format!(
+            "{} of {total} cell(s) were missing, first {first_missing}",
+            total / 2
+        );
+        // Merge never simulates the missing half, so a second merge
+        // fails just like the first.
+        for _ in 0..2 {
+            let err = cache.runner().merge(&spec).unwrap_err().to_string();
+            assert!(err.contains(&expected), "{err}");
+            assert_eq!(cache.files(), before, "a failed merge writes nothing");
+        }
+        // Without a cache every cell is missing.
+        let err = ExperimentRunner::with_threads(1).merge(&spec).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("{total} of {total} cell(s)")),
+            "{err}"
+        );
+    }
 
-        // Missing a shard.
-        let err = ExperimentResults::merge(&spec, [s0.clone()]).unwrap_err();
-        assert!(err.to_string().contains("missing"), "{err}");
-
-        // Overlapping shards.
-        let err =
-            ExperimentResults::merge(&spec, [s0.clone(), s0.clone(), s1.clone()]).unwrap_err();
-        assert!(err.to_string().contains("duplicate"), "{err}");
-
-        // Results from a different experiment name.
-        let mut other = spec.clone();
-        other.name = "something-else".into();
-        let err = ExperimentResults::merge(&other, [s0, s1]).unwrap_err();
-        assert!(err.to_string().contains("cannot merge"), "{err}");
+    #[test]
+    fn overlapping_and_foreign_cells_do_not_disturb_a_merge() {
+        let spec = spec();
+        let full = ExperimentRunner::with_threads(2).run(&spec).unwrap();
+        let cache = TempCache::new("overlap");
+        // Overlapping shards: 0/2 twice and 0/3 store some cells again;
+        // a content-addressed cache holds each cell once.
+        for shard in [(0, 2), (0, 2), (0, 3), (1, 2)] {
+            cache
+                .runner()
+                .run_shard(&spec, Shard::new(shard.0, shard.1).unwrap())
+                .unwrap();
+        }
+        assert_eq!(cache.files().len(), spec.cell_count());
+        // Foreign cells: another grid's cells share the directory.
+        let mut foreign = ExperimentSpec::builder("foreign")
+            .preset(SystemPreset::HighThroughput, 30)
+            .pool(PoolTopology::None)
+            .load(0.5)
+            .seed(4)
+            .schedulers(policy_suite(default_slowdown()))
+            .build()
+            .unwrap();
+        cache.runner().run(&foreign).unwrap();
+        assert!(cache.files().len() > spec.cell_count());
+        let merged = cache.runner().merge(&spec).unwrap();
+        assert_eq!(merged.to_csv(), full.to_csv());
+        assert_eq!(merged.to_json(), full.to_json());
+        // Names are not content: a renamed spec merges from the same
+        // cells, under its own name.
+        foreign.name = "renamed".into();
+        let renamed = cache.runner().merge(&foreign).unwrap();
+        assert_eq!(renamed.name, "renamed");
+        assert_eq!(renamed.len(), foreign.cell_count());
     }
 }

@@ -21,6 +21,7 @@
 //! result caches stay warm (tested in `tests/integration.rs`).
 
 use crate::error::SimError;
+use crate::fnv::Fnv64;
 use dmhpc_des::rng::Pcg64;
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{ClusterSpec, NodeId, PoolId, PoolTopology};
@@ -383,19 +384,15 @@ impl FaultSpec {
         let mut parts: Vec<String> = Vec::new();
         if !self.schedule.is_empty() {
             // A short content digest keeps same-length schedules apart.
-            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut digest = Fnv64::new();
             for (t, action) in &self.schedule {
-                for b in t.as_micros().to_le_bytes() {
-                    digest ^= b as u64;
-                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                digest ^= action_tag(action);
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                digest.write_u64(t.as_micros());
+                digest.write_word(action_tag(action));
             }
             parts.push(format!(
                 "fix{}h{:04x}",
                 self.schedule.len(),
-                digest & 0xffff
+                digest.finish() & 0xffff
             ));
         }
         if let Some(g) = &self.generator {

@@ -45,9 +45,10 @@
 
 use crate::collector::SeriesBundle;
 use crate::config::SimConfig;
-use crate::engine::{Engine, SimOutput, FNV_OFFSET, FNV_PRIME};
+use crate::engine::{Engine, SimOutput};
 use crate::error::SimError;
 use crate::faults::FaultSpec;
+use crate::fnv::Fnv64;
 use crate::service::ServiceSpec;
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_metrics::{ClassThresholds, FaultSummary, RunData, SimReport};
@@ -356,7 +357,7 @@ impl FleetSimulation {
         let mut events_processed = 0u64;
         let mut passes = 0u64;
         let mut preemptions = 0u64;
-        let mut trace_hash = FNV_OFFSET;
+        let mut trace_hash = Fnv64::new();
         for (site, out) in self.sites.iter().zip(outputs) {
             let span = site_span(out);
             let n = site.cfg.cluster.total_nodes() as f64;
@@ -374,10 +375,7 @@ impl FleetSimulation {
             events_processed += out.events_processed;
             passes += out.passes;
             preemptions += out.preemptions;
-            for byte in out.trace_hash.to_le_bytes() {
-                trace_hash ^= byte as u64;
-                trace_hash = trace_hash.wrapping_mul(FNV_PRIME);
-            }
+            trace_hash.write_u64(out.trace_hash);
         }
         let frac = |num: f64, cap: f64| {
             if cap > 0.0 && makespan_s > 0.0 {
@@ -415,7 +413,7 @@ impl FleetSimulation {
             series: SeriesBundle::new(origin, &self.base.cluster),
             events_processed,
             passes,
-            trace_hash,
+            trace_hash: trace_hash.finish(),
             end_time,
             faults: data.faults,
             preemptions,
@@ -854,14 +852,11 @@ mod tests {
         let out = FleetSimulation::new(&fleet, base()).unwrap().run(&w);
         let sum: u64 = out.site_outputs.iter().map(|o| o.events_processed).sum();
         assert_eq!(out.aggregate.events_processed, sum);
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for o in &out.site_outputs {
-            for byte in o.trace_hash.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h.write_u64(o.trace_hash);
         }
-        assert_eq!(out.aggregate.trace_hash, h);
+        assert_eq!(out.aggregate.trace_hash, h.finish());
         assert_ne!(
             out.aggregate.trace_hash, out.site_outputs[0].trace_hash,
             "fleet hash is distinct from any single site's"

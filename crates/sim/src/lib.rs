@@ -58,6 +58,7 @@ mod error;
 pub mod experiment;
 pub mod faults;
 pub mod federation;
+mod fnv;
 pub mod observe;
 pub mod scenarios;
 pub mod service;

@@ -38,9 +38,9 @@
 //!
 //! Attach points, innermost to outermost: per run, everything goes
 //! through one [`crate::ObserverSet`] passed to
-//! [`crate::Simulation::run_with`] — caller-owned observers and per-run
-//! factories alike; per-cell factories on a
-//! whole grid via `ExperimentRunner::observe` /
+//! [`crate::Simulation::run_with`], which borrows caller-owned
+//! observers; per-cell factories on a whole grid via
+//! `ExperimentRunner::observe` /
 //! `ExperimentRunner::trace_dir`; and `repro … --trace-out DIR` from the
 //! command line.
 
@@ -333,9 +333,9 @@ impl RunLabel {
 
 /// Builds one fresh observer per run. Grids execute many runs (cells)
 /// concurrently, and stateful observers cannot be shared between them —
-/// so the attach points that outlive a single run
-/// ([`crate::ObserverSet::factory`], `ExperimentRunner::observe`)
-/// take factories.
+/// so `ExperimentRunner::observe`, which outlives a single run, takes
+/// factories; the runner makes each cell's observers and lends them to
+/// [`crate::Simulation::run_with`].
 pub trait ObserverFactory: Send + Sync {
     /// Create the observer for one run. Fallible so file-backed sinks can
     /// surface creation errors before the run starts.

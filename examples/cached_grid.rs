@@ -4,8 +4,8 @@
 //! Runs a policy grid three ways and prints what each cost:
 //!
 //! 1. **Sharded cold run** — two "processes" each simulate a disjoint
-//!    half of the grid into one shared cache, then a merge recombines
-//!    them (zero extra simulations).
+//!    half of the grid into one shared cache, then a merge loads the
+//!    full grid from that cache (it never simulates).
 //! 2. **Warm re-run** — the unchanged spec replays entirely from cache.
 //!    Each cached cell is its summary (report, counters, 25-point series
 //!    resamples), so the exports match a cold run byte for byte, but
@@ -47,9 +47,7 @@ fn main() -> Result<(), SimError> {
     );
 
     // 1. Sharded cold run: each shard is a disjoint slice; in CI these
-    //    would be separate jobs sharing the cache directory (or, without
-    //    shared storage, each shard's results merge in memory).
-    let mut parts = Vec::new();
+    //    would be separate jobs sharing the cache directory.
     for i in 0..2 {
         let t = Instant::now();
         let runner = ExperimentRunner::new().cache_dir(&cache_dir)?;
@@ -59,10 +57,15 @@ fn main() -> Result<(), SimError> {
             part.stats().simulated,
             t.elapsed().as_secs_f64()
         );
-        parts.push(part);
     }
-    let merged = ExperimentResults::merge(&spec, parts)?;
-    println!("merged:    {} cells, grid-ordered\n", merged.len());
+    let merged = ExperimentRunner::new()
+        .cache_dir(&cache_dir)?
+        .merge(&spec)?;
+    assert_eq!(merged.stats().simulated, 0);
+    println!(
+        "merged:    {} cells from cache, grid-ordered\n",
+        merged.len()
+    );
 
     // 2. Warm re-run: nothing changed, nothing simulates, and the export
     //    is byte-identical to a cold run.

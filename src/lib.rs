@@ -48,9 +48,10 @@
 //! unchanged cells load their stored summary instead of simulating and
 //! export byte-identically, so edited specs re-execute only changed
 //! cells) and deterministic [`sim::Shard`]
-//! partitioning ([`sim::ExperimentRunner::run_shard`] +
-//! [`sim::ExperimentResults::merge`]) for fanning a grid out across
-//! processes or CI jobs.
+//! partitioning ([`sim::ExperimentRunner::run_shard`] into one cache,
+//! then [`sim::ExperimentRunner::merge`], which loads the full grid from
+//! it and never simulates) for fanning a grid out across processes or
+//! CI jobs.
 //!
 //! Availability is a grid dimension too: a [`sim::FaultSpec`] (node
 //! failures, maintenance drains, pool degradations — fixed schedules or

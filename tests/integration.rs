@@ -453,9 +453,9 @@ fn custom_ordering_plugs_into_simulation() {
 // ------------------------------------------------- grid-scaling layer
 
 /// The full scaling story through the facade: shard processes populate a
-/// shared content-addressed cache, the merge rebuilds the grid purely
-/// from cache with byte-identical exports, and an edited spec re-runs
-/// only its changed cells.
+/// shared content-addressed cache, the merge loads the grid purely from
+/// cache with byte-identical exports, and an edited spec re-runs only
+/// its changed cells.
 #[test]
 fn cache_shard_merge_end_to_end() {
     let dir = std::env::temp_dir().join(format!("dmhpc-e2e-cache-{}", std::process::id()));
@@ -474,16 +474,20 @@ fn cache_shard_merge_end_to_end() {
     let reference = ExperimentRunner::with_threads(2).run(&spec).unwrap();
 
     // Three "processes" each run a disjoint shard into one cache.
-    let mut parts = Vec::new();
     for i in 0..3 {
         let runner = ExperimentRunner::with_threads(2).cache_dir(&dir).unwrap();
         let part = runner.run_shard(&spec, Shard::new(i, 3).unwrap()).unwrap();
         assert_eq!(part.stats().cache_hits, 0, "disjoint shards share no cells");
-        parts.push(part);
     }
 
-    // In-memory merge matches the reference exactly.
-    let merged = ExperimentResults::merge(&spec, parts).unwrap();
+    // The merge loads every cell from the cache and matches the
+    // reference exactly.
+    let merged = ExperimentRunner::new()
+        .cache_dir(&dir)
+        .unwrap()
+        .merge(&spec)
+        .unwrap();
+    assert_eq!(merged.stats().simulated, 0);
     assert_eq!(merged.to_csv(), reference.to_csv());
     assert_eq!(merged.to_json(), reference.to_json());
 
